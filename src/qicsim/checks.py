@@ -25,6 +25,16 @@ from .linalg import (
 QUDIT_ENSEMBLE = ((2, 2), (2, 3), (3, 2), (3, 3))
 RETRIEVAL_THETAS = (0.0, 1.3)
 
+# Capsule and partner invariants of the random sweeps, in report order.
+SWEEP_TOLERANCES = {
+    "capsule purity": 1e-8,
+    "retrieval residual independence": 1e-7,
+    "retrieval fidelity": 1e-7,
+    "partner purity": 1e-8,
+    "partner locality": 1e-9,
+    "partner write action": 1e-8,
+}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -151,30 +161,27 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator,
     return residuals
 
 
+def _track_worst(worst: dict, residuals: dict) -> None:
+    for name, value in residuals.items():
+        worst[name] = max(worst.get(name, 0.0), value)
+
+
+def _sweep_results(worst: dict) -> list:
+    return [_worst("qudit_info", name, worst[name], tol)
+            for name, tol in SWEEP_TOLERANCES.items()]
+
+
 def qudit_info_checks(seed: int = 12) -> list:
-    results = []
     rng = np.random.default_rng(seed)
 
     worst: dict = {}
     for d, n in QUDIT_ENSEMBLE:
         for _ in range(50):
-            for name, value in capsule_trial_residuals(d, n, rng).items():
-                worst[name] = max(worst.get(name, 0.0), value)
-    results.append(_worst("qudit_info", "capsule purity", worst["capsule purity"], 1e-8))
-    results.append(_worst("qudit_info", "retrieval residual independence",
-                          worst["retrieval residual independence"], 1e-7))
-    results.append(_worst("qudit_info", "retrieval fidelity",
-                          worst["retrieval fidelity"], 1e-7))
-
-    worst = {}
+            _track_worst(worst, capsule_trial_residuals(d, n, rng))
     for trial in range(50):
         d, n = QUDIT_ENSEMBLE[trial % len(QUDIT_ENSEMBLE)]
-        for name, value in partner_trial_residuals(d, n, rng).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    results.append(_worst("qudit_info", "partner purity", worst["partner purity"], 1e-8))
-    results.append(_worst("qudit_info", "partner locality", worst["partner locality"], 1e-9))
-    results.append(_worst("qudit_info", "partner write action",
-                          worst["partner write action"], 1e-8))
+        _track_worst(worst, partner_trial_residuals(d, n, rng))
+    results = _sweep_results(worst)
 
     residual = 0.0
     for d, n in ((2, 2), (3, 2)):
@@ -209,20 +216,9 @@ def qudit_random_suite(d: int, n: int, trials: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     worst: dict = {}
     for _ in range(trials):
-        for name, value in capsule_trial_residuals(d, n, rng).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-        for name, value in partner_trial_residuals(d, n, rng).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    tolerances = {
-        "capsule purity": 1e-8,
-        "retrieval residual independence": 1e-7,
-        "retrieval fidelity": 1e-7,
-        "partner purity": 1e-8,
-        "partner locality": 1e-9,
-        "partner write action": 1e-8,
-    }
-    return [_worst("qudit_info", name, worst[name], tolerances[name])
-            for name in tolerances]
+        _track_worst(worst, capsule_trial_residuals(d, n, rng))
+        _track_worst(worst, partner_trial_residuals(d, n, rng))
+    return _sweep_results(worst)
 
 
 # ---- gaussian_cv ----

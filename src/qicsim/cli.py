@@ -16,6 +16,7 @@ import numpy as np
 
 from . import checks, gaussian_cv, lattice_field
 from .errors import QicError, StateFileError
+from .gaussian_cv import _fmt
 from .svg_plot import line_plot
 
 EXIT_OK = 0
@@ -28,10 +29,6 @@ PRNG_NAME = "PCG64"
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_text(path: Path, text: str) -> None:

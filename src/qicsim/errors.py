@@ -32,7 +32,7 @@ class InternalConsistencyError(QicError):
 
 
 class BrokenVirtualQuditError(QicError):
-    """An assembled virtual-qudit operator failed its unitarity gate."""
+    """A virtual qudit's conjugator failed its unitarity gate."""
 
 
 class DegenerateVarianceError(QicError):

@@ -28,6 +28,11 @@ def expm_hermitian(h: np.ndarray, factor: complex = 1.0) -> np.ndarray:
     return (v * np.exp(factor * w)) @ dag(v)
 
 
+def exceeds(residual: float, tol: float) -> bool:
+    """Whether a gate residual fails its tolerance; NaN fails too."""
+    return not residual <= tol
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-abs entry of u'u - I."""
     return max_abs(dag(u) @ u - np.eye(u.shape[0]))

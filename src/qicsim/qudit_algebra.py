@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidUnitaryError
-from .linalg import dag, max_abs, random_unit_vector, unitarity_defect
+from .linalg import dag, exceeds, max_abs, random_unit_vector, unitarity_defect
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -192,6 +192,21 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s, left_vectors=u, right_vectors=vh.T)
 
 
+def act_on_first_site(op: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(op x I) m for a register vector or matrix m, without forming op x I."""
+    return (op @ m.reshape(op.shape[0], -1)).reshape(m.shape)
+
+
+def conjugated_action(op: np.ndarray, conjugator: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """conjugator' (op x I) conjugator applied to vec, as two matvecs and a site action."""
+    return dag(conjugator) @ act_on_first_site(op, conjugator @ vec)
+
+
+def conjugated_matrix(op: np.ndarray, conjugator: np.ndarray) -> np.ndarray:
+    """Dense conjugator' (op x I) conjugator, for diagnostics and small sizes."""
+    return dag(conjugator) @ act_on_first_site(op, conjugator)
+
+
 def apply_structured_unitary(state: PureState, u_first: np.ndarray,
                              global_u: np.ndarray | None = None) -> PureState:
     """Apply a site-1 unitary, optionally conjugated by a register unitary.
@@ -204,19 +219,16 @@ def apply_structured_unitary(state: PureState, u_first: np.ndarray,
     u_first = np.asarray(u_first, dtype=complex)
     if u_first.shape != (d, d):
         raise ValueError(f"site unitary must be {d} x {d}, got {u_first.shape}")
-    if unitarity_defect(u_first) > UNITARY_TOL:
+    if exceeds(unitarity_defect(u_first), UNITARY_TOL):
         raise InvalidUnitaryError("site operator is not unitary within tolerance")
-    psi = state.amplitudes
-    if global_u is not None:
-        global_u = np.asarray(global_u, dtype=complex)
-        if global_u.shape != (state.dim, state.dim):
-            raise ValueError(f"register unitary must be {state.dim} x {state.dim}")
-        if unitarity_defect(global_u) > UNITARY_TOL:
-            raise InvalidUnitaryError("register operator is not unitary within tolerance")
-        psi = global_u @ psi
-    psi = (u_first @ psi.reshape(d, -1)).reshape(-1)
-    if global_u is not None:
-        psi = dag(global_u) @ psi
+    if global_u is None:
+        return PureState(state.num_sites, d, act_on_first_site(u_first, state.amplitudes))
+    global_u = np.asarray(global_u, dtype=complex)
+    if global_u.shape != (state.dim, state.dim):
+        raise ValueError(f"register unitary must be {state.dim} x {state.dim}")
+    if exceeds(unitarity_defect(global_u), UNITARY_TOL):
+        raise InvalidUnitaryError("register operator is not unitary within tolerance")
+    psi = conjugated_action(u_first, global_u, state.amplitudes)
     return PureState(state.num_sites, d, psi)
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     dag,
+    exceeds,
     expm_hermitian,
     haar_unitary,
     max_abs,
@@ -40,6 +41,8 @@ from .qudit_algebra import (
     SuBasis,
     apply_structured_unitary,
     build_su_basis,
+    conjugated_action,
+    conjugated_matrix,
     map_vector_unitary,
     schmidt,
 )
@@ -57,10 +60,6 @@ CONJUGATOR_MATCH_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 
 
-def _embed_first(op: np.ndarray, rest_dim: int) -> np.ndarray:
-    return np.kron(op, np.eye(rest_dim))
-
-
 def _sites_for_dim(dim: int, d: int) -> int:
     n = 1
     total = d
@@ -72,16 +71,37 @@ def _sites_for_dim(dim: int, d: int) -> int:
     return n
 
 
+class _SiteConjugated:
+    """Register geometry of operators conjugator' (t x I) conjugator.
+
+    Shared by virtual qudits and write operations, which provide the
+    conjugator field and the local dimension d; the operators themselves
+    come from qudit_algebra.conjugated_action and conjugated_matrix.
+    """
+
+    @property
+    def full_dim(self) -> int:
+        return self.conjugator.shape[0]
+
+    @property
+    def num_sites(self) -> int:
+        return _sites_for_dim(self.full_dim, self.d)
+
+    @property
+    def rest_dim(self) -> int:
+        return self.full_dim // self.d
+
+
 # ---- Virtual qudits and their states ----
 
 
 @dataclass(frozen=True)
-class VirtualQudit:
+class VirtualQudit(_SiteConjugated):
     """Operator family T_i = conjugator' (t_i x I) conjugator.
 
-    The conjugator is trusted at construction; operations that assemble
-    unitaries from the T_i (the SWAP channel) and the correlation-state
-    validation both detect a broken conjugator after the fact.
+    The conjugator is trusted at construction.  The SWAP retrieval gates its
+    unitarity before use (BrokenVirtualQuditError), and correlation-state
+    validation rejects the unphysical states a broken conjugator produces.
     """
 
     basis: SuBasis
@@ -98,24 +118,11 @@ class VirtualQudit:
     def d(self) -> int:
         return self.basis.d
 
-    @property
-    def full_dim(self) -> int:
-        return self.conjugator.shape[0]
-
-    @property
-    def num_sites(self) -> int:
-        return _sites_for_dim(self.full_dim, self.d)
-
-    @property
-    def rest_dim(self) -> int:
-        return self.full_dim // self.d
-
     def operator(self, mu: int) -> np.ndarray:
         """Full-register matrix for extended index mu (mu = 0 is the identity)."""
         if mu == 0:
             return np.eye(self.full_dim, dtype=complex)
-        t = self.basis.generators[mu - 1]
-        return dag(self.conjugator) @ _embed_first(t, self.rest_dim) @ self.conjugator
+        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugator)
 
     def operators(self) -> list:
         """The d^2 - 1 generator images, full-register matrices."""
@@ -125,10 +132,7 @@ class VirtualQudit:
         """T_mu applied to a register vector without forming the matrix."""
         if mu == 0:
             return np.array(vec, dtype=complex)
-        t = self.basis.generators[mu - 1]
-        w = self.conjugator @ vec
-        w = (t @ w.reshape(self.d, -1)).reshape(-1)
-        return dag(self.conjugator) @ w
+        return conjugated_action(self.basis.generators[mu - 1], self.conjugator, vec)
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_mu c_mu T_mu).
@@ -143,7 +147,8 @@ class VirtualQudit:
             raise ValueError("need one coefficient per generator")
         g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))
         rot = expm_hermitian(g, -1.0j)
-        return VirtualQudit(self.basis, _embed_first(rot, self.rest_dim) @ self.conjugator)
+        lifted = np.kron(rot, np.eye(self.rest_dim))
+        return VirtualQudit(self.basis, lifted @ self.conjugator)
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState
 
 
 @dataclass(frozen=True)
-class WriteOperation:
+class WriteOperation(_SiteConjugated):
     """Parameter imprint exp(-i theta T) with T = conjugator' (t x I) conjugator.
 
     local_generator is the d x d seed t, Hermitian, traceless and normalized
@@ -218,7 +223,7 @@ class WriteOperation:
             raise ValueError(f"local generator must satisfy Tr(t^2) = {d}, got {norm2}")
         conj = np.asarray(self.conjugator, dtype=complex)
         _sites_for_dim(conj.shape[0], d)
-        if unitarity_defect(conj) > UNITARY_TOL:
+        if exceeds(unitarity_defect(conj), UNITARY_TOL):
             raise InvalidUnitaryError("write conjugator is not unitary within tolerance")
         object.__setattr__(self, "local_generator", t)
         object.__setattr__(self, "conjugator", conj)
@@ -233,18 +238,6 @@ class WriteOperation:
     def d(self) -> int:
         return self.local_generator.shape[0]
 
-    @property
-    def full_dim(self) -> int:
-        return self.conjugator.shape[0]
-
-    @property
-    def num_sites(self) -> int:
-        return _sites_for_dim(self.full_dim, self.d)
-
-    @property
-    def rest_dim(self) -> int:
-        return self.full_dim // self.d
-
     def local_unitary(self, theta: float) -> np.ndarray:
         return expm_hermitian(self.local_generator, -1.0j * theta)
 
@@ -257,13 +250,10 @@ class WriteOperation:
 
     def generator_matrix(self) -> np.ndarray:
         """The full-register generator, for diagnostics and small tests only."""
-        return dag(self.conjugator) @ _embed_first(self.local_generator, self.rest_dim) \
-            @ self.conjugator
+        return conjugated_matrix(self.local_generator, self.conjugator)
 
     def apply_generator(self, vec: np.ndarray) -> np.ndarray:
-        w = self.conjugator @ vec
-        w = (self.local_generator @ w.reshape(self.d, -1)).reshape(-1)
-        return dag(self.conjugator) @ w
+        return conjugated_action(self.local_generator, self.conjugator, vec)
 
     def expectation(self, vec: np.ndarray) -> float:
         return np.vdot(vec, self.apply_generator(vec)).real
@@ -369,16 +359,12 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
             target_extra[j, col] = 1.0
         v_rest += target_extra @ dag(source_extra)
 
-    # Exchange of the left Schmidt basis against the fresh slot's basis.
-    exchange = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            ket = np.zeros(d)
-            bra = np.zeros(d)
-            ket[j] = 1.0
-            bra[i] = 1.0
-            exchange += np.kron(np.outer(phis[:, i], phis[:, j].conj()),
-                                np.outer(ket, bra))
+    # Exchange of the left Schmidt basis against the fresh slot's basis,
+    # sum_ij |phi_i><phi_j| x |j><i| = (Phi x I) SWAP (Phi' x I).  Its entry
+    # [(a, x), (b, y)] is Phi[a, y] conj(Phi[b, x]): the outer product of Phi
+    # with conj(Phi), the SWAP done exactly as an exchange of the axes y and x.
+    exchange = np.multiply.outer(phis, phis.conj()).transpose(0, 3, 2, 1)
+    exchange = exchange.reshape(d * d, d * d)
 
     conj_b = np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), v_rest) \
         @ qudit_a.conjugator
@@ -519,28 +505,25 @@ class SwapRetrieval:
 def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapRetrieval:
     """Swap the virtual qudit's content onto a fresh external d-level register.
 
-    Applies (1/d) sum_mu T_mu x t_mu to (state x |0>) and returns both
-    reduced states.  For a capsule this channel detaches the written
-    parameter completely: the register residual is independent of the
-    written angle and the external register carries the rotated capsule
-    state.
+    The channel is (1/d) sum_mu T_mu x t_mu applied to (state x |0>).  As
+    (1/d) sum_mu t_mu x t_mu is the SWAP of two d-level slots, this operator
+    equals (C' x I) SWAP(slot 1, external) (C x I) for the conjugator C.  It
+    is applied in that form: apply C, move slot 1 into the external register
+    and leave |0> in its place, apply C'.  Returns both reduced states.  For
+    a capsule this channel detaches the written parameter completely: the
+    register residual is independent of the written angle and the external
+    register carries the rotated capsule state.
     """
     if state_after_write.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
-    d = qudit.d
-    full = qudit.full_dim
-    ext = qudit.basis.extended
-    u_swap = np.zeros((full * d, full * d), dtype=complex)
-    for mu in range(d * d):
-        u_swap += np.kron(qudit.operator(mu), ext[mu])
-    u_swap /= d
-    if unitarity_defect(u_swap) > UNITARY_TOL:
+    conj = qudit.conjugator
+    if exceeds(unitarity_defect(conj), UNITARY_TOL):
         raise BrokenVirtualQuditError(
-            "assembled swap operator is not unitary; conjugator is broken")
-    fiducial = np.zeros(d)
-    fiducial[0] = 1.0
-    joint = u_swap @ np.kron(state_after_write.amplitudes, fiducial)
-    j = joint.reshape(full, d)
+            "virtual qudit conjugator is not unitary; its swap channel is not unitary")
+    slots = (conj @ state_after_write.amplitudes).reshape(qudit.d, -1)
+    # After the swap slot 1 holds |0>, so C' acts through its first rest_dim
+    # columns only; j[register, external] is the joint state.
+    j = dag(conj[:qudit.rest_dim]) @ slots.T
     residual = j @ dag(j)
     extracted = j.T @ j.conj()
     return SwapRetrieval(residual=residual, extracted=extracted)

@@ -185,6 +185,19 @@ def test_structured_rejects_nonunitary():
         qa.apply_structured_unitary(state, 0.5 * np.eye(2, dtype=complex))
 
 
+def test_structured_rejects_nan_site_unitary():
+    state = qa.basis_state(2, 2)
+    with pytest.raises(InvalidUnitaryError):
+        qa.apply_structured_unitary(state, np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_structured_rejects_nan_register_unitary():
+    state = qa.basis_state(2, 2)
+    with pytest.raises(InvalidUnitaryError):
+        qa.apply_structured_unitary(state, np.eye(2, dtype=complex),
+                                    np.full((4, 4), np.nan, dtype=complex))
+
+
 def test_structured_preserves_norm_with_conjugator():
     from qicsim.linalg import haar_unitary
     rng = np.random.default_rng(8)

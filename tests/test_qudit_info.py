@@ -114,6 +114,11 @@ def test_write_validation():
         qi.WriteOperation(PAULI_Z, 0.5 * np.eye(4, dtype=complex))
 
 
+def test_write_rejects_nan_conjugator():
+    with pytest.raises(InvalidUnitaryError):
+        qi.WriteOperation(PAULI_Z, np.full((4, 4), np.nan, dtype=complex))
+
+
 def test_write_apply_matches_dense_exponential():
     # structured three-step application vs a dense matrix exponential oracle
     rng = np.random.default_rng(22)
@@ -289,6 +294,40 @@ def test_retrieval_rejects_broken_qudit():
     vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
     with pytest.raises(BrokenVirtualQuditError):
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
+
+
+def test_retrieval_rejects_nan_conjugator():
+    vq = qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), np.nan, dtype=complex))
+    with pytest.raises(BrokenVirtualQuditError):
+        qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
+
+
+def dense_swap_retrieval(qudit, state):
+    """Reference: assemble (1/d) sum_mu T_mu x t_mu and apply it to state x |0>."""
+    d = qudit.d
+    ops = [qudit.operator(0)] + qudit.operators()
+    u_swap = sum(np.kron(op, t) for op, t in zip(ops, qudit.basis.extended)) / d
+    fiducial = np.zeros(d)
+    fiducial[0] = 1.0
+    j = (u_swap @ np.kron(state.amplitudes, fiducial)).reshape(qudit.full_dim, d)
+    return j @ dag(j), j.T @ j.conj()
+
+
+@pytest.mark.parametrize("kind", ["capsule", "haar"])
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+def test_retrieval_matches_dense_swap(d, n, kind):
+    rng = np.random.default_rng(40 + 10 * d + n)
+    state = qa.random_state(n, d, rng)
+    write = qi.random_write_operation(d, n, rng)
+    if kind == "capsule":
+        qudit = qi.construct_qic(write, state).qudit
+    else:
+        qudit = qi.VirtualQudit(qa.build_su_basis(d), haar_unitary(d ** n, rng))
+    written = write.apply(state, 0.9)
+    ret = qi.retrieve_by_swap(qudit, written)
+    residual, extracted = dense_swap_retrieval(qudit, written)
+    assert max_abs(ret.residual - residual) < 1e-12
+    assert max_abs(ret.extracted - extracted) < 1e-12
 
 
 # ---- partners ----
