@@ -9,6 +9,7 @@ round-trips), LF endings and UTF-8.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -77,6 +78,8 @@ def _parse_times(text: str) -> list:
         raise _UsageError(f"bad time list {text!r}: {exc}") from None
     if not times:
         raise _UsageError("need at least one time value")
+    if not all(math.isfinite(t) for t in times):
+        raise _UsageError(f"time values must be finite, got {text!r}")
     return times
 
 
@@ -110,8 +113,8 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
     out = Path(opts.get("out", str, None))
     if sites < 1:
         raise _UsageError(f"--sites must be >= 1, got {sites}")
-    if eta <= 0.0:
-        raise _UsageError(f"--eta must be positive, got {eta}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise _UsageError(f"--eta must be finite and positive, got {eta}")
     if not 1 <= write_site <= sites:
         raise _UsageError(f"--write-site must lie in 1..{sites}, got {write_site}")
 
@@ -204,6 +207,8 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
             vec = np.array([float(p) for p in values])
         except ValueError as exc:
             raise _UsageError(f"bad --v entry {text!r}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise _UsageError(f"--v components must be finite, got {text!r}")
         if vec.shape != (2 * state.n_modes,):
             raise _UsageError(
                 f"--v needs {2 * state.n_modes} components for this state, "

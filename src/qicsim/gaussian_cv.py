@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateVarianceError,
@@ -33,7 +32,7 @@ from .errors import (
     UnphysicalModeError,
     UnphysicalStateError,
 )
-from .linalg import max_abs
+from .linalg import haar_unitary, max_abs
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -43,8 +42,6 @@ VARIANCE_FLOOR = 1e-14
 MODE_DET_TOL = 1e-10
 CONDITION_TOL = 1e-10
 ENTROPY_G_FLOOR = 1e-8
-
-SWAP_COUPLING = math.pi / 2.0
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -72,6 +69,8 @@ class GaussianState:
             raise ValueError("mean must be a vector of even length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise UnphysicalStateError("mean and covariance must be finite")
         asym = max_abs(cov - cov.T)
         if asym > SYMMETRY_TOL:
             raise UnphysicalStateError(
@@ -127,21 +126,26 @@ def two_mode_squeezed(r: float) -> GaussianState:
 
 def random_pure_state(n_modes: int, rng: np.random.Generator,
                       mean_scale: float = 1.0) -> GaussianState:
-    """Random pure Gaussian state M = S'S/2 with S a random symplectic.
+    """Random pure Gaussian state: passive optics applied to squeezed vacuum.
 
-    S = exp(Omega H) for a symmetric H with entries uniform in [-1, 1]; the
-    generator is rescaled to spectral norm <= 2 so the squeezing stays
-    moderate and every downstream tolerance is meaningful.
+    By the Bloch-Messiah decomposition every pure Gaussian covariance is
+    M = O Z^2 O' / 2, with Z^2 = diag(e^{2 r_k}, e^{-2 r_k}) the single-mode
+    squeezers and O the orthogonal symplectic real form of a passive
+    unitary; the passive factor acting before the squeezers leaves the
+    vacuum unchanged and drops out.  O comes from a Haar U(n_modes) and each
+    r_k is uniform in [-1, 1], so every eigenvalue of M lies in
+    [e^{-2}/2, e^2/2] and every downstream tolerance is meaningful.
     """
     dim = 2 * n_modes
-    w = rng.uniform(-1.0, 1.0, (dim, dim))
-    h = (w + w.T) / 2.0
-    gen = symplectic_form(n_modes) @ h
-    norm = np.linalg.norm(gen, 2)
-    if norm > 2.0:
-        gen *= 2.0 / norm
-    s = scipy.linalg.expm(gen)
-    cov = s.T @ s / 2.0
+    u = haar_unitary(n_modes, rng)
+    o = np.empty((dim, dim))
+    o[0::2, 0::2] = u.real
+    o[0::2, 1::2] = -u.imag
+    o[1::2, 0::2] = u.imag
+    o[1::2, 1::2] = u.real
+    r = rng.uniform(-1.0, 1.0, n_modes)
+    squeeze = np.exp(2.0 * np.column_stack([r, -r]).ravel())
+    cov = (o * squeeze) @ o.T / 2.0
     cov = (cov + cov.T) / 2.0
     mean = rng.uniform(-1.0, 1.0, dim) * mean_scale
     return GaussianState(mean, cov)
@@ -367,45 +371,6 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
         p_drift=abs(theta2 * float(pair.v @ m @ v2) / variance))
 
 
-# ---- Retrieval descriptor ----
-
-
-@dataclass(frozen=True)
-class SwapCoupling:
-    """Descriptor of the beamsplitter-type swap pulse for a capsule mode.
-
-    Records the interaction exp(i strength (Q p_ext - P q_ext)) that moves
-    the capsule mode onto an external oscillator at strength pi/2; the
-    infinite-dimensional unitary itself is never simulated.
-    """
-
-    pair: ModePair
-    strength: float = SWAP_COUPLING
-
-    def to_text(self) -> str:
-        lines = [f"cvswap N={self.pair.n_modes}"]
-        lines.append("strength: " + _fmt(self.strength))
-        lines.append("v: " + ",".join(_fmt(x) for x in self.pair.v))
-        lines.append("u: " + ",".join(_fmt(x) for x in self.pair.u))
-        lines.append("offsets: " + _fmt(self.pair.q_offset) + "," + _fmt(self.pair.p_offset))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SwapCoupling":
-        fields = _parse_record(text, "cvswap", ("strength", "v", "u", "offsets"))
-        n = fields["n"]
-        v = _parse_floats(fields["v"], 2 * n, fields["lineno"]["v"])
-        u = _parse_floats(fields["u"], 2 * n, fields["lineno"]["u"])
-        offs = _parse_floats(fields["offsets"], 2, fields["lineno"]["offsets"])
-        strength = _parse_floats(fields["strength"], 1, fields["lineno"]["strength"])[0]
-        return cls(pair=ModePair(v=v, u=u, q_offset=offs[0], p_offset=offs[1]),
-                   strength=strength)
-
-
-def cv_swap_generator(pair: ModePair) -> SwapCoupling:
-    return SwapCoupling(pair=pair)
-
-
 # ---- Plain-text serialization ----
 #
 # All records are UTF-8 text with LF line endings and 17-significant-digit
@@ -425,9 +390,12 @@ def _parse_floats(text: str, expected: int, lineno: int) -> np.ndarray:
     if len(parts) != expected:
         raise StateFileError(lineno, f"expected {expected} values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise StateFileError(lineno, f"bad number: {exc}") from None
+    if not np.isfinite(values).all():
+        raise StateFileError(lineno, "numbers must be finite")
+    return values
 
 
 def _parse_header(line: str, tag: str) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -72,4 +71,6 @@ def orthonormal_completion(columns: np.ndarray) -> np.ndarray:
     The input columns must already be orthonormal; the result has
     dim - k columns where the input has k.
     """
-    return scipy.linalg.null_space(dag(columns))
+    k = columns.shape[1]
+    _, _, vh = np.linalg.svd(dag(columns))
+    return dag(vh[k:])

@@ -79,7 +79,7 @@ class PureState:
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if exceeds(abs(norm - 1.0), NORM_TOL):
             raise ValueError(
                 f"state vector norm {float(norm):.12g} differs from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)

@@ -39,7 +39,6 @@ from .qudit_algebra import (
     HermitianOp,
     PureState,
     SuBasis,
-    apply_structured_unitary,
     build_su_basis,
     conjugated_action,
     conjugated_matrix,
@@ -244,9 +243,14 @@ class WriteOperation(_SiteConjugated):
     def apply(self, state: PureState, theta: float) -> PureState:
         """The written state, computed as matvec + local rotation + matvec.
 
-        The d^N x d^N exponential is never formed.
+        The d^N x d^N exponential is never formed, and the conjugator is not
+        gated again: construction already checked its unitarity.
         """
-        return apply_structured_unitary(state, self.local_unitary(theta), self.conjugator)
+        if state.local_dim != self.d or state.dim != self.full_dim:
+            raise ValueError("state and write live on different registers")
+        psi = conjugated_action(self.local_unitary(theta), self.conjugator,
+                                state.amplitudes)
+        return PureState(state.num_sites, self.d, psi)
 
     def generator_matrix(self) -> np.ndarray:
         """The full-register generator, for diagnostics and small tests only."""

@@ -126,6 +126,8 @@ def test_lattice_evolve_csv_only_formats(tmp_path):
     ("--sites", "0"),
     ("--eta", "-1"),
     ("--write-site", "31"),
+    ("--eta", "inf"),
+    ("--times", "nan"),
 ])
 def test_lattice_evolve_usage_errors(tmp_path, extra):
     res = run_cli("lattice-evolve", "--out", tmp_path / "x", *extra)
@@ -275,6 +277,11 @@ def test_gaussian_conj_usage_errors(tmp_path):
     assert res.returncode == 2          # wrong length
     assert "2 components" in res.stderr
 
+    res = run_cli("gaussian-conj", "--state", state_path, "--v=nan,0",
+                  "--out", tmp_path / "x")
+    assert res.returncode == 2          # non-finite component
+    assert "usage error" in res.stderr and "Traceback" not in res.stderr
+
 
 # ---- verify ----
 
@@ -356,3 +363,11 @@ def test_console_script_installed():
     assert res.returncode == 0
     for sub in ("lattice-evolve", "qudit-suite", "gaussian-conj", "verify"):
         assert sub in res.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import qicsim.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -74,11 +74,24 @@ def test_random_pure_states_satisfy_purity_relation():
         n = int(rng.integers(1, 9))
         state = g.random_pure_state(n, rng)
         assert state.purity_residual() < PURITY_TOL
+        m = state.covariance
+        omega = g.symplectic_form(n)
+        assert np.linalg.eigvalsh(m + 0.5j * omega).min() >= -1e-9
+        assert np.linalg.eigvalsh(m).max() <= math.exp(2.0) / 2.0
 
 
 def test_state_validation_rejects_asymmetry():
     cov = np.eye(2) / 2
     cov[0, 1] = 1e-3
+    with pytest.raises(UnphysicalStateError):
+        g.GaussianState(np.zeros(2), cov)
+
+
+def test_state_validation_rejects_non_finite_moments():
+    with pytest.raises(UnphysicalStateError):
+        g.GaussianState(np.array([np.inf, 0.0]), np.eye(2) / 2)
+    cov = np.eye(2) / 2
+    cov[1, 1] = np.nan
     with pytest.raises(UnphysicalStateError):
         g.GaussianState(np.zeros(2), cov)
 
@@ -402,36 +415,6 @@ def test_invariance_drift_report():
     assert none.q_drift == 0.0 and none.p_drift == 0.0
 
 
-# ---- CV swap descriptor ----
-
-
-def test_cv_swap_vacuum_descriptor():
-    state = g.vacuum_state(1)
-    pair = g.conjugate_qic_vector(np.array([1.0, 0.0]), state)
-    coupling = g.cv_swap_generator(pair)
-    np.testing.assert_allclose(coupling.pair.v, [1, 0], atol=IDENTITY_TOL)
-    np.testing.assert_allclose(coupling.pair.u, [0, 1], atol=IDENTITY_TOL)
-    assert coupling.strength == np.pi / 2
-
-
-def test_cv_swap_descriptor_round_trips():
-    rng = np.random.default_rng(52)
-    state = g.random_pure_state(3, rng)
-    pair = g.conjugate_qic_vector(rng.standard_normal(6), state)
-    coupling = g.cv_swap_generator(pair)
-    back = g.SwapCoupling.from_text(coupling.to_text())
-    assert np.array_equal(back.pair.v, coupling.pair.v)
-    assert np.array_equal(back.pair.u, coupling.pair.u)
-    assert back.strength == coupling.strength
-
-
-def test_cv_swap_squeezed_descriptor():
-    state = g.single_mode_squeezed(1.3)
-    pair = g.conjugate_qic_vector(np.array([1.0, 0.0]), state)
-    coupling = g.cv_swap_generator(pair)
-    np.testing.assert_allclose(coupling.pair.u, [0, 1], atol=1e-12)
-
-
 # ---- serialization ----
 
 
@@ -464,6 +447,8 @@ def test_pair_file_round_trip_exact(tmp_path):
     ("gaussian N=1\nmean: 0,0\n0.5,zz\n0,0.5\n", 3),
     ("gaussian N=1\nmean: 0,0\n0.5,0\n", 4),
     ("gaussian N=1\nmean: 0,0,0\n0.5,0\n0,0.5\n", 2),
+    ("gaussian N=1\nmean: nan,0\n0.5,0\n0,0.5\n", 2),
+    ("gaussian N=1\nmean: 0,0\n0.5,inf\n0,0.5\n", 3),
 ])
 def test_state_file_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.txt"

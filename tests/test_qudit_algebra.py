@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from qicsim import qudit_algebra as qa
 from qicsim.errors import InvalidDimensionError, InvalidUnitaryError
-from qicsim.linalg import dag, max_abs, unitarity_defect
+from qicsim.linalg import (
+    dag,
+    haar_unitary,
+    max_abs,
+    orthonormal_completion,
+    unitarity_defect,
+)
 
 EXACT = 1e-15
 ORTHO_TOL = 1e-10
@@ -281,6 +287,11 @@ def test_pure_state_rejects_bad_norm():
         qa.PureState(1, 2, np.array([1.0, 1.0], dtype=complex))
 
 
+def test_pure_state_rejects_nan_amplitudes():
+    with pytest.raises(ValueError):
+        qa.PureState(1, 2, np.array([np.nan, 0.0], dtype=complex))
+
+
 def test_pure_state_rejects_bad_shape():
     with pytest.raises(ValueError):
         qa.PureState(2, 2, np.array([1.0, 0.0], dtype=complex))
@@ -292,3 +303,16 @@ def test_basis_state_and_product_state():
     prod = qa.product_state([[1, 1], [1, -1]])
     np.testing.assert_allclose(prod.amplitudes,
                                np.array([1, -1, 1, -1]) / 2.0, atol=1e-12)
+
+
+# ---- linalg helpers ----
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_orthonormal_completion_spans_complement(k):
+    dim = 6
+    columns = haar_unitary(dim, np.random.default_rng(17 + k))[:, :k]
+    extra = orthonormal_completion(columns)
+    assert extra.shape == (dim, dim - k)
+    assert max_abs(dag(extra) @ extra - np.eye(dim - k)) < 1e-12
+    assert max_abs(dag(columns) @ extra) < 1e-12

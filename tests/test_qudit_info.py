@@ -130,6 +130,17 @@ def test_write_apply_matches_dense_exponential():
     np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
 
 
+def test_write_apply_matches_gated_path_and_checks_register():
+    rng = np.random.default_rng(24)
+    write = qi.random_write_operation(3, 2, rng)
+    state = qa.random_state(2, 3, rng)
+    gated = qa.apply_structured_unitary(state, write.local_unitary(0.7),
+                                        write.conjugator)
+    assert np.array_equal(write.apply(state, 0.7).amplitudes, gated.amplitudes)
+    with pytest.raises(ValueError):
+        write.apply(qa.random_state(3, 3, rng), 0.7)
+
+
 def test_write_expectation_matches_generator():
     rng = np.random.default_rng(23)
     write = qi.random_write_operation(3, 2, rng)
