@@ -1,9 +1,9 @@
 """qic: drive the constructions from the shell and emit CSV/SVG reports.
 
 Exit codes: 0 on success, 2 for usage or parse errors, 3 when a physics
-invariant fails, 1 for I/O failures.  All outputs are deterministic for a
-fixed seed: CSV files use 17-significant-digit decimals (exact float64
-round-trips), LF endings and UTF-8.
+invariant or a numpy linear-algebra routine fails, 1 for I/O failures.  All
+outputs are deterministic for a fixed seed: CSV files use 17-significant-digit
+decimals (exact float64 round-trips), LF endings and UTF-8.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QicError as exc:
+    except (QicError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:

@@ -59,10 +59,6 @@ class NumericalFailureError(QicError):
     """A numerical residue exceeded its acceptance threshold."""
 
 
-class IllConditionedError(QicError):
-    """A matrix inversion failed its residual gate."""
-
-
 class StateFileError(QicError):
     """A plain-text state record could not be parsed."""
 

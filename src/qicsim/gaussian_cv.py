@@ -32,7 +32,7 @@ from .errors import (
     UnphysicalModeError,
     UnphysicalStateError,
 )
-from .linalg import haar_unitary, max_abs
+from .linalg import exceeds, haar_unitary, max_abs
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -50,6 +50,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
         raise ValueError(f"need at least one mode, got {n_modes}")
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(n_modes), block)
+
+
+def _omega(x: np.ndarray, right: bool = False) -> np.ndarray:
+    """Omega @ x, or x @ Omega = -(Omega @ x')' if right; exact: entries of x up to sign."""
+    if right:
+        return -_omega(x.T).T
+    out = np.empty_like(x)
+    out[0::2] = x[1::2]
+    out[1::2] = -x[0::2]
+    return out
+
+
+def _add_omega(a: np.ndarray, scale) -> None:
+    """a += scale * Omega in place, on the nonzero slots of Omega only."""
+    q = np.arange(0, a.shape[0], 2)
+    a[q, q + 1] += scale
+    a[q + 1, q] -= scale
 
 
 # ---- States ----
@@ -75,11 +92,17 @@ class GaussianState:
         if asym > SYMMETRY_TOL:
             raise UnphysicalStateError(
                 f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        omega = symplectic_form(mean.size // 2)
-        bound = np.linalg.eigvalsh(cov + 0.5j * omega).min()
-        if bound < -UNCERTAINTY_TOL:
-            raise UnphysicalStateError(
-                f"uncertainty bound violated: min eig(M + i Omega/2) = {bound:.3e}")
+        # Cholesky accepts iff min eig(M + i Omega/2) > -tol; eigvalsh decides refusals.
+        h = cov + 0j
+        _add_omega(h, 0.5j)
+        h.flat[::h.shape[0] + 1] += UNCERTAINTY_TOL
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            bound = np.linalg.eigvalsh(h).min() - UNCERTAINTY_TOL
+            if bound < -UNCERTAINTY_TOL:
+                raise UnphysicalStateError("uncertainty bound violated: min eig"
+                                           f"(M + i Omega/2) = {bound:.3e}") from None
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -89,8 +112,9 @@ class GaussianState:
 
     def purity_residual(self) -> float:
         """Max-abs entry of M Omega M - Omega/4; zero exactly for pure states."""
-        omega = symplectic_form(self.n_modes)
-        return max_abs(self.covariance @ omega @ self.covariance - omega / 4.0)
+        r = _omega(self.covariance, right=True) @ self.covariance
+        _add_omega(r, -0.25)
+        return max_abs(r)
 
 
 def require_pure(state: GaussianState, tol: float = PURITY_TOL) -> None:
@@ -172,8 +196,8 @@ class ModePair:
         u = np.asarray(self.u, dtype=float)
         if v.shape != u.shape or v.ndim != 1 or v.size % 2 != 0 or v.size == 0:
             raise ValueError("v and u must be vectors of one even length")
-        pairing = v @ symplectic_form(v.size // 2) @ u
-        if abs(pairing - 1.0) > PAIRING_TOL:
+        pairing = _omega(v, right=True) @ u
+        if exceeds(abs(pairing - 1.0), PAIRING_TOL):
             raise ValueError(f"pair is not canonical: v'Omega u = {pairing!r}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
@@ -193,6 +217,8 @@ class ModeCovariance:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("mode covariance must be 2 x 2")
+        if not np.isfinite(m).all():
+            raise UnphysicalModeError("mode covariance must be finite")
         if abs(m[0, 1] - m[1, 0]) > 1e-10:
             raise ValueError("mode covariance must be symmetric")
         if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] < 0.25 - MODE_DET_TOL:
@@ -219,11 +245,10 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
         raise ValueError("v length does not match the state")
     m = state.covariance
     variance = float(v @ m @ v)
-    if variance <= VARIANCE_FLOOR:
+    if not variance > VARIANCE_FLOOR:
         raise DegenerateVarianceError(
             f"write quadrature variance {variance!r} at or below the floor")
-    omega = symplectic_form(state.n_modes)
-    u = -(omega @ m @ v) / variance
+    u = -(_omega(m) @ v) / variance
     return ModePair(v=v, u=u,
                     q_offset=float(v @ state.mean),
                     p_offset=float(u @ state.mean))
@@ -268,8 +293,7 @@ def apply_shift_write(state: GaussianState, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
-    omega = symplectic_form(state.n_modes)
-    return GaussianState(state.mean + theta * (omega @ v), state.covariance)
+    return GaussianState(state.mean + theta * _omega(v), state.covariance)
 
 
 # ---- Multi-parameter writes ----
@@ -302,9 +326,9 @@ def multiparam_conditions(v_list, state: GaussianState) -> MultiparamReport:
         if v.shape != (2 * state.n_modes,):
             raise ValueError("write vector length does not match the state")
     k = len(vs)
-    omega = symplectic_form(state.n_modes)
     m = state.covariance
-    omega_products = np.array([[vs[i] @ omega @ vs[j] for j in range(k)]
+    vs_omega = [_omega(v, right=True) for v in vs]
+    omega_products = np.array([[vs_omega[i] @ vs[j] for j in range(k)]
                                for i in range(k)])
     cov_products = np.array([[vs[i] @ m @ vs[j] for j in range(k)]
                              for i in range(k)])
@@ -316,7 +340,7 @@ def multiparam_conditions(v_list, state: GaussianState) -> MultiparamReport:
     pairing_ok = True
     if independent:
         conjugates = tuple(conjugate_qic_vector(v, state) for v in vs)
-        pairings = np.array([[vs[i] @ omega @ conjugates[j].u for j in range(k)]
+        pairings = np.array([[vs_omega[i] @ conjugates[j].u for j in range(k)]
                              for i in range(k)])
         pairing_ok = bool(max_abs(pairings - np.eye(k)) < 1e-9)
     return MultiparamReport(omega_products=omega_products,
@@ -361,13 +385,12 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
     v2 = np.asarray(v2, dtype=float)
     if v2.shape != pair.v.shape:
         raise ValueError("v2 length does not match the pair")
-    omega = symplectic_form(pair.n_modes)
     m = state.covariance
     variance = float(pair.v @ m @ pair.v)
-    if variance <= VARIANCE_FLOOR:
+    if not variance > VARIANCE_FLOOR:
         raise DegenerateVarianceError("capsule quadrature variance at the floor")
     return WriteDrift(
-        q_drift=abs(theta2 * float(pair.v @ omega @ v2)),
+        q_drift=abs(theta2 * float(_omega(pair.v, right=True) @ v2)),
         p_drift=abs(theta2 * float(pair.v @ m @ v2) / variance))
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qicsim import gaussian_cv, lattice_field
+from qicsim import cli, gaussian_cv, lattice_field
 
 ROUNDTRIP_TOL = 0.0          # 17 significant digits must round-trip exactly
 TRANSLATION_TOL = 1e-12
@@ -312,6 +312,16 @@ def test_verify_unknown_inject(tmp_path):
     res = run_cli("verify", "--inject", "bogus")
     assert res.returncode == 2
     assert "usage error" in res.stderr
+
+
+def test_linalg_error_exits_3_without_traceback(monkeypatch, capsys):
+    def singular(args):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(cli, "cmd_verify", singular)
+    assert cli.main(["verify"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: Matrix is not positive definite\n"
 
 
 # ---- config files and I/O failures ----

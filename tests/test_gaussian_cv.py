@@ -16,6 +16,7 @@ from qicsim.errors import (
     UnphysicalModeError,
     UnphysicalStateError,
 )
+from qicsim.linalg import max_abs
 
 IDENTITY_TOL = 1e-12
 PURITY_TOL = 1e-8
@@ -94,6 +95,48 @@ def test_state_validation_rejects_non_finite_moments():
     cov[1, 1] = np.nan
     with pytest.raises(UnphysicalStateError):
         g.GaussianState(np.zeros(2), cov)
+
+
+@pytest.mark.parametrize("delta", [1.01e-9, 0.99e-9, 0.0, -0.99e-9, -1.01e-9])
+def test_uncertainty_gate_decides_like_eigvalsh(delta):
+    # M = (1/2 - delta) I has min eig(M + i Omega/2) = -delta, so the gate
+    # sits between 0.99e-9 and 1.01e-9
+    cov = (0.5 - delta) * np.eye(4)
+    bound = np.linalg.eigvalsh(cov + 0.5j * g.symplectic_form(2)).min()
+    if bound < -g.UNCERTAINTY_TOL:
+        with pytest.raises(UnphysicalStateError, match="min eig"):
+            g.GaussianState(np.zeros(4), cov)
+    else:
+        g.GaussianState(np.zeros(4), cov)
+    assert (bound < -g.UNCERTAINTY_TOL) == (delta > 1e-9)
+
+
+def test_uncertainty_gate_on_random_pure_states():
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        state = g.random_pure_state(n, rng)
+        cov = state.covariance
+        om = g.symplectic_form(n)
+        assert np.linalg.eigvalsh(cov + 0.5j * om).min() >= -g.UNCERTAINTY_TOL
+        g.GaussianState(state.mean, cov)
+        assert np.linalg.eigvalsh(0.99 * cov + 0.5j * om).min() < -g.UNCERTAINTY_TOL
+        with pytest.raises(UnphysicalStateError):
+            g.GaussianState(state.mean, 0.99 * cov)
+
+
+def test_structured_omega_matches_dense_products():
+    rng = np.random.default_rng(48)
+    om = g.symplectic_form(5)
+    x = rng.standard_normal((10, 10))
+    v = rng.standard_normal(10)
+    assert np.array_equal(g._omega(x), om @ x)
+    assert np.array_equal(g._omega(x, right=True), x @ om)
+    assert np.array_equal(g._omega(v), om @ v)
+    assert np.array_equal(g._omega(v, right=True), v @ om)
+    state = g.random_pure_state(5, rng)
+    m = state.covariance
+    assert state.purity_residual() == max_abs(m @ om @ m - om / 4.0)
 
 
 def test_state_validation_rejects_uncertainty_violation():
@@ -207,6 +250,16 @@ def test_mode_pair_validates_pairing():
         g.ModePair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, 0.0)
 
 
+def test_conjugate_rejects_nan_vector():
+    with pytest.raises(DegenerateVarianceError):
+        g.conjugate_qic_vector(np.array([np.nan, 0.0]), g.vacuum_state(1))
+
+
+def test_mode_pair_rejects_nan():
+    with pytest.raises(ValueError):
+        g.ModePair(np.array([np.nan, 0.0]), np.array([0.0, 1.0]))
+
+
 # ---- mode covariance and entropy ----
 
 
@@ -246,6 +299,12 @@ def test_mode_covariance_uncertainty_bound():
 def test_mode_covariance_rejects_unphysical():
     with pytest.raises(UnphysicalModeError):
         g.ModeCovariance(np.diag([0.3, 0.3]))
+
+
+def test_mode_covariance_rejects_non_finite():
+    for bad in ([[np.nan, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(UnphysicalModeError):
+            g.ModeCovariance(np.array(bad))
 
 
 def test_entropy_zero_for_pure_mode():

@@ -1,9 +1,15 @@
-"""Harmonic chain: dispersion, mode matrix, vacuum state, and evolution."""
+"""Harmonic chain: dispersion, normal modes, vacuum state, and evolution.
+
+The dense ladder-operator route (reference_mode_matrix below) serves only as
+an oracle for the FFT evolution and the circulant vacuum.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qicsim import gaussian_cv, lattice_field as lf
 from qicsim.errors import (
@@ -43,6 +49,16 @@ def reference_mode_matrix(config):
     return a
 
 
+def reference_evolve(w, t, config):
+    """w' A diag(exp(i omega t), exp(-i omega t)) A^{-1} on the dense table."""
+    a = reference_mode_matrix(config)
+    omegas = lf.dispersion(config)
+    phases = np.empty(2 * config.n_sites, dtype=complex)
+    phases[0::2] = np.exp(1j * omegas * t)
+    phases[1::2] = np.exp(-1j * omegas * t)
+    return ((w @ a) * phases) @ np.linalg.inv(a)
+
+
 # ---- dispersion ----
 
 
@@ -72,37 +88,106 @@ def test_config_validation():
         lf.LatticeConfig(10, -1.0)
 
 
-# ---- mode matrix ----
+# ---- normal modes and the FFT flow ----
 
 
 def test_mode_matrix_matches_reference_table():
+    rng = np.random.default_rng(60)
     config = lf.LatticeConfig(6, 0.9)
     mm = lf.mode_matrix(config)
-    assert max_abs(mm.a - reference_mode_matrix(config)) < 1e-13
+    assert np.array_equal(mm.omegas, lf.dispersion(config))
+    for t in (0.7, -3.0, 41.0):
+        w = rng.standard_normal(12)
+        w_t, residue = lf.evolve_vector(w, t, mm)
+        reference = reference_evolve(w, t, config)
+        assert max_abs(reference.imag) < 1e-12
+        assert max_abs(w_t - reference.real) < 1e-11
+        assert residue < 1e-12
 
 
 def test_mode_matrix_inverse_quality():
-    mm = lf.mode_matrix(lf.LatticeConfig(N_SITES, ETA))
-    assert max_abs(mm.a @ mm.a_inv - np.eye(2 * N_SITES)) < 1e-10
+    # the dense oracle is well conditioned at the figure size, and the FFT
+    # flow agrees with it there
+    config = lf.LatticeConfig(N_SITES, ETA)
+    a = reference_mode_matrix(config)
+    assert max_abs(a @ np.linalg.inv(a) - np.eye(2 * N_SITES)) < 1e-10
+    w = np.random.default_rng(63).standard_normal(2 * N_SITES)
+    w_t, _ = lf.evolve_vector(w, 25.0, lf.mode_matrix(config))
+    assert max_abs(w_t - reference_evolve(w, 25.0, config).real) < 1e-11
 
 
 def test_mode_matrix_single_site():
     # one site: a single unit-frequency oscillator, q = (a + a^dag)/sqrt(2)
-    mm = lf.mode_matrix(lf.LatticeConfig(1, 0.5))
+    config = lf.LatticeConfig(1, 0.5)
+    mm = lf.mode_matrix(config)
     assert abs(mm.omegas[0] - 1.0) < 1e-15
     expected = np.array([[1, 1], [-1j, 1j]]) / np.sqrt(2)
-    assert max_abs(mm.a - expected) < 1e-13
+    assert max_abs(reference_mode_matrix(config) - expected) < 1e-13
+    # the flow is the unit oscillator run backwards
+    t = 0.8
+    w_t, _ = lf.evolve_vector(np.array([0.3, -1.2]), t, mm)
+    rotated = [0.3 * math.cos(t) - 1.2 * math.sin(t), -0.3 * math.sin(t) - 1.2 * math.cos(t)]
+    assert max_abs(w_t - rotated) < 1e-15
 
 
 def test_mode_matrix_maps_conjugate_ladder_to_real():
     rng = np.random.default_rng(61)
     config = lf.LatticeConfig(9, 0.4)
-    mm = lf.mode_matrix(config)
     coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     ladder = np.empty(18, dtype=complex)
     ladder[0::2] = coeffs
     ladder[1::2] = coeffs.conj()
-    assert max_abs((mm.a @ ladder).imag) < 1e-10
+    assert max_abs((reference_mode_matrix(config) @ ladder).imag) < 1e-10
+    # the FFT flow of a real row is real: omega_k = omega_{N-k} pairs the
+    # conjugate Fourier coefficients, for odd and even N
+    for n in (9, 8):
+        mm = lf.mode_matrix(lf.LatticeConfig(n, 0.4))
+        _, residue = lf.evolve_vector(rng.standard_normal(2 * n), 13.0, mm)
+        assert residue < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.floats(0.01, 5.0), st.floats(-200.0, 200.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_fft_flow_matches_dense_route(n, eta, t, seed):
+    config = lf.LatticeConfig(n, eta)
+    w = np.random.default_rng(seed).standard_normal(2 * n)
+    w_t, residue = lf.evolve_vector(w, t, lf.mode_matrix(config))
+    assert max_abs(w_t - reference_evolve(w, t, config).real) < 1e-11
+    assert residue < 1e-11
+
+
+def test_long_time_evolution_stays_real():
+    # omega_k == omega_{N-k} to the bit, so the residue does not grow with t
+    config = lf.LatticeConfig(N_SITES, ETA)
+    omegas = lf.dispersion(config)
+    assert np.array_equal(omegas[:-1], omegas[-2::-1])
+    w = np.random.default_rng(65).standard_normal(2 * N_SITES)
+    for t in (1e3, 1e7, 1e9):
+        assert lf.evolve_vector(w, t, lf.mode_matrix(config))[1] < 1e-13
+
+
+def test_evolve_rejects_non_finite_time():
+    config = lf.LatticeConfig(4, 0.4)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            lf.figure_experiment(config, 1, [t])
+        with pytest.raises(ValueError):
+            lf.evolve_vector(np.ones(8), t, lf.mode_matrix(config))
+
+
+def test_chain_never_builds_the_dense_symplectic_form(monkeypatch):
+    def refuse(n_modes):
+        raise AssertionError("dense symplectic form built")
+
+    monkeypatch.setattr(gaussian_cv, "symplectic_form", refuse)
+    monkeypatch.setattr(lf, "symplectic_form", refuse, raising=False)
+    config = lf.LatticeConfig(8, 0.4)
+    profiles = lf.figure_experiment(config, 3, [0.0, 5.0])
+    assert abs(profiles[-1].pairing - 1.0) < 1e-9
+    state = gaussian_cv.random_pure_state(3, np.random.default_rng(64))
+    pair = gaussian_cv.conjugate_qic_vector(np.arange(1.0, 7.0), state)
+    assert pair.n_modes == 3
 
 
 # ---- vacuum state ----
@@ -129,12 +214,12 @@ def test_vacuum_matches_mode_matrix_route():
     # dual route: cosine-kernel assembly vs A (ladder vacuum moments) A^T
     config = lf.LatticeConfig(7, 0.6)
     state = lf.vacuum_covariance(config)
-    mm = lf.mode_matrix(config)
+    a = reference_mode_matrix(config)
     n = config.n_sites
     ladder_moments = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(n):
         ladder_moments[2 * k, 2 * k + 1] = 1.0   # <a_k a_k^dag> = 1 in vacuum
-    direct = mm.a @ ladder_moments @ mm.a.T
+    direct = a @ ladder_moments @ a.T
     direct = (direct + direct.T) / 2
     assert max_abs(direct.imag) < 1e-12
     assert max_abs(state.covariance - direct.real) < 1e-10
@@ -217,13 +302,12 @@ def test_evolution_preserves_symplectic_products():
 
 
 def test_evolve_detects_corrupted_matrix():
-    # A lopsided single-entry bump breaks the conjugate-column symmetry,
-    # so the evolved row picks up a genuinely imaginary part.
+    # A spectrum with omega_1 != omega_{N-1} breaks the pairing of conjugate
+    # Fourier coefficients, so the evolved row picks up an imaginary part.
     config, _, pair = _figure_pair()
-    mm = lf.mode_matrix(config)
-    bad_inv = mm.a_inv.copy()
-    bad_inv[0, 0] += 0.05
-    broken = lf.ModeMatrix(mm.a, bad_inv, mm.omegas)
+    omegas = lf.mode_matrix(config).omegas.copy()
+    omegas[0] += 0.05
+    broken = lf.ModeMatrix(omegas)
     with pytest.raises(NumericalFailureError):
         lf.evolve_pair(pair, 3.0, broken)
 
