@@ -297,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated times, e.g. 0,25,50")
     lat.add_argument("--out", type=str, default=None, help="output directory")
     lat.add_argument("--formats", type=str, default=None, help="subset of csv,svg")
-    lat.add_argument("--seed", type=int, default=None,
-                     help="accepted for interface uniformity; the run is deterministic")
     lat.add_argument("--config", type=str, default=None, help="key=value defaults file")
     lat.set_defaults(func=cmd_lattice_evolve)
 

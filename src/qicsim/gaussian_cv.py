@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVarianceError,
-    ImpureStateError,
-    PreconditionError,
-    StateFileError,
-    UnphysicalModeError,
-    UnphysicalStateError,
-)
-from .linalg import exceeds, haar_unitary, max_abs
+from .errors import StateFileError, UnphysicalInputError
+from .linalg import gate, haar_unitary, max_abs, require_finite
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -86,12 +79,10 @@ class GaussianState:
             raise ValueError("mean must be a vector of even length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise UnphysicalStateError("mean and covariance must be finite")
-        asym = max_abs(cov - cov.T)
-        if asym > SYMMETRY_TOL:
-            raise UnphysicalStateError(
-                f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+        require_finite(mean, UnphysicalInputError, "mean")
+        require_finite(cov, UnphysicalInputError, "covariance")
+        gate(max_abs(cov - cov.T), SYMMETRY_TOL, UnphysicalInputError,
+             "covariance asymmetry")
         # Cholesky accepts iff min eig(M + i Omega/2) > -tol; eigvalsh decides refusals.
         h = cov + 0j
         _add_omega(h, 0.5j)
@@ -99,10 +90,10 @@ class GaussianState:
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
-            bound = np.linalg.eigvalsh(h).min() - UNCERTAINTY_TOL
-            if bound < -UNCERTAINTY_TOL:
-                raise UnphysicalStateError("uncertainty bound violated: min eig"
-                                           f"(M + i Omega/2) = {bound:.3e}") from None
+            # h carries the +tol shift: tol - min eig(h) = -min eig(M + i Omega/2).
+            gate(UNCERTAINTY_TOL - np.linalg.eigvalsh(h).min(), UNCERTAINTY_TOL,
+                 UnphysicalInputError,
+                 "uncertainty bound violated: -min eig(M + i Omega/2)")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -118,10 +109,8 @@ class GaussianState:
 
 
 def require_pure(state: GaussianState, tol: float = PURITY_TOL) -> None:
-    residual = state.purity_residual()
-    if residual > tol:
-        raise ImpureStateError(
-            f"state is not pure: purity residual {residual:.3e} exceeds {tol}")
+    gate(state.purity_residual(), tol, UnphysicalInputError,
+         "state is not pure: purity residual")
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -196,9 +185,9 @@ class ModePair:
         u = np.asarray(self.u, dtype=float)
         if v.shape != u.shape or v.ndim != 1 or v.size % 2 != 0 or v.size == 0:
             raise ValueError("v and u must be vectors of one even length")
-        pairing = _omega(v, right=True) @ u
-        if exceeds(abs(pairing - 1.0), PAIRING_TOL):
-            raise ValueError(f"pair is not canonical: v'Omega u = {pairing!r}")
+        require_finite([v, u], ValueError, "v and u")
+        gate(abs(_omega(v, right=True) @ u - 1.0), PAIRING_TOL, ValueError,
+             "pair is not canonical: |v'Omega u - 1|")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
 
@@ -217,13 +206,10 @@ class ModeCovariance:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("mode covariance must be 2 x 2")
-        if not np.isfinite(m).all():
-            raise UnphysicalModeError("mode covariance must be finite")
-        if abs(m[0, 1] - m[1, 0]) > 1e-10:
-            raise ValueError("mode covariance must be symmetric")
-        if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] < 0.25 - MODE_DET_TOL:
-            raise UnphysicalModeError(
-                f"det m = {np.linalg.det(m)!r} below the uncertainty floor 1/4")
+        require_finite(m, UnphysicalInputError, "mode covariance")
+        gate(abs(m[0, 1] - m[1, 0]), 1e-10, ValueError, "mode covariance asymmetry")
+        gate(0.25 - (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]), MODE_DET_TOL,
+             UnphysicalInputError, "det m below the uncertainty floor 1/4 by")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -243,11 +229,11 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
     v = np.asarray(v, dtype=float)
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
+    require_finite(v, UnphysicalInputError, "write vector v")
     m = state.covariance
     variance = float(v @ m @ v)
-    if not variance > VARIANCE_FLOOR:
-        raise DegenerateVarianceError(
-            f"write quadrature variance {variance!r} at or below the floor")
+    gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
+         f"write quadrature variance below the floor {VARIANCE_FLOOR:g} by")
     u = -(_omega(m) @ v) / variance
     return ModePair(v=v, u=u,
                     q_offset=float(v @ state.mean),
@@ -277,10 +263,7 @@ def mode_entropy(mode: ModeCovariance) -> float:
     With g = sqrt(4 det m - 1):  S = sqrt(1+g^2) ln((sqrt(1+g^2)+1)/g) + ln(g/2),
     continuously extended by S = 0 at the pure point g = 0.
     """
-    det = mode.det
-    if det < 0.25 - MODE_DET_TOL:
-        raise UnphysicalModeError(f"det m = {det!r} below the uncertainty floor 1/4")
-    g = math.sqrt(max(4.0 * det - 1.0, 0.0))
+    g = math.sqrt(max(4.0 * mode.det - 1.0, 0.0))
     if g < ENTROPY_G_FLOOR:
         return 0.0
     root = math.sqrt(1.0 + g * g)
@@ -321,7 +304,7 @@ class MultiparamReport:
 def multiparam_conditions(v_list, state: GaussianState) -> MultiparamReport:
     vs = [np.asarray(v, dtype=float) for v in v_list]
     if len(vs) < 2:
-        raise PreconditionError("need at least two write vectors to compare")
+        raise UnphysicalInputError("need at least two write vectors to compare")
     for v in vs:
         if v.shape != (2 * state.n_modes,):
             raise ValueError("write vector length does not match the state")
@@ -359,7 +342,7 @@ def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:
     if len(v_list) > 1:
         report = multiparam_conditions(v_list, state)
         if not report.commuting or not report.independent:
-            raise PreconditionError(
+            raise UnphysicalInputError(
                 "shift writes must commute and be independent for the diagonal "
                 f"Fisher form (commuting={report.commuting}, "
                 f"independent={report.independent})")
@@ -387,8 +370,8 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
         raise ValueError("v2 length does not match the pair")
     m = state.covariance
     variance = float(pair.v @ m @ pair.v)
-    if not variance > VARIANCE_FLOOR:
-        raise DegenerateVarianceError("capsule quadrature variance at the floor")
+    gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
+         f"capsule quadrature variance below the floor {VARIANCE_FLOOR:g} by")
     return WriteDrift(
         q_drift=abs(theta2 * float(_omega(pair.v, right=True) @ v2)),
         p_drift=abs(theta2 * float(pair.v @ m @ v2) / variance))

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidDimensionError,
-    NumericalFailureError,
-    PreconditionError,
-)
+from .errors import InternalConsistencyError, UnphysicalInputError
 from .gaussian_cv import (
     GaussianState,
     ModePair,
@@ -38,7 +33,7 @@ from .gaussian_cv import (
     conjugate_qic_vector,
     mode_covariance_matrix,
 )
-from .linalg import exceeds, max_abs
+from .linalg import gate, max_abs
 
 IMAG_RESIDUE_TOL = 1e-9
 EVOLVED_PAIRING_TOL = 1e-9
@@ -54,7 +49,7 @@ class LatticeConfig:
 
     def __post_init__(self):
         if self.n_sites < 1:
-            raise InvalidDimensionError(f"need at least one site, got {self.n_sites}")
+            raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
         if not self.eta > 0.0:
             raise ValueError(f"coupling eta must be positive, got {self.eta}")
 
@@ -106,10 +101,8 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
     # Circulant blocks commute: purity is Mq Mp = I/4, decided by one row.
     row = cov[0, 0::2] @ cov[1::2, 1::2]
     row[0] -= 0.25
-    residual = max_abs(row)
-    if exceeds(residual, VACUUM_PURITY_TOL):
-        raise InternalConsistencyError(
-            f"vacuum covariance purity residual {residual:.3e}")
+    gate(max_abs(row), VACUUM_PURITY_TOL, InternalConsistencyError,
+         "vacuum covariance purity residual")
     return state
 
 
@@ -134,12 +127,17 @@ def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
 
 @dataclass(frozen=True)
 class EvolvedPair:
-    """A capsule pair's weighting vectors after free evolution for time t."""
+    """A capsule pair's weighting vectors after free evolution for time t.
+
+    imag_residue is the FFT's largest imaginary part and pairing is
+    v(t)'Omega u(t); both passed their gates in evolve_pair.
+    """
 
     t: float
     v_t: np.ndarray
     u_t: np.ndarray
     imag_residue: float
+    pairing: float
 
 
 def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
@@ -148,15 +146,14 @@ def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
         raise ValueError("pair and chain have different sizes")
     v_t, res_v = evolve_vector(pair.v, t, mm)
     u_t, res_u = evolve_vector(pair.u, t, mm)
-    residue = max(res_v, res_u)
-    if exceeds(residue, IMAG_RESIDUE_TOL):
-        raise NumericalFailureError(
-            f"imaginary evolution residue {residue:.3e} at t = {t}")
-    pairing = _omega(v_t, right=True) @ u_t
-    if exceeds(abs(pairing - 1.0), EVOLVED_PAIRING_TOL):
-        raise InternalConsistencyError(
-            f"evolved pair lost canonicality: v(t)'Omega u(t) = {pairing!r}")
-    return EvolvedPair(t=float(t), v_t=v_t, u_t=u_t, imag_residue=residue)
+    residue = max_abs([res_v, res_u])
+    gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
+         f"imaginary evolution residue at t = {t}")
+    pairing = float(_omega(v_t, right=True) @ u_t)
+    gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
+         f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
+    return EvolvedPair(t=float(t), v_t=v_t, u_t=u_t, imag_residue=residue,
+                       pairing=pairing)
 
 
 # ---- The delocalization experiment ----
@@ -190,7 +187,7 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     vacuum, and the truncation residue.
     """
     if not 1 <= write_site <= config.n_sites:
-        raise PreconditionError(
+        raise UnphysicalInputError(
             f"write site {write_site} outside 1..{config.n_sites}")
     state = vacuum_covariance(config)
     mm = mode_matrix(config)
@@ -205,7 +202,7 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
             t=ep.t,
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
             u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
-            pairing=float(_omega(ep.v_t, right=True) @ ep.u_t),
+            pairing=ep.pairing,
             det_m=float(np.linalg.det(m)),
             imag_residue=ep.imag_residue))
     return profiles

@@ -32,8 +32,30 @@ def exceeds(residual: float, tol: float) -> bool:
     return not residual <= tol
 
 
+def gate(residual: float, tol: float, error: type, what: str) -> None:
+    """Raise error when residual exceeds tol; the one tolerance check that raises.
+
+    One-sided bounds pass a signed margin, e.g. -min eig for a positivity
+    bound, so every gate reads "residual <= tol".  NaN fails.
+    """
+    if exceeds(residual, tol):
+        raise error(f"{what}: {residual:.3e} exceeds {tol:.1e}")
+
+
+def require_finite(a, error: type, what: str) -> None:
+    """Raise error unless every entry of a is finite.
+
+    Checked before the residual arithmetic, so non-finite input is refused
+    without numpy's invalid-value warnings.
+    """
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite")
+
+
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs entry of u'u - I."""
+    """Max-abs entry of u'u - I; inf, without numpy warnings, if u is not finite."""
+    if not np.isfinite(u).all():
+        return np.inf
     return max_abs(dag(u) @ u - np.eye(u.shape[0]))
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidUnitaryError
-from .linalg import dag, exceeds, max_abs, random_unit_vector, unitarity_defect
+from .errors import UnphysicalInputError
+from .linalg import (dag, gate, max_abs, random_unit_vector, require_finite,
+                     unitarity_defect)
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -71,17 +72,15 @@ class PureState:
 
     def __post_init__(self):
         if self.num_sites < 1:
-            raise InvalidDimensionError(f"need at least one site, got {self.num_sites}")
+            raise UnphysicalInputError(f"need at least one site, got {self.num_sites}")
         if self.local_dim < 2:
-            raise InvalidDimensionError(f"need local dimension >= 2, got {self.local_dim}")
+            raise UnphysicalInputError(f"need local dimension >= 2, got {self.local_dim}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         dim = self.local_dim ** self.num_sites
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if exceeds(abs(norm - 1.0), NORM_TOL):
-            raise ValueError(
-                f"state vector norm {float(norm):.12g} differs from 1 beyond {NORM_TOL}")
+        gate(abs(np.linalg.norm(amps) - 1.0), NORM_TOL, ValueError,
+             "state vector norm deviation from 1")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -104,8 +103,8 @@ class HermitianOp:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim} x {self.dim} matrix, got {m.shape}")
-        if max_abs(m - dag(m)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        require_finite(m, ValueError, "matrix")
+        gate(max_abs(m - dag(m)), HERMITIAN_TOL, ValueError, "matrix hermiticity defect")
         object.__setattr__(self, "matrix", m)
 
 
@@ -139,7 +138,7 @@ def build_su_basis(d: int) -> SuBasis:
     factor sqrt(d/2).
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimensionError(f"need qudit dimension d >= 2, got {d!r}")
+        raise UnphysicalInputError(f"need qudit dimension d >= 2, got {d!r}")
     scale = np.sqrt(d / 2.0)
     gens = []
     for j in range(d):
@@ -170,7 +169,7 @@ def swap_operator(d: int) -> np.ndarray:
     verify the two routes against each other.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimensionError(f"need qudit dimension d >= 2, got {d!r}")
+        raise UnphysicalInputError(f"need qudit dimension d >= 2, got {d!r}")
     s = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -184,7 +183,7 @@ def swap_operator(d: int) -> np.ndarray:
 def schmidt(state: PureState) -> SchmidtDecomposition:
     """Schmidt decomposition across the cut after site 1."""
     if state.num_sites < 2:
-        raise InvalidDimensionError("a Schmidt cut needs at least two sites")
+        raise UnphysicalInputError("a Schmidt cut needs at least two sites")
     x = state.first_site_matrix()
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     # Rows of vh are the (unconjugated) right factors; columns of vh.T pair
@@ -219,15 +218,15 @@ def apply_structured_unitary(state: PureState, u_first: np.ndarray,
     u_first = np.asarray(u_first, dtype=complex)
     if u_first.shape != (d, d):
         raise ValueError(f"site unitary must be {d} x {d}, got {u_first.shape}")
-    if exceeds(unitarity_defect(u_first), UNITARY_TOL):
-        raise InvalidUnitaryError("site operator is not unitary within tolerance")
+    gate(unitarity_defect(u_first), UNITARY_TOL, UnphysicalInputError,
+         "site operator unitarity defect")
     if global_u is None:
         return PureState(state.num_sites, d, act_on_first_site(u_first, state.amplitudes))
     global_u = np.asarray(global_u, dtype=complex)
     if global_u.shape != (state.dim, state.dim):
         raise ValueError(f"register unitary must be {state.dim} x {state.dim}")
-    if exceeds(unitarity_defect(global_u), UNITARY_TOL):
-        raise InvalidUnitaryError("register operator is not unitary within tolerance")
+    gate(unitarity_defect(global_u), UNITARY_TOL, UnphysicalInputError,
+         "register operator unitarity defect")
     psi = conjugated_action(u_first, global_u, state.amplitudes)
     return PureState(state.num_sites, d, psi)
 
@@ -244,8 +243,8 @@ def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src and dst must be vectors of the same length")
     for name, vec in (("src", src), ("dst", dst)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-            raise ValueError(f"{name} must be a unit vector")
+        gate(abs(np.linalg.norm(vec) - 1.0), NORM_TOL, ValueError,
+             f"{name} norm deviation from 1")
     dim = src.shape[0]
     overlap = np.vdot(src, dst)
     perp = dst - overlap * src

@@ -18,24 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BrokenVirtualQuditError,
-    ContractViolationError,
-    InternalConsistencyError,
-    InvalidUnitaryError,
-    NoEnvironmentError,
-    PreconditionError,
-)
+from .errors import InternalConsistencyError, UnphysicalInputError
 from .linalg import (
     dag,
-    exceeds,
     expm_hermitian,
+    gate,
     haar_unitary,
     max_abs,
     orthonormal_completion,
+    require_finite,
     unitarity_defect,
 )
 from .qudit_algebra import (
+    HERMITIAN_TOL,
+    UNITARY_TOL,
     HermitianOp,
     PureState,
     SuBasis,
@@ -49,7 +45,6 @@ from .qudit_algebra import (
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
-UNITARY_TOL = 1e-8
 GENERATOR_NORM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 CONJUGATOR_MATCH_TOL = 1e-10
@@ -99,7 +94,7 @@ class VirtualQudit(_SiteConjugated):
     """Operator family T_i = conjugator' (t_i x I) conjugator.
 
     The conjugator is trusted at construction.  The SWAP retrieval gates its
-    unitarity before use (BrokenVirtualQuditError), and correlation-state
+    unitarity before use (UnphysicalInputError), and correlation-state
     validation rejects the unphysical states a broken conjugator produces.
     """
 
@@ -161,15 +156,14 @@ class CorrelationState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d} x {self.d} matrix, got {m.shape}")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise InternalConsistencyError(
-                f"correlation state trace {complex(np.trace(m)):.12g} differs from 1")
-        if max_abs(m - dag(m)) > HERMITICITY_TOL:
-            raise InternalConsistencyError("correlation state is not Hermitian")
-        if np.linalg.eigvalsh(m).min() < -NEGATIVITY_TOL:
-            raise InternalConsistencyError(
-                "correlation state has a negative eigenvalue; "
-                "the virtual qudit's conjugator is not unitary")
+        require_finite(m, InternalConsistencyError, "correlation state")
+        trace = np.trace(m)
+        gate(max_abs([trace.real - 1.0, trace.imag]), TRACE_TOL, InternalConsistencyError,
+             "correlation state trace deviation from 1")
+        gate(max_abs(m - dag(m)), HERMITICITY_TOL, InternalConsistencyError,
+             "correlation state hermiticity defect")
+        gate(-np.linalg.eigvalsh(m).min(), NEGATIVITY_TOL, InternalConsistencyError,
+             "correlation state negativity (the virtual qudit's conjugator is not unitary)")
         object.__setattr__(self, "matrix", m)
 
     def purity(self) -> float:
@@ -213,17 +207,16 @@ class WriteOperation(_SiteConjugated):
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("local generator must be a square matrix")
         d = t.shape[0]
-        if max_abs(t - dag(t)) > 1e-12:
-            raise ValueError("local generator must be Hermitian")
-        if abs(np.trace(t)) > GENERATOR_NORM_TOL:
-            raise ValueError("local generator must be traceless")
-        norm2 = np.trace(t @ t).real
-        if abs(norm2 - d) > GENERATOR_NORM_TOL:
-            raise ValueError(f"local generator must satisfy Tr(t^2) = {d}, got {norm2}")
+        require_finite(t, ValueError, "local generator")
+        gate(max_abs(t - dag(t)), HERMITIAN_TOL, ValueError,
+             "local generator hermiticity defect")
+        gate(abs(np.trace(t)), GENERATOR_NORM_TOL, ValueError, "local generator trace")
+        gate(abs(np.trace(t @ t).real - d), GENERATOR_NORM_TOL, ValueError,
+             f"local generator deviation from Tr(t^2) = {d}")
         conj = np.asarray(self.conjugator, dtype=complex)
         _sites_for_dim(conj.shape[0], d)
-        if exceeds(unitarity_defect(conj), UNITARY_TOL):
-            raise InvalidUnitaryError("write conjugator is not unitary within tolerance")
+        gate(unitarity_defect(conj), UNITARY_TOL, UnphysicalInputError,
+             "write conjugator unitarity defect")
         object.__setattr__(self, "local_generator", t)
         object.__setattr__(self, "conjugator", conj)
 
@@ -337,7 +330,7 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     assumed here.
     """
     if state.num_sites < 2:
-        raise NoEnvironmentError("a partner needs at least one environment site")
+        raise UnphysicalInputError("a partner needs at least one environment site")
     if state.dim != qudit_a.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
     d = qudit_a.d
@@ -385,10 +378,11 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
     recomputed state then equals the stored joint state rotated by the local
     write unitary on the first slot, which the tests verify independently.
     """
-    if pair.qudit_a.d != write.d or \
-            max_abs(pair.qudit_a.conjugator - write.conjugator) > CONJUGATOR_MATCH_TOL:
-        raise ContractViolationError(
-            "partner pair and write operation use different conjugators")
+    if pair.qudit_a.d != write.d:
+        raise UnphysicalInputError(
+            "partner pair and write operation use different local dimensions")
+    gate(max_abs(pair.qudit_a.conjugator - write.conjugator), CONJUGATOR_MATCH_TOL,
+         UnphysicalInputError, "partner pair and write conjugator mismatch")
     written = write.apply(state, theta)
     return _joint_correlation(pair.qudit_a, pair.qudit_b, written.amplitudes)
 
@@ -498,10 +492,10 @@ class SwapRetrieval:
 
     def residual_state(self) -> np.ndarray:
         """Residual as a vector; only meaningful when the swap fully detaches."""
-        if abs(self.residual_purity() - 1.0) > 1e-6:
-            raise InternalConsistencyError(
-                "residual register state is not pure; the virtual qudit does "
-                "not confine the information")
+        require_finite(self.residual, InternalConsistencyError, "residual register state")
+        gate(abs(self.residual_purity() - 1.0), 1e-6, InternalConsistencyError,
+             "residual register impurity (the virtual qudit does not confine the "
+             "information)")
         w, v = np.linalg.eigh(self.residual)
         return v[:, -1]
 
@@ -521,9 +515,8 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
     if state_after_write.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
     conj = qudit.conjugator
-    if exceeds(unitarity_defect(conj), UNITARY_TOL):
-        raise BrokenVirtualQuditError(
-            "virtual qudit conjugator is not unitary; its swap channel is not unitary")
+    gate(unitarity_defect(conj), UNITARY_TOL, UnphysicalInputError,
+         "virtual qudit conjugator unitarity defect (its swap channel is not unitary)")
     slots = (conj @ state_after_write.amplitudes).reshape(qudit.d, -1)
     # After the swap slot 1 holds |0>, so C' acts through its first rest_dim
     # columns only; j[register, external] is the joint state.
@@ -564,11 +557,11 @@ def sld_fisher_matrix(generators, state: PureState) -> np.ndarray:
     for m in mats:
         if m.shape != (state.dim, state.dim):
             raise ValueError("generators must act on the full register")
+        require_finite(m, UnphysicalInputError, "generator")
     for i in range(k):
         for j in range(i + 1, k):
-            if max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]) > COMMUTE_TOL:
-                raise PreconditionError(
-                    f"generators {i} and {j} do not commute within tolerance")
+            gate(max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]), COMMUTE_TOL,
+                 UnphysicalInputError, f"commutator of generators {i} and {j}")
     psi = state.amplitudes
     ys = [m @ psi for m in mats]
     means = [np.vdot(psi, y).real for y in ys]

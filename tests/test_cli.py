@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qicsim import cli, gaussian_cv, lattice_field
+from qicsim.errors import InternalConsistencyError, StateFileError, UnphysicalInputError
 
 ROUNDTRIP_TOL = 0.0          # 17 significant digits must round-trip exactly
 TRANSLATION_TOL = 1e-12
@@ -133,6 +134,12 @@ def test_lattice_evolve_usage_errors(tmp_path, extra):
     res = run_cli("lattice-evolve", "--out", tmp_path / "x", *extra)
     assert res.returncode == 2
     assert "usage error" in res.stderr
+
+
+def test_lattice_evolve_has_no_seed_option(tmp_path):
+    res = run_cli("lattice-evolve", "--out", tmp_path / "x", "--seed", "1")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed" in res.stderr
 
 
 # ---- qudit-suite ----
@@ -322,6 +329,20 @@ def test_linalg_error_exits_3_without_traceback(monkeypatch, capsys):
     assert cli.main(["verify"]) == 3
     err = capsys.readouterr().err
     assert err == "error: Matrix is not positive definite\n"
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (StateFileError(3, "bad number"), 2, "error: line 3: bad number\n"),
+    (UnphysicalInputError("state is not pure"), 3, "error: state is not pure\n"),
+    (InternalConsistencyError("residue"), 3, "error: residue\n"),
+])
+def test_error_types_map_to_exit_codes(monkeypatch, capsys, error, code, message):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_verify", failing)
+    assert cli.main(["verify"]) == code
+    assert capsys.readouterr().err == message
 
 
 # ---- config files and I/O failures ----

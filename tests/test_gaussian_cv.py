@@ -1,6 +1,7 @@
 """Gaussian states, conjugate mode construction, entropy, and serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicsim import gaussian_cv as g
-from qicsim.errors import (
-    DegenerateVarianceError,
-    ImpureStateError,
-    PreconditionError,
-    StateFileError,
-    UnphysicalModeError,
-    UnphysicalStateError,
-)
+from qicsim.errors import StateFileError, UnphysicalInputError
 from qicsim.linalg import max_abs
 
 IDENTITY_TOL = 1e-12
@@ -84,16 +78,16 @@ def test_random_pure_states_satisfy_purity_relation():
 def test_state_validation_rejects_asymmetry():
     cov = np.eye(2) / 2
     cov[0, 1] = 1e-3
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(UnphysicalInputError, match="covariance asymmetry"):
         g.GaussianState(np.zeros(2), cov)
 
 
 def test_state_validation_rejects_non_finite_moments():
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(UnphysicalInputError, match="mean must be finite"):
         g.GaussianState(np.array([np.inf, 0.0]), np.eye(2) / 2)
     cov = np.eye(2) / 2
     cov[1, 1] = np.nan
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(UnphysicalInputError, match="covariance must be finite"):
         g.GaussianState(np.zeros(2), cov)
 
 
@@ -104,7 +98,7 @@ def test_uncertainty_gate_decides_like_eigvalsh(delta):
     cov = (0.5 - delta) * np.eye(4)
     bound = np.linalg.eigvalsh(cov + 0.5j * g.symplectic_form(2)).min()
     if bound < -g.UNCERTAINTY_TOL:
-        with pytest.raises(UnphysicalStateError, match="min eig"):
+        with pytest.raises(UnphysicalInputError, match="min eig"):
             g.GaussianState(np.zeros(4), cov)
     else:
         g.GaussianState(np.zeros(4), cov)
@@ -121,7 +115,7 @@ def test_uncertainty_gate_on_random_pure_states():
         assert np.linalg.eigvalsh(cov + 0.5j * om).min() >= -g.UNCERTAINTY_TOL
         g.GaussianState(state.mean, cov)
         assert np.linalg.eigvalsh(0.99 * cov + 0.5j * om).min() < -g.UNCERTAINTY_TOL
-        with pytest.raises(UnphysicalStateError):
+        with pytest.raises(UnphysicalInputError, match="uncertainty bound"):
             g.GaussianState(state.mean, 0.99 * cov)
 
 
@@ -140,13 +134,13 @@ def test_structured_omega_matches_dense_products():
 
 
 def test_state_validation_rejects_uncertainty_violation():
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(UnphysicalInputError, match="uncertainty bound"):
         g.GaussianState(np.zeros(2), 0.1 * np.eye(2))
 
 
 def test_require_pure_rejects_thermal():
     thermal = g.GaussianState(np.zeros(2), 0.8 * np.eye(2))
-    with pytest.raises(ImpureStateError) as exc:
+    with pytest.raises(UnphysicalInputError, match="not pure") as exc:
         g.require_pure(thermal)
     assert "residual" in str(exc.value)
 
@@ -235,13 +229,13 @@ def test_conjugate_is_unique_minimizer():
 
 
 def test_conjugate_rejects_degenerate_direction():
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(UnphysicalInputError, match="variance below the floor"):
         g.conjugate_qic_vector(np.zeros(2), g.vacuum_state(1))
 
 
 def test_conjugate_rejects_impure_state():
     thermal = g.GaussianState(np.zeros(2), 0.8 * np.eye(2))
-    with pytest.raises(ImpureStateError):
+    with pytest.raises(UnphysicalInputError, match="not pure"):
         g.conjugate_qic_vector(np.array([1.0, 0.0]), thermal)
 
 
@@ -251,8 +245,16 @@ def test_mode_pair_validates_pairing():
 
 
 def test_conjugate_rejects_nan_vector():
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(UnphysicalInputError, match="write vector v must be finite"):
         g.conjugate_qic_vector(np.array([np.nan, 0.0]), g.vacuum_state(1))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_conjugate_rejects_infinite_vector_without_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalInputError, match="write vector v must be finite"):
+            g.conjugate_qic_vector(np.array([value, 0.0]), g.vacuum_state(1))
 
 
 def test_mode_pair_rejects_nan():
@@ -297,13 +299,13 @@ def test_mode_covariance_uncertainty_bound():
 
 
 def test_mode_covariance_rejects_unphysical():
-    with pytest.raises(UnphysicalModeError):
+    with pytest.raises(UnphysicalInputError, match="uncertainty floor"):
         g.ModeCovariance(np.diag([0.3, 0.3]))
 
 
 def test_mode_covariance_rejects_non_finite():
     for bad in ([[np.nan, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]):
-        with pytest.raises(UnphysicalModeError):
+        with pytest.raises(UnphysicalInputError, match="mode covariance must be finite"):
             g.ModeCovariance(np.array(bad))
 
 
@@ -412,7 +414,7 @@ def test_multiparam_two_mode_squeezed_not_independent():
 
 
 def test_multiparam_requires_two_vectors():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnphysicalInputError, match="at least two write vectors"):
         g.multiparam_conditions([np.array([1.0, 0.0])], g.vacuum_state(1))
 
 
@@ -444,7 +446,7 @@ def test_shift_fisher_single_vector_is_variance():
 
 def test_shift_fisher_rejects_unmet_conditions():
     state = g.vacuum_state(1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnphysicalInputError, match="must commute and be independent"):
         g.shift_fisher_matrix(
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])], state)
 

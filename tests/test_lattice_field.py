@@ -12,11 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicsim import gaussian_cv, lattice_field as lf
-from qicsim.errors import (
-    InvalidDimensionError,
-    NumericalFailureError,
-    PreconditionError,
-)
+from qicsim.errors import InternalConsistencyError, UnphysicalInputError
 from qicsim.linalg import max_abs
 
 N_SITES = 30
@@ -80,7 +76,7 @@ def test_dispersion_reflection_symmetry():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(UnphysicalInputError, match="at least one site"):
         lf.LatticeConfig(0, 0.4)
     with pytest.raises(ValueError):
         lf.LatticeConfig(10, 0.0)
@@ -260,6 +256,7 @@ def test_evolve_preserves_symplectic_pairing():
     for t in (1.0, 5.0, 25.0, 50.0):
         evolved = lf.evolve_pair(pair, t, mm)
         assert abs(evolved.v_t @ om @ evolved.u_t - 1.0) < 1e-9
+        assert evolved.pairing == float(evolved.v_t @ om @ evolved.u_t)
         assert evolved.imag_residue < 1e-9
 
 
@@ -308,7 +305,7 @@ def test_evolve_detects_corrupted_matrix():
     omegas = lf.mode_matrix(config).omegas.copy()
     omegas[0] += 0.05
     broken = lf.ModeMatrix(omegas)
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(InternalConsistencyError, match="imaginary evolution residue"):
         lf.evolve_pair(pair, 3.0, broken)
 
 
@@ -356,7 +353,7 @@ def test_figure_translation_covariance():
 
 def test_figure_rejects_out_of_range_site():
     config = lf.LatticeConfig(N_SITES, ETA)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnphysicalInputError, match="write site 0 outside"):
         lf.figure_experiment(config, 0, [0.0])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnphysicalInputError, match="write site 31 outside"):
         lf.figure_experiment(config, 31, [0.0])

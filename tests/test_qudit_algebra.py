@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicsim import qudit_algebra as qa
-from qicsim.errors import InvalidDimensionError, InvalidUnitaryError
+from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import (
     dag,
+    gate,
     haar_unitary,
     max_abs,
     orthonormal_completion,
@@ -72,7 +73,7 @@ def test_su_basis_traceless(d):
 
 
 def test_su_basis_rejects_small_dimension():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(UnphysicalInputError, match="d >= 2"):
         qa.build_su_basis(1)
 
 
@@ -187,19 +188,19 @@ def test_structured_bell_phases():
 
 def test_structured_rejects_nonunitary():
     state = qa.basis_state(2, 2)
-    with pytest.raises(InvalidUnitaryError):
+    with pytest.raises(UnphysicalInputError, match="site operator unitarity"):
         qa.apply_structured_unitary(state, 0.5 * np.eye(2, dtype=complex))
 
 
 def test_structured_rejects_nan_site_unitary():
     state = qa.basis_state(2, 2)
-    with pytest.raises(InvalidUnitaryError):
+    with pytest.raises(UnphysicalInputError, match="site operator unitarity"):
         qa.apply_structured_unitary(state, np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_structured_rejects_nan_register_unitary():
     state = qa.basis_state(2, 2)
-    with pytest.raises(InvalidUnitaryError):
+    with pytest.raises(UnphysicalInputError, match="register operator unitarity"):
         qa.apply_structured_unitary(state, np.eye(2, dtype=complex),
                                     np.full((4, 4), np.nan, dtype=complex))
 
@@ -316,3 +317,12 @@ def test_orthonormal_completion_spans_complement(k):
     assert extra.shape == (dim, dim - k)
     assert max_abs(dag(extra) @ extra - np.eye(dim - k)) < 1e-12
     assert max_abs(dag(columns) @ extra) < 1e-12
+
+
+def test_gate_passes_at_tolerance_and_fails_above_or_nan():
+    gate(1e-8, 1e-8, ValueError, "defect")
+    gate(-1.0, 0.0, ValueError, "margin")
+    with pytest.raises(ValueError, match=r"^defect: 2\.000e-08 exceeds 1\.0e-08$"):
+        gate(2e-8, 1e-8, ValueError, "defect")
+    with pytest.raises(UnphysicalInputError, match="^defect: nan exceeds"):
+        gate(float("nan"), 1e-8, UnphysicalInputError, "defect")

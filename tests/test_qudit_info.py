@@ -5,14 +5,7 @@ import pytest
 
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
-from qicsim.errors import (
-    BrokenVirtualQuditError,
-    ContractViolationError,
-    InternalConsistencyError,
-    InvalidUnitaryError,
-    NoEnvironmentError,
-    PreconditionError,
-)
+from qicsim.errors import InternalConsistencyError, UnphysicalInputError
 from qicsim.linalg import (
     dag,
     expm_hermitian,
@@ -110,12 +103,12 @@ def test_write_validation():
         qi.WriteOperation(0.3 * PAULI_Z, np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         qi.WriteOperation(np.diag([1.5, 0.5]).astype(complex), np.eye(4, dtype=complex))
-    with pytest.raises(InvalidUnitaryError):
+    with pytest.raises(UnphysicalInputError, match="write conjugator unitarity"):
         qi.WriteOperation(PAULI_Z, 0.5 * np.eye(4, dtype=complex))
 
 
 def test_write_rejects_nan_conjugator():
-    with pytest.raises(InvalidUnitaryError):
+    with pytest.raises(UnphysicalInputError, match="write conjugator unitarity"):
         qi.WriteOperation(PAULI_Z, np.full((4, 4), np.nan, dtype=complex))
 
 
@@ -303,13 +296,13 @@ def test_retrieval_residual_state_purity():
 
 def test_retrieval_rejects_broken_qudit():
     vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
-    with pytest.raises(BrokenVirtualQuditError):
+    with pytest.raises(UnphysicalInputError, match="virtual qudit conjugator unitarity"):
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
 
 
 def test_retrieval_rejects_nan_conjugator():
     vq = qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), np.nan, dtype=complex))
-    with pytest.raises(BrokenVirtualQuditError):
+    with pytest.raises(UnphysicalInputError, match="virtual qudit conjugator unitarity"):
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
 
 
@@ -379,7 +372,7 @@ def test_partner_random_qutrits():
 
 def test_partner_requires_environment():
     vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(2, dtype=complex))
-    with pytest.raises(NoEnvironmentError):
+    with pytest.raises(UnphysicalInputError, match="environment site"):
         qi.construct_partner(vq, qa.basis_state(1, 2))
 
 
@@ -434,7 +427,7 @@ def test_partner_write_action_rejects_mismatch():
     write = qi.random_write_operation(2, 2, rng)
     other = qi.VirtualQudit(qa.build_su_basis(2), haar_unitary(4, rng))
     pair = qi.construct_partner(other, state)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(UnphysicalInputError, match="conjugator mismatch"):
         qi.partner_write_action(pair, write, 0.5, state)
 
 
@@ -551,7 +544,7 @@ def test_sld_single_generator_matches_scalar_fisher():
 def test_sld_rejects_noncommuting():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     gens = [qi.HermitianOp(2, sx), qi.HermitianOp(2, PAULI_Z)]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnphysicalInputError, match="commutator of generators 0 and 1"):
         qi.sld_fisher_matrix(gens, qa.basis_state(1, 2))
 
 
