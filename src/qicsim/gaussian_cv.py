@@ -242,12 +242,15 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
 
 def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
                            covariance: np.ndarray) -> np.ndarray:
-    """Raw 2x2 covariance of the pair (v' r, u' r), symmetrized."""
-    vv = float(v @ covariance @ v)
-    uu = float(u @ covariance @ u)
-    vu = float(v @ covariance @ u)
-    uv = float(u @ covariance @ v)
-    cross = (vu + uv) / 2.0
+    """Raw 2x2 covariance of the pair (v' r, u' r), symmetrized.
+
+    Two O(N^2) products, v' M and u' M, feed all four entries.
+    """
+    vm = v @ covariance
+    um = u @ covariance
+    vv = float(vm @ v)
+    uu = float(um @ u)
+    cross = (float(vm @ u) + float(um @ v)) / 2.0
     return np.array([[vv, cross], [cross, uu]])
 
 

@@ -1,4 +1,4 @@
-"""Dense operator algebra for registers of d-level systems.
+"""Operator algebra for registers of d-level systems, dense and factored.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,9 @@ Conventions used throughout the package:
 * A register of N qudits lives on the d^N-dimensional tensor product with
   site 1 stored as the leftmost (slowest-varying) factor.
 
-All objects here are immutable values; functions return new arrays and never
-mutate their inputs.
+All objects here are immutable values, apart from what a Conjugator caches
+(its dense matrix and whether its head passed the unitarity gate); functions
+return new arrays and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -196,14 +197,15 @@ def act_on_first_site(op: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (op @ m.reshape(op.shape[0], -1)).reshape(m.shape)
 
 
-def conjugated_action(op: np.ndarray, conjugator: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """conjugator' (op x I) conjugator applied to vec, as two matvecs and a site action."""
-    return dag(conjugator) @ act_on_first_site(op, conjugator @ vec)
+def conjugated_action(op: np.ndarray, conjugator: Conjugator, vec: np.ndarray) -> np.ndarray:
+    """conjugator' (op x I) conjugator applied to vec, as two applications and a site action."""
+    return conjugator.apply_adjoint(act_on_first_site(op, conjugator.apply(vec)))
 
 
-def conjugated_matrix(op: np.ndarray, conjugator: np.ndarray) -> np.ndarray:
+def conjugated_matrix(op: np.ndarray, conjugator: Conjugator) -> np.ndarray:
     """Dense conjugator' (op x I) conjugator, for diagnostics and small sizes."""
-    return dag(conjugator) @ act_on_first_site(op, conjugator)
+    dense = conjugator.dense()
+    return dag(dense) @ act_on_first_site(op, dense)
 
 
 def apply_structured_unitary(state: PureState, u_first: np.ndarray,
@@ -225,18 +227,20 @@ def apply_structured_unitary(state: PureState, u_first: np.ndarray,
     global_u = np.asarray(global_u, dtype=complex)
     if global_u.shape != (state.dim, state.dim):
         raise ValueError(f"register unitary must be {state.dim} x {state.dim}")
-    gate(unitarity_defect(global_u), UNITARY_TOL, UnphysicalInputError,
-         "register operator unitarity defect")
-    psi = conjugated_action(u_first, global_u, state.amplitudes)
+    conjugator = Conjugator(global_u)
+    conjugator.gate_head(UnphysicalInputError, "register operator unitarity defect")
+    psi = conjugated_action(u_first, conjugator, state.amplitudes)
     return PureState(state.num_sites, d, psi)
 
 
-def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Unitary sending src to dst, identity on the complement of their span.
+def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Low-rank form (basis, kernel) of the unitary sending src to dst.
 
-    Built as a two-dimensional rotation in span{src, dst}; when the two
-    vectors are collinear to machine precision the rotation degenerates to a
-    phase on the src ray, which also covers the antipodal case dst = -src.
+    The unitary is I + basis kernel basis': a two-dimensional rotation in
+    span{src, dst}, identity on the complement.  When the two vectors are
+    collinear to machine precision the rotation degenerates to a phase on
+    the src ray (basis has one column), which also covers the antipodal
+    case dst = -src.
     """
     src = np.asarray(src, dtype=complex)
     dst = np.asarray(dst, dtype=complex)
@@ -245,13 +249,12 @@ def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     for name, vec in (("src", src), ("dst", dst)):
         gate(abs(np.linalg.norm(vec) - 1.0), NORM_TOL, ValueError,
              f"{name} norm deviation from 1")
-    dim = src.shape[0]
     overlap = np.vdot(src, dst)
     perp = dst - overlap * src
     pnorm = np.linalg.norm(perp)
     if pnorm < _COLLINEAR_TOL:
         phase = overlap / abs(overlap)
-        return np.eye(dim, dtype=complex) + (phase - 1.0) * np.outer(src, src.conj())
+        return src[:, None], np.array([[phase - 1.0]])
     w = perp / pnorm
     # One re-orthogonalization pass keeps <src|w> at machine precision even
     # when dst is nearly collinear with src and the subtraction cancels.
@@ -259,12 +262,148 @@ def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     w /= np.linalg.norm(w)
     c = np.vdot(src, dst)
     s = np.vdot(w, dst)
-    v = np.eye(dim, dtype=complex)
-    v += (c - 1.0) * np.outer(src, src.conj())
-    v += s * np.outer(w, src.conj())
-    v -= np.conj(s) * np.outer(src, w.conj())
-    v += (np.conj(c) - 1.0) * np.outer(w, w.conj())
-    return v
+    kernel = np.array([[c - 1.0, -np.conj(s)], [s, np.conj(c) - 1.0]])
+    return np.column_stack([src, w]), kernel
+
+
+def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Dense unitary sending src to dst, identity on the complement of their span."""
+    basis, kernel = vector_rotation(src, dst)
+    return np.eye(basis.shape[0], dtype=complex) + basis @ kernel @ dag(basis)
+
+
+# ---- Factored register unitaries ----
+
+
+def _on_axis(u: np.ndarray, outer: int, x: np.ndarray) -> np.ndarray:
+    """u applied to the middle axis of x reshaped to (outer, len(u), -1)."""
+    return np.matmul(u, x.reshape(outer, u.shape[0], -1)).reshape(x.shape)
+
+
+class AxisUnitary:
+    """A k x k unitary on one axis of the register, identity on the others.
+
+    Register vectors and matrices are viewed as (outer, k, inner) arrays:
+    outer = 1 acts on the leading slots (k = d for slot 1, k = d^2 for
+    slots 1 and 2), outer = d acts on everything after slot 1.
+    """
+
+    __slots__ = ("matrix", "outer")
+
+    def __init__(self, matrix: np.ndarray, outer: int = 1):
+        self.matrix = matrix
+        self.outer = outer
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return _on_axis(self.matrix, self.outer, x)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        return _on_axis(dag(self.matrix), self.outer, x)
+
+
+class BranchRotation:
+    """sum_i P_i x (I + B_i K_i B_i') on slot 1 x rest of the register.
+
+    P_i projects slot 1 onto column i of eigenvectors; bases[i] = B_i and
+    kernels[i] = K_i give branch i's low-rank term, as from vector_rotation,
+    and a None basis leaves the branch alone.  Unitary whenever every
+    I + B_i K_i B_i' is.
+    """
+
+    __slots__ = ("eigenvectors", "bases", "kernels")
+
+    def __init__(self, eigenvectors: np.ndarray, bases: tuple, kernels: tuple):
+        self.eigenvectors = eigenvectors
+        self.bases = bases
+        self.kernels = kernels
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._act(x, adjoint=False)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self._act(x, adjoint=True)
+
+    def _act(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        e = self.eigenvectors
+        d = e.shape[0]
+        rows = (dag(e) @ x.reshape(d, -1)).reshape(d, x.shape[0] // d, -1)
+        delta = np.zeros_like(rows)
+        for i, (b, k) in enumerate(zip(self.bases, self.kernels)):
+            if b is not None:
+                delta[i] = b @ ((dag(k) if adjoint else k) @ (dag(b) @ rows[i]))
+        return x + (e @ delta.reshape(d, -1)).reshape(x.shape)
+
+
+class _Head:
+    """A dense register unitary and whether its unitarity has been gated."""
+
+    __slots__ = ("matrix", "gated")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.gated = False
+
+
+class Conjugator:
+    """Register unitary C = F_k ... F_1 H: a dense head H, then structural factors.
+
+    Each factor (AxisUnitary, BranchRotation) is unitary by construction and
+    acts on register vectors and matrices without forming a D x D matrix.
+    The head's unitarity is gated at most once, by gate_head, and
+    conjugators made from it with then() share that record.  dense() builds
+    the D x D matrix on first use by applying the factors to the head.
+    """
+
+    __slots__ = ("_head", "factors", "_dense")
+
+    def __init__(self, head: np.ndarray, factors: tuple = ()):
+        head = np.asarray(head, dtype=complex)
+        if head.ndim != 2 or head.shape[0] != head.shape[1]:
+            raise ValueError("conjugator must be a square matrix")
+        self._head = _Head(head)
+        self.factors = tuple(factors)
+        self._dense = None
+
+    @property
+    def head(self) -> np.ndarray:
+        return self._head.matrix
+
+    @property
+    def dim(self) -> int:
+        return self.head.shape[0]
+
+    def then(self, *factors) -> "Conjugator":
+        """This conjugator followed by more factors, sharing the head's gate record."""
+        out = Conjugator(self.head, self.factors + factors)
+        out._head = self._head
+        return out
+
+    def gate_head(self, error: type, what: str) -> None:
+        """Gate the head's unitarity unless that already passed."""
+        if not self._head.gated:
+            gate(unitarity_defect(self.head), UNITARY_TOL, error, what)
+            self._head.gated = True
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        y = self.head @ x
+        for factor in self.factors:
+            y = factor.apply(y)
+        return y
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        for factor in reversed(self.factors):
+            x = factor.apply_adjoint(x)
+        # H' x as conj(H^T conj(x)): no D x D conjugate copy of the head.
+        return np.conj(self.head.T @ np.conj(x))
+
+    def dense(self) -> np.ndarray:
+        """The D x D matrix, cached; the head itself when there are no factors."""
+        if self._dense is None:
+            m = self.head
+            for factor in self.factors:
+                m = factor.apply(m)
+            self._dense = m
+        return self._dense
 
 
 # ---- Convenience constructors ----

@@ -27,19 +27,20 @@ from .linalg import (
     max_abs,
     orthonormal_completion,
     require_finite,
-    unitarity_defect,
 )
 from .qudit_algebra import (
     HERMITIAN_TOL,
-    UNITARY_TOL,
+    AxisUnitary,
+    BranchRotation,
+    Conjugator,
     HermitianOp,
     PureState,
     SuBasis,
     build_su_basis,
     conjugated_action,
     conjugated_matrix,
-    map_vector_unitary,
     schmidt,
+    vector_rotation,
 )
 
 TRACE_TOL = 1e-10
@@ -65,17 +66,31 @@ def _sites_for_dim(dim: int, d: int) -> int:
     return n
 
 
+def _as_conjugator(conjugator, d: int) -> Conjugator:
+    """A Conjugator from a Conjugator or a dense register matrix of local dimension d."""
+    if not isinstance(conjugator, Conjugator):
+        conjugator = Conjugator(conjugator)
+    _sites_for_dim(conjugator.dim, d)
+    return conjugator
+
+
 class _SiteConjugated:
     """Register geometry of operators conjugator' (t x I) conjugator.
 
     Shared by virtual qudits and write operations, which provide the
-    conjugator field and the local dimension d; the operators themselves
-    come from qudit_algebra.conjugated_action and conjugated_matrix.
+    conjugation field (a qudit_algebra.Conjugator) and the local dimension
+    d; the operators themselves come from qudit_algebra.conjugated_action
+    and conjugated_matrix.
     """
 
     @property
+    def conjugator(self) -> np.ndarray:
+        """The dense register unitary, built from the factors on first use."""
+        return self.conjugation.dense()
+
+    @property
     def full_dim(self) -> int:
-        return self.conjugator.shape[0]
+        return self.conjugation.dim
 
     @property
     def num_sites(self) -> int:
@@ -93,20 +108,18 @@ class _SiteConjugated:
 class VirtualQudit(_SiteConjugated):
     """Operator family T_i = conjugator' (t_i x I) conjugator.
 
-    The conjugator is trusted at construction.  The SWAP retrieval gates its
-    unitarity before use (UnphysicalInputError), and correlation-state
-    validation rejects the unphysical states a broken conjugator produces.
+    conjugation may be a Conjugator or a dense register matrix.  It is
+    trusted at construction.  The SWAP retrieval gates its head's unitarity
+    before use unless that already passed (UnphysicalInputError), and
+    correlation-state validation rejects the unphysical states a broken
+    conjugator produces.
     """
 
     basis: SuBasis
-    conjugator: np.ndarray
+    conjugation: Conjugator
 
     def __post_init__(self):
-        conj = np.asarray(self.conjugator, dtype=complex)
-        if conj.ndim != 2 or conj.shape[0] != conj.shape[1]:
-            raise ValueError("conjugator must be a square matrix")
-        _sites_for_dim(conj.shape[0], self.basis.d)
-        object.__setattr__(self, "conjugator", conj)
+        object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, self.basis.d))
 
     @property
     def d(self) -> int:
@@ -116,17 +129,11 @@ class VirtualQudit(_SiteConjugated):
         """Full-register matrix for extended index mu (mu = 0 is the identity)."""
         if mu == 0:
             return np.eye(self.full_dim, dtype=complex)
-        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugator)
+        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugation)
 
     def operators(self) -> list:
         """The d^2 - 1 generator images, full-register matrices."""
         return [self.operator(mu) for mu in range(1, self.d * self.d)]
-
-    def apply_extended(self, mu: int, vec: np.ndarray) -> np.ndarray:
-        """T_mu applied to a register vector without forming the matrix."""
-        if mu == 0:
-            return np.array(vec, dtype=complex)
-        return conjugated_action(self.basis.generators[mu - 1], self.conjugator, vec)
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_mu c_mu T_mu).
@@ -141,8 +148,7 @@ class VirtualQudit(_SiteConjugated):
             raise ValueError("need one coefficient per generator")
         g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))
         rot = expm_hermitian(g, -1.0j)
-        lifted = np.kron(rot, np.eye(self.rest_dim))
-        return VirtualQudit(self.basis, lifted @ self.conjugator)
+        return VirtualQudit(self.basis, self.conjugation.then(AxisUnitary(rot)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState
     if state.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
     d = qudit.d
-    psi = qudit.conjugator @ state.amplitudes
+    psi = qudit.conjugation.apply(state.amplitudes)
     x = psi.reshape(d, -1)
     expectations = [np.vdot(psi, psi).real]
     expectations += [np.vdot(x, t @ x).real for t in qudit.basis.generators]
@@ -196,11 +202,12 @@ class WriteOperation(_SiteConjugated):
     """Parameter imprint exp(-i theta T) with T = conjugator' (t x I) conjugator.
 
     local_generator is the d x d seed t, Hermitian, traceless and normalized
-    to Tr(t^2) = d; conjugator is the register unitary that dresses it.
+    to Tr(t^2) = d; conjugation is the register unitary that dresses it, a
+    Conjugator or a dense matrix, whose head is gated here once.
     """
 
     local_generator: np.ndarray
-    conjugator: np.ndarray
+    conjugation: Conjugator
 
     def __post_init__(self):
         t = np.asarray(self.local_generator, dtype=complex)
@@ -213,12 +220,10 @@ class WriteOperation(_SiteConjugated):
         gate(abs(np.trace(t)), GENERATOR_NORM_TOL, ValueError, "local generator trace")
         gate(abs(np.trace(t @ t).real - d), GENERATOR_NORM_TOL, ValueError,
              f"local generator deviation from Tr(t^2) = {d}")
-        conj = np.asarray(self.conjugator, dtype=complex)
-        _sites_for_dim(conj.shape[0], d)
-        gate(unitarity_defect(conj), UNITARY_TOL, UnphysicalInputError,
-             "write conjugator unitarity defect")
+        conj = _as_conjugator(self.conjugation, d)
+        conj.gate_head(UnphysicalInputError, "write conjugator unitarity defect")
         object.__setattr__(self, "local_generator", t)
-        object.__setattr__(self, "conjugator", conj)
+        object.__setattr__(self, "conjugation", conj)
 
     @classmethod
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
@@ -241,23 +246,23 @@ class WriteOperation(_SiteConjugated):
         """
         if state.local_dim != self.d or state.dim != self.full_dim:
             raise ValueError("state and write live on different registers")
-        psi = conjugated_action(self.local_unitary(theta), self.conjugator,
+        psi = conjugated_action(self.local_unitary(theta), self.conjugation,
                                 state.amplitudes)
         return PureState(state.num_sites, self.d, psi)
 
     def generator_matrix(self) -> np.ndarray:
         """The full-register generator, for diagnostics and small tests only."""
-        return conjugated_matrix(self.local_generator, self.conjugator)
+        return conjugated_matrix(self.local_generator, self.conjugation)
 
     def apply_generator(self, vec: np.ndarray) -> np.ndarray:
-        return conjugated_action(self.local_generator, self.conjugator, vec)
+        return conjugated_action(self.local_generator, self.conjugation, vec)
 
     def expectation(self, vec: np.ndarray) -> float:
         return np.vdot(vec, self.apply_generator(vec)).real
 
     def virtual_qudit(self, basis: SuBasis | None = None) -> VirtualQudit:
         """The virtual qudit whose first generator family contains T."""
-        return VirtualQudit(basis or build_su_basis(self.d), self.conjugator)
+        return VirtualQudit(basis or build_su_basis(self.d), self.conjugation)
 
 
 def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -304,18 +309,23 @@ class PartnerPair:
         return np.einsum("abac->bc", self.joint_state.reshape(d, d, d, d))
 
 
+def _extended_images(qudit: VirtualQudit, ext: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Columns T_mu vec for the stacked extended generators ext, as a D x d^2 matrix.
+
+    The conjugator acts once on vec and once, adjoint, on all d^2 lifted
+    vectors together.
+    """
+    slots = np.matmul(ext, qudit.conjugation.apply(vec).reshape(qudit.d, -1))
+    return qudit.conjugation.apply_adjoint(slots.reshape(len(ext), -1).T)
+
+
 def _joint_correlation(qudit_a: VirtualQudit, qudit_b: VirtualQudit,
                        vec: np.ndarray) -> np.ndarray:
     """(1/d^2) sum_{mu nu} <T_mu^A T_nu^B> t_mu x t_nu."""
     d = qudit_a.d
-    x = np.column_stack([qudit_a.apply_extended(mu, vec) for mu in range(d * d)])
-    y = np.column_stack([qudit_b.apply_extended(nu, vec) for nu in range(d * d)])
-    gram = dag(x) @ y
     ext = np.stack(qudit_a.basis.extended)
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for mu in range(d * d):
-        inner = np.tensordot(gram[mu], ext, axes=(0, 0))
-        rho += np.kron(ext[mu], inner)
+    gram = dag(_extended_images(qudit_a, ext, vec)) @ _extended_images(qudit_b, ext, vec)
+    rho = np.einsum("mn,mab,nce->acbe", gram, ext, ext).reshape(d * d, d * d)
     return rho / (d * d)
 
 
@@ -337,24 +347,18 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     rest = qudit_a.rest_dim
     sub = rest // d  # dimension of the register beyond the first two slots
 
-    psi = qudit_a.conjugator @ state.amplitudes
+    psi = qudit_a.conjugation.apply(state.amplitudes)
     dec = schmidt(PureState(state.num_sites, d, psi))
     phis = dec.left_vectors          # (d, d)
     psis = dec.right_vectors         # (rest, d), orthonormal columns
 
     # Unitary on the rest space sending the i-th right Schmidt vector to
-    # |i> x chi with chi = e_0; completions map complement onto complement.
-    targets = np.zeros((rest, d), dtype=complex)
-    for i in range(d):
-        targets[i * sub, i] = 1.0
-    v_rest = targets @ dag(psis)
+    # |i> x chi with chi = e_0 (row i * sub); the completion maps the
+    # complement, in order, onto the remaining rows.
+    v_rest = np.empty((rest, rest), dtype=complex)
+    v_rest[::sub] = dag(psis)
     if rest > d:
-        source_extra = orthonormal_completion(psis)
-        target_cols = [j for j in range(rest) if j % sub != 0]
-        target_extra = np.zeros((rest, rest - d), dtype=complex)
-        for col, j in enumerate(target_cols):
-            target_extra[j, col] = 1.0
-        v_rest += target_extra @ dag(source_extra)
+        v_rest[np.arange(rest) % sub != 0] = dag(orthonormal_completion(psis))
 
     # Exchange of the left Schmidt basis against the fresh slot's basis,
     # sum_ij |phi_i><phi_j| x |j><i| = (Phi x I) SWAP (Phi' x I).  Its entry
@@ -363,8 +367,7 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     exchange = np.multiply.outer(phis, phis.conj()).transpose(0, 3, 2, 1)
     exchange = exchange.reshape(d * d, d * d)
 
-    conj_b = np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), v_rest) \
-        @ qudit_a.conjugator
+    conj_b = qudit_a.conjugation.then(AxisUnitary(v_rest, outer=d), AxisUnitary(exchange))
     qudit_b = VirtualQudit(qudit_a.basis, conj_b)
     joint = _joint_correlation(qudit_a, qudit_b, state.amplitudes)
     return PartnerPair(qudit_a, qudit_b, joint)
@@ -381,6 +384,9 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
     if pair.qudit_a.d != write.d:
         raise UnphysicalInputError(
             "partner pair and write operation use different local dimensions")
+    if pair.qudit_a.full_dim != write.full_dim:
+        raise UnphysicalInputError(
+            "partner pair and write operation live on different registers")
     gate(max_abs(pair.qudit_a.conjugator - write.conjugator), CONJUGATOR_MATCH_TOL,
          UnphysicalInputError, "partner pair and write conjugator mismatch")
     written = write.apply(state, theta)
@@ -429,11 +435,10 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     if state.dim != write.full_dim:
         raise ValueError("state and write operation live on different registers")
     d = write.d
-    rest = write.rest_dim
     basis = build_su_basis(d)
 
     evals, evecs = np.linalg.eigh(write.local_generator)
-    psi = write.conjugator @ state.amplitudes
+    psi = write.conjugation.apply(state.amplitudes)
     rows = dag(evecs) @ psi.reshape(d, -1)   # rows[i] = branch i environment vector
 
     coeffs = np.zeros(d, dtype=complex)
@@ -450,14 +455,13 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     ref_index = int(np.argmax(np.abs(coeffs)))
     reference = conditionals[ref_index]
 
-    v_hat = np.zeros((d * rest, d * rest), dtype=complex)
-    eye_rest = np.eye(rest, dtype=complex)
-    for i in range(d):
-        block = eye_rest if conditionals[i] is None \
-            else map_vector_unitary(conditionals[i], reference)
-        v_hat += np.kron(np.outer(evecs[:, i], evecs[:, i].conj()), block)
+    # Branch i's environment factor is turned onto the reference by
+    # I + B_i K_i B_i'; zero-weight branches keep the identity.
+    rotations = [(None, None) if cond is None else vector_rotation(cond, reference)
+                 for cond in conditionals]
+    v_hat = BranchRotation(evecs, *zip(*rotations))
 
-    qudit = VirtualQudit(basis, v_hat @ write.conjugator)
+    qudit = VirtualQudit(basis, write.conjugation.then(v_hat))
     phi = evecs @ coeffs
     capsule = CorrelationState(d, np.outer(phi, phi.conj()))
     return QicConstruction(qudit=qudit, capsule_state=capsule, phi=phi,
@@ -470,11 +474,16 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
 
     Deforms the capsule conjugator by exp(-i r t x P) with P the projector
     onto the reference vector; r = 0 returns an operator set equal to the
-    original, every other member still confines the write.
+    original, every other member still confines the write.  As P^2 = P the
+    deformation is I + (exp(-i r t) - I) x P: on eigenbranch i of t, the
+    identity plus (exp(-i r lambda_i) - 1) P.
     """
-    proj = np.outer(construction.reference, construction.reference.conj())
-    deform = expm_hermitian(np.kron(construction.write.local_generator, proj), -1.0j * r)
-    return VirtualQudit(construction.qudit.basis, deform @ construction.qudit.conjugator)
+    d = construction.qudit.d
+    ref = construction.reference[:, None]
+    phases = np.exp(-1.0j * r * construction.eigenvalues) - 1.0
+    deform = BranchRotation(construction.eigenvectors, (ref,) * d,
+                            tuple(np.array([[p]]) for p in phases))
+    return VirtualQudit(construction.qudit.basis, construction.qudit.conjugation.then(deform))
 
 
 # ---- Retrieval by SWAP ----
@@ -514,13 +523,15 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
     """
     if state_after_write.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
-    conj = qudit.conjugator
-    gate(unitarity_defect(conj), UNITARY_TOL, UnphysicalInputError,
-         "virtual qudit conjugator unitarity defect (its swap channel is not unitary)")
-    slots = (conj @ state_after_write.amplitudes).reshape(qudit.d, -1)
-    # After the swap slot 1 holds |0>, so C' acts through its first rest_dim
-    # columns only; j[register, external] is the joint state.
-    j = dag(conj[:qudit.rest_dim]) @ slots.T
+    conj = qudit.conjugation
+    conj.gate_head(UnphysicalInputError,
+                   "virtual qudit conjugator unitarity defect (its swap channel is not unitary)")
+    slots = conj.apply(state_after_write.amplitudes).reshape(qudit.d, -1)
+    # After the swap slot 1 holds |0>: column k of moved is |0> x (slot-1
+    # amplitude k), and j[register, external] = C' moved is the joint state.
+    moved = np.zeros((qudit.full_dim, qudit.d), dtype=complex)
+    moved[:qudit.rest_dim] = slots.T
+    j = conj.apply_adjoint(moved)
     residual = j @ dag(j)
     extracted = j.T @ j.conj()
     return SwapRetrieval(residual=residual, extracted=extracted)
@@ -558,6 +569,8 @@ def sld_fisher_matrix(generators, state: PureState) -> np.ndarray:
         if m.shape != (state.dim, state.dim):
             raise ValueError("generators must act on the full register")
         require_finite(m, UnphysicalInputError, "generator")
+        gate(max_abs(m - dag(m)), HERMITIAN_TOL, UnphysicalInputError,
+             "generator hermiticity defect")
     for i in range(k):
         for j in range(i + 1, k):
             gate(max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]), COMMUTE_TOL,

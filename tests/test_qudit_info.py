@@ -431,6 +431,15 @@ def test_partner_write_action_rejects_mismatch():
         qi.partner_write_action(pair, write, 0.5, state)
 
 
+def test_partner_write_action_rejects_register_mismatch():
+    rng = np.random.default_rng(39)
+    state = qa.random_state(2, 2, rng)
+    pair = qi.construct_partner(qi.random_write_operation(2, 2, rng).virtual_qudit(), state)
+    write = qi.random_write_operation(2, 3, rng)
+    with pytest.raises(UnphysicalInputError, match="different registers"):
+        qi.partner_write_action(pair, write, 0.5, qa.random_state(3, 2, rng))
+
+
 # ---- equivalence under generated rotations ----
 
 
@@ -546,6 +555,11 @@ def test_sld_rejects_noncommuting():
     gens = [qi.HermitianOp(2, sx), qi.HermitianOp(2, PAULI_Z)]
     with pytest.raises(UnphysicalInputError, match="commutator of generators 0 and 1"):
         qi.sld_fisher_matrix(gens, qa.basis_state(1, 2))
+
+
+def test_sld_rejects_non_hermitian_array():
+    with pytest.raises(UnphysicalInputError, match="generator hermiticity defect"):
+        qi.sld_fisher_matrix([np.diag([1j, 0, 0, 0])], qa.basis_state(2, 2))
 
 
 # ---- maximally entangled partner feasibility ----
