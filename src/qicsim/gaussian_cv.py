@@ -8,6 +8,8 @@ Conventions (hbar = 1 throughout):
 * Covariances follow the mean-subtracted symmetric convention
   M = Re <R R^T> with R = r - <r>; the vacuum has M = I/2 and every pure
   state satisfies M Omega M = Omega / 4.
+* A covariance is a dense array or, for a translation-invariant state on a
+  ring, a CirculantCovariance that stores only the spectra of its blocks.
 
 A capsule mode for the shift write exp(-i theta v' r) is the canonical pair
 (Q, P) = (v' r, u' r) with u = -Omega M v / (v' M v); the pair is canonical
@@ -65,21 +67,119 @@ def _add_omega(a: np.ndarray, scale) -> None:
 # ---- States ----
 
 
+@dataclass(frozen=True, eq=False)
+class CirculantCovariance:
+    """Covariance of a translation-invariant ring of N modes, without q-p correlations.
+
+    The q-q and p-p blocks are circulant, so the plane waves diagonalize
+    both.  They are stored as their eigenvalues a_k and b_k for the FFT
+    indices k = 0 .. N//2; index N - k repeats index k, so real spectra make
+    both blocks real symmetric.  M @ x and x @ M, for a vector or a 2N x k
+    (k x 2N) matrix, cost one rfft and one irfft over sites for q and p
+    together.  np.asarray(M) builds the dense 2N x 2N matrix, for tests and
+    state files only.
+    """
+
+    n_sites: int
+    q_spectrum: np.ndarray
+    p_spectrum: np.ndarray
+
+    # ndarray @ M must defer to __rmatmul__ rather than treat M as an object scalar.
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        half = (self.n_sites // 2 + 1,)
+        q = np.asarray(self.q_spectrum, dtype=float)
+        p = np.asarray(self.p_spectrum, dtype=float)
+        if self.n_sites < 1 or q.shape != half or p.shape != half:
+            raise ValueError(f"need N >= 1 and two spectra of length N//2 + 1, got "
+                             f"N = {self.n_sites}, {q.shape} and {p.shape}")
+        spectra = np.stack([q, p], axis=1)
+        require_finite(spectra, UnphysicalInputError, "circulant spectra")
+        if not (spectra > 0.0).all():
+            raise UnphysicalInputError("circulant spectra must be positive")
+        object.__setattr__(self, "q_spectrum", q)
+        object.__setattr__(self, "p_spectrum", p)
+        object.__setattr__(self, "_spectra", spectra[:, :, None])
+
+    @property
+    def shape(self) -> tuple:
+        return (2 * self.n_sites, 2 * self.n_sites)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != 2 * self.n_sites:
+            raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
+        sites = np.fft.rfft(x.reshape(self.n_sites, 2, -1), axis=0)
+        return np.fft.irfft(self._spectra * sites, n=self.n_sites, axis=0).reshape(x.shape)
+
+    def __rmatmul__(self, x):
+        # M is symmetric: x @ M = (M @ x')'.
+        return (self @ np.asarray(x, dtype=float).T).T
+
+    def __array__(self, dtype=None, copy=None):
+        n = self.n_sites
+        columns = np.fft.irfft(self._spectra[:, :, 0], n=n, axis=0)
+        idx = np.arange(n)
+        # Indexing by the cyclic distance keeps the blocks exactly symmetric.
+        dist = np.minimum((idx[:, None] - idx[None, :]) % n,
+                          (idx[None, :] - idx[:, None]) % n)
+        dense = np.zeros(self.shape)
+        dense[0::2, 0::2] = columns[dist, 0]
+        dense[1::2, 1::2] = columns[dist, 1]
+        return dense if dtype is None else dense.astype(dtype)
+
+    def uncertainty_deficit(self) -> float:
+        """-min eig(M + i Omega/2), exactly, from each mode's [[a_k, i/2], [-i/2, b_k]]."""
+        a, b = self.q_spectrum, self.p_spectrum
+        # The two eigenvalues multiply to a b - 1/4; dividing by the larger
+        # one gives the smaller without cancellation.
+        larger = (a + b + np.hypot(a - b, 1.0)) / 2.0
+        return float(np.max((0.25 - a * b) / larger))
+
+    def purity_residual(self) -> float:
+        """max_k |a_k b_k - 1/4|.
+
+        The q-p block of M Omega M - Omega/4 is circulant with eigenvalues
+        a_k b_k - 1/4 and the q-q and p-p blocks vanish, so each dense entry
+        is a Fourier average of these and none exceeds their maximum.
+        """
+        return max_abs(self.q_spectrum * self.p_spectrum - 0.25)
+
+
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of a Gaussian state, interleaved ordering."""
+    """First and second moments of a Gaussian state, interleaved ordering.
+
+    The covariance is a dense array or a CirculantCovariance; either is
+    validated against the same tolerances.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    covariance: np.ndarray | CirculantCovariance
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        cov = self.covariance
+        structured = isinstance(cov, CirculantCovariance)
+        if not structured:
+            cov = np.asarray(cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean must be a vector of even length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
         require_finite(mean, UnphysicalInputError, "mean")
+        if structured:
+            # Its spectra were checked finite and positive when it was built.
+            gate(cov.uncertainty_deficit(), UNCERTAINTY_TOL, UnphysicalInputError,
+                 "uncertainty bound violated: -min eig(M + i Omega/2)")
+        else:
+            self._check_dense(cov)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+
+    @staticmethod
+    def _check_dense(cov: np.ndarray) -> None:
         require_finite(cov, UnphysicalInputError, "covariance")
         gate(max_abs(cov - cov.T), SYMMETRY_TOL, UnphysicalInputError,
              "covariance asymmetry")
@@ -94,15 +194,19 @@ class GaussianState:
             gate(UNCERTAINTY_TOL - np.linalg.eigvalsh(h).min(), UNCERTAINTY_TOL,
                  UnphysicalInputError,
                  "uncertainty bound violated: -min eig(M + i Omega/2)")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
 
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
 
     def purity_residual(self) -> float:
-        """Max-abs entry of M Omega M - Omega/4; zero exactly for pure states."""
+        """Max-abs entry of M Omega M - Omega/4; zero exactly for pure states.
+
+        For a CirculantCovariance this is its per-mode bound, which is never
+        below the dense value.
+        """
+        if isinstance(self.covariance, CirculantCovariance):
+            return self.covariance.purity_residual()
         r = _omega(self.covariance, right=True) @ self.covariance
         _add_omega(r, -0.25)
         return max_abs(r)
@@ -234,17 +338,18 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
     variance = float(v @ m @ v)
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"write quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    u = -(_omega(m) @ v) / variance
+    u = -_omega(m @ v) / variance
     return ModePair(v=v, u=u,
                     q_offset=float(v @ state.mean),
                     p_offset=float(u @ state.mean))
 
 
 def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
-                           covariance: np.ndarray) -> np.ndarray:
+                           covariance: np.ndarray | CirculantCovariance) -> np.ndarray:
     """Raw 2x2 covariance of the pair (v' r, u' r), symmetrized.
 
-    Two O(N^2) products, v' M and u' M, feed all four entries.
+    Two products, v' M and u' M, feed all four entries; each is O(N^2) for
+    a dense covariance and O(N log N) for a CirculantCovariance.
     """
     vm = v @ covariance
     um = u @ covariance
@@ -441,7 +546,7 @@ def _parse_record(text: str, tag: str, keys) -> dict:
 def state_to_text(state: GaussianState) -> str:
     lines = [f"gaussian N={state.n_modes}"]
     lines.append("mean: " + ",".join(_fmt(x) for x in state.mean))
-    for row in state.covariance:
+    for row in np.asarray(state.covariance):
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 

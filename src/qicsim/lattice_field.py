@@ -10,13 +10,19 @@ k = 1 .. N (minimum 1 at k = N) and plane-wave profiles
 f_k(n) = exp(2 pi i k n / N) / sqrt(N).
 
 Sites are 1-based in every public interface.  The canonical vector follows
-the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).  Free
-evolution of a weighting row w is an FFT of its q and p parts, the turn
+the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
+
+The vacuum is translation invariant, so its covariance is kept as the
+per-mode spectra of a CirculantCovariance: it is validated in O(N), and
+each product with it is one FFT pair, O(N log N).  Free evolution of a
+weighting row w is an FFT of its q and p parts, the turn
 w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p by the angle
 omega_k t on each mode, and an inverse FFT whose imaginary residue is
-returned and gated.  This is the standard Heisenberg flow run for -t, and
-the sign is intended: with U = exp(-i H t), w(t)' r = U (w' r) U^dagger is
-where the capsule written on w' r sits at time t in the Schroedinger picture.
+returned and gated.  No step of figure_experiment forms an N x N matrix, so
+it costs O(N log N) per time.  The flow is the standard Heisenberg flow run
+for -t, and the sign is intended: with U = exp(-i H t), w(t)' r =
+U (w' r) U^dagger is where the capsule written on w' r sits at time t in the
+Schroedinger picture.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, UnphysicalInputError
 from .gaussian_cv import (
+    CirculantCovariance,
     GaussianState,
     ModePair,
     _omega,
@@ -81,27 +88,15 @@ def mode_matrix(config: LatticeConfig) -> ModeMatrix:
 def vacuum_covariance(config: LatticeConfig) -> GaussianState:
     """Ground-state moments: zero mean, circulant q-q and p-p blocks.
 
-    <q_n q_m> = (1/2N) sum_k cos(2 pi k (n-m)/N) / omega_k
-    <p_n p_m> = (1/2N) sum_k omega_k cos(2 pi k (n-m)/N)
-    with vanishing symmetrized q-p correlations.
+    On plane wave k, <q q> has eigenvalue 1/(2 omega_k) and <p p> has
+    omega_k/2, and symmetrized q-p correlations vanish; the state keeps only
+    these spectra, so building and validating it is O(N).
     """
     n = config.n_sites
-    omegas = dispersion(config)
-    idx = np.arange(n)
-    cosines = np.cos(2.0 * np.pi * np.outer(idx, np.arange(1, n + 1)) / n)
-    profile_q = cosines @ (1.0 / omegas) / (2.0 * n)
-    profile_p = cosines @ omegas / (2.0 * n)
-    # Indexing by the cyclic distance keeps the blocks exactly symmetric.
-    dist = np.minimum((idx[:, None] - idx[None, :]) % n,
-                      (idx[None, :] - idx[:, None]) % n)
-    cov = np.zeros((2 * n, 2 * n))
-    cov[0::2, 0::2] = profile_q[dist]
-    cov[1::2, 1::2] = profile_p[dist]
-    state = GaussianState(np.zeros(2 * n), cov)
-    # Circulant blocks commute: purity is Mq Mp = I/4, decided by one row.
-    row = cov[0, 0::2] @ cov[1::2, 1::2]
-    row[0] -= 0.25
-    gate(max_abs(row), VACUUM_PURITY_TOL, InternalConsistencyError,
+    omegas = np.roll(dispersion(config), 1)[: n // 2 + 1]   # FFT order, k = 0 .. N//2
+    state = GaussianState(np.zeros(2 * n),
+                          CirculantCovariance(n, 0.5 / omegas, 0.5 * omegas))
+    gate(state.purity_residual(), VACUUM_PURITY_TOL, InternalConsistencyError,
          "vacuum covariance purity residual")
     return state
 

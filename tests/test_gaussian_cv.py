@@ -145,6 +145,64 @@ def test_require_pure_rejects_thermal():
     assert "residual" in str(exc.value)
 
 
+# ---- circulant covariances ----
+
+
+def _circulant(n, rng, excess=0.0):
+    """Random spectra with a_k b_k = (1 + excess) / 4 on every mode."""
+    a = rng.uniform(0.2, 3.0, n // 2 + 1)
+    return g.CirculantCovariance(n, a, (1.0 + excess) / (4.0 * a))
+
+
+def test_circulant_products_match_dense():
+    rng = np.random.default_rng(66)
+    for n in (1, 2, 5, 8):
+        cov = _circulant(n, rng, excess=0.3)
+        dense = np.asarray(cov)
+        assert np.array_equal(dense, dense.T)
+        assert not dense[0::2, 1::2].any()
+        x = rng.standard_normal((2 * n, 4))
+        assert max_abs(cov @ x - dense @ x) < 1e-13
+        assert max_abs(x.T @ cov - x.T @ dense) < 1e-13
+        assert max_abs(cov @ x[:, 0] - dense @ x[:, 0]) < 1e-13
+        assert max_abs(x[:, 0] @ cov - x[:, 0] @ dense) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(-0.5, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_circulant_gates_match_dense_route(n, excess, seed):
+    # The per-mode gates decide as the dense ones do, and the per-mode
+    # purity residual bounds the dense one from above.
+    cov = _circulant(n, np.random.default_rng(seed), excess)
+    dense = np.asarray(cov)
+    om = g.symplectic_form(n)
+    deficit = -np.linalg.eigvalsh(dense + 0.5j * om).min()
+    assert abs(cov.uncertainty_deficit() - deficit) < 1e-12
+    if deficit > 2 * g.UNCERTAINTY_TOL:
+        for m in (cov, dense):
+            with pytest.raises(UnphysicalInputError, match="uncertainty bound"):
+                g.GaussianState(np.zeros(2 * n), m)
+        return
+    if deficit < g.UNCERTAINTY_TOL / 2:
+        structured = g.GaussianState(np.zeros(2 * n), cov)
+        reference = g.GaussianState(np.zeros(2 * n), dense)
+        assert structured.covariance is cov
+        assert structured.purity_residual() >= reference.purity_residual() - 1e-15
+        assert abs(structured.purity_residual() - abs(excess) / 4) < 1e-15
+
+
+def test_circulant_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="N//2 \\+ 1"):
+        g.CirculantCovariance(4, np.ones(2), np.ones(3))
+    with pytest.raises(ValueError, match="N//2 \\+ 1"):
+        g.CirculantCovariance(0, np.ones(1), np.ones(1))
+    cov = g.CirculantCovariance(2, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="shape does not match"):
+        g.GaussianState(np.zeros(2), cov)
+    with pytest.raises(ValueError, match="does not match"):
+        cov @ np.ones(3)
+
+
 # ---- conjugate mode construction ----
 
 

@@ -3,7 +3,9 @@
 A gate written as a bare `residual > tol` lets NaN through, because the
 comparison is False.  Each case here must raise its documented error for
 NaN, +inf and -inf, without numpy's invalid-value RuntimeWarning (the suite
-turns RuntimeWarning into an error).
+turns RuntimeWarning into an error).  The circulant covariance must also
+refuse non-positive spectra and spectra below the uncertainty bound
+a_k b_k = 1/4.
 """
 
 import numpy as np
@@ -38,6 +40,12 @@ CASES = {
                   lambda x: qa.PureState(1, 2, np.array([x, 0.0]))),
     "GaussianState": (UnphysicalInputError, "covariance must be finite",
                       lambda x: g.GaussianState(np.zeros(2), np.diag([x, 0.5]))),
+    "CirculantCovariance.q_spectrum": (
+        UnphysicalInputError, "circulant spectra must be finite",
+        lambda x: g.GaussianState(np.zeros(4), g.CirculantCovariance(2, [0.5, x], [0.5, 0.5]))),
+    "CirculantCovariance.p_spectrum": (
+        UnphysicalInputError, "circulant spectra must be finite",
+        lambda x: g.GaussianState(np.zeros(4), g.CirculantCovariance(2, [0.5, 0.5], [x, 0.5]))),
     "ModePair": (ValueError, "v and u must be finite",
                  lambda x: g.ModePair(np.array([1.0, 0.0]), np.array([x, 1.0]))),
     "ModeCovariance": (UnphysicalInputError, "mode covariance must be finite",
@@ -61,3 +69,13 @@ def test_non_finite_input_raises(case, value):
     error, message, build = CASES[case]
     with pytest.raises(error, match=message):
         build(value)
+
+
+@pytest.mark.parametrize("q,p,message", [
+    ([0.5, 0.0], [0.5, 0.5], "spectra must be positive"),
+    ([0.5, 0.5], [-0.5, 0.5], "spectra must be positive"),
+    ([0.5, 0.4], [0.5, 0.5], "uncertainty bound violated"),
+], ids=["zero", "negative", "below-quarter"])
+def test_circulant_covariance_refuses_unphysical_spectra(q, p, message):
+    with pytest.raises(UnphysicalInputError, match=message):
+        g.GaussianState(np.zeros(4), g.CirculantCovariance(2, q, p))
