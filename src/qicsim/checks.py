@@ -122,7 +122,12 @@ def qudit_algebra_checks() -> list:
 def capsule_trial_residuals(d: int, n: int, rng: np.random.Generator) -> dict:
     """One random capsule construction plus retrieval; residual per invariant."""
     state = qudit_algebra.random_state(n, d, rng)
-    write = qudit_info.random_write_operation(d, n, rng)
+    return capsule_residuals(qudit_info.random_write_operation(d, n, rng), state)
+
+
+def capsule_residuals(write: qudit_info.WriteOperation,
+                      state: qudit_algebra.PureState) -> dict:
+    """Capsule purity and swap-retrieval residuals for one write and state."""
     construction = qudit_info.construct_qic(write, state)
     rho = qudit_info.correlation_state(construction.qudit, state)
     residuals = {"capsule purity": abs(rho.purity() - 1.0)}
@@ -225,6 +230,11 @@ def qudit_random_suite(d: int, n: int, trials: int, seed: int) -> list:
 # ---- gaussian_cv ----
 
 
+def _symplectic_product(x: np.ndarray, y: np.ndarray) -> float:
+    """x' Omega y, bit-equal to the product with the dense symplectic form."""
+    return float(_omega(x, right=True) @ y)
+
+
 def gaussian_checks(seed: int = 23) -> list:
     results = []
     rng = np.random.default_rng(seed)
@@ -249,12 +259,11 @@ def gaussian_checks(seed: int = 23) -> list:
         pair = gaussian_cv.conjugate_qic_vector(v, state)
         mode = gaussian_cv.mode_covariance(pair, state)
         det_residual = max(det_residual, abs(mode.det - 0.25))
-        omega = gaussian_cv.symplectic_form(n)
         m = state.covariance
         pairing_residual = max(pairing_residual,
-                               abs(pair.v @ omega @ pair.u - 1.0),
+                               abs(_symplectic_product(pair.v, pair.u) - 1.0),
                                abs(pair.v @ m @ pair.u))
-        constraints = np.column_stack([omega @ pair.v, m @ pair.v])
+        constraints = np.column_stack([_omega(pair.v), m @ pair.v])
         q, _ = np.linalg.qr(constraints)
         for _ in range(20):
             delta = rng.standard_normal(2 * n)
@@ -307,11 +316,6 @@ def mode_det(v: np.ndarray, u: np.ndarray, covariance: np.ndarray) -> float:
 
 
 # ---- lattice_field ----
-
-
-def _symplectic_product(x: np.ndarray, y: np.ndarray) -> float:
-    """x' Omega y, bit-equal to the product with the dense symplectic form."""
-    return float(_omega(x, right=True) @ y)
 
 
 def lattice_checks(seed: int = 34) -> list:

@@ -183,17 +183,10 @@ class GaussianState:
         require_finite(cov, UnphysicalInputError, "covariance")
         gate(max_abs(cov - cov.T), SYMMETRY_TOL, UnphysicalInputError,
              "covariance asymmetry")
-        # Cholesky accepts iff min eig(M + i Omega/2) > -tol; eigvalsh decides refusals.
         h = cov + 0j
         _add_omega(h, 0.5j)
-        h.flat[::h.shape[0] + 1] += UNCERTAINTY_TOL
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            # h carries the +tol shift: tol - min eig(h) = -min eig(M + i Omega/2).
-            gate(UNCERTAINTY_TOL - np.linalg.eigvalsh(h).min(), UNCERTAINTY_TOL,
-                 UnphysicalInputError,
-                 "uncertainty bound violated: -min eig(M + i Omega/2)")
+        gate(-np.linalg.eigvalsh(h).min(), UNCERTAINTY_TOL, UnphysicalInputError,
+             "uncertainty bound violated: -min eig(M + i Omega/2)")
 
     @property
     def n_modes(self) -> int:
@@ -334,11 +327,11 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
     require_finite(v, UnphysicalInputError, "write vector v")
-    m = state.covariance
-    variance = float(v @ m @ v)
+    mv = state.covariance @ v
+    variance = float(v @ mv)
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"write quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    u = -_omega(m @ v) / variance
+    u = -_omega(mv) / variance
     return ModePair(v=v, u=u,
                     q_offset=float(v @ state.mean),
                     p_offset=float(u @ state.mean))
@@ -476,13 +469,13 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
     v2 = np.asarray(v2, dtype=float)
     if v2.shape != pair.v.shape:
         raise ValueError("v2 length does not match the pair")
-    m = state.covariance
-    variance = float(pair.v @ m @ pair.v)
+    vm = pair.v @ state.covariance
+    variance = float(vm @ pair.v)
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"capsule quadrature variance below the floor {VARIANCE_FLOOR:g} by")
     return WriteDrift(
         q_drift=abs(theta2 * float(_omega(pair.v, right=True) @ v2)),
-        p_drift=abs(theta2 * float(pair.v @ m @ v2) / variance))
+        p_drift=abs(theta2 * float(vm @ v2) / variance))
 
 
 # ---- Plain-text serialization ----

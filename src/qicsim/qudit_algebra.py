@@ -10,9 +10,8 @@ Conventions used throughout the package:
 * A register of N qudits lives on the d^N-dimensional tensor product with
   site 1 stored as the leftmost (slowest-varying) factor.
 
-All objects here are immutable values, apart from what a Conjugator caches
-(its dense matrix and whether its head passed the unitarity gate); functions
-return new arrays and never mutate their inputs.
+All objects here are immutable values, apart from the dense matrix a
+Conjugator caches; functions return new arrays and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -208,31 +207,6 @@ def conjugated_matrix(op: np.ndarray, conjugator: Conjugator) -> np.ndarray:
     return dag(dense) @ act_on_first_site(op, dense)
 
 
-def apply_structured_unitary(state: PureState, u_first: np.ndarray,
-                             global_u: np.ndarray | None = None) -> PureState:
-    """Apply a site-1 unitary, optionally conjugated by a register unitary.
-
-    Returns (global_u' (u_first x I) global_u) applied to the state, without
-    ever forming the d^N x d^N product.  With global_u omitted the action is
-    just u_first on site 1.
-    """
-    d = state.local_dim
-    u_first = np.asarray(u_first, dtype=complex)
-    if u_first.shape != (d, d):
-        raise ValueError(f"site unitary must be {d} x {d}, got {u_first.shape}")
-    gate(unitarity_defect(u_first), UNITARY_TOL, UnphysicalInputError,
-         "site operator unitarity defect")
-    if global_u is None:
-        return PureState(state.num_sites, d, act_on_first_site(u_first, state.amplitudes))
-    global_u = np.asarray(global_u, dtype=complex)
-    if global_u.shape != (state.dim, state.dim):
-        raise ValueError(f"register unitary must be {state.dim} x {state.dim}")
-    conjugator = Conjugator(global_u)
-    conjugator.gate_head(UnphysicalInputError, "register operator unitarity defect")
-    psi = conjugated_action(u_first, conjugator, state.amplitudes)
-    return PureState(state.num_sites, d, psi)
-
-
 def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
     """Low-rank form (basis, kernel) of the unitary sending src to dst.
 
@@ -334,55 +308,39 @@ class BranchRotation:
         return x + (e @ delta.reshape(d, -1)).reshape(x.shape)
 
 
-class _Head:
-    """A dense register unitary and whether its unitarity has been gated."""
-
-    __slots__ = ("matrix", "gated")
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.gated = False
-
-
 class Conjugator:
     """Register unitary C = F_k ... F_1 H: a dense head H, then structural factors.
 
-    Each factor (AxisUnitary, BranchRotation) is unitary by construction and
-    acts on register vectors and matrices without forming a D x D matrix.
-    The head's unitarity is gated at most once, by gate_head, and
-    conjugators made from it with then() share that record.  dense() builds
-    the D x D matrix on first use by applying the factors to the head.
+    The head's unitarity is gated once, here.  Each factor (AxisUnitary,
+    BranchRotation) is unitary by construction and acts on register vectors
+    and matrices without forming a D x D matrix, so then() gates nothing and
+    every Conjugator is unitary.  dense() builds the D x D matrix on first
+    use by applying the factors to the head.
     """
 
-    __slots__ = ("_head", "factors", "_dense")
+    __slots__ = ("head", "factors", "_dense")
 
-    def __init__(self, head: np.ndarray, factors: tuple = ()):
+    def __init__(self, head: np.ndarray):
         head = np.asarray(head, dtype=complex)
         if head.ndim != 2 or head.shape[0] != head.shape[1]:
             raise ValueError("conjugator must be a square matrix")
-        self._head = _Head(head)
-        self.factors = tuple(factors)
+        gate(unitarity_defect(head), UNITARY_TOL, UnphysicalInputError,
+             "conjugator unitarity defect")
+        self.head = head
+        self.factors = ()
         self._dense = None
-
-    @property
-    def head(self) -> np.ndarray:
-        return self._head.matrix
 
     @property
     def dim(self) -> int:
         return self.head.shape[0]
 
     def then(self, *factors) -> "Conjugator":
-        """This conjugator followed by more factors, sharing the head's gate record."""
-        out = Conjugator(self.head, self.factors + factors)
-        out._head = self._head
+        """This conjugator followed by more factors; the gated head is reused as is."""
+        out = object.__new__(Conjugator)
+        out.head = self.head
+        out.factors = self.factors + factors
+        out._dense = None
         return out
-
-    def gate_head(self, error: type, what: str) -> None:
-        """Gate the head's unitarity unless that already passed."""
-        if not self._head.gated:
-            gate(unitarity_defect(self.head), UNITARY_TOL, error, what)
-            self._head.gated = True
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = self.head @ x

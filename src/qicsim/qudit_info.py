@@ -108,11 +108,9 @@ class _SiteConjugated:
 class VirtualQudit(_SiteConjugated):
     """Operator family T_i = conjugator' (t_i x I) conjugator.
 
-    conjugation may be a Conjugator or a dense register matrix.  It is
-    trusted at construction.  The SWAP retrieval gates its head's unitarity
-    before use unless that already passed (UnphysicalInputError), and
-    correlation-state validation rejects the unphysical states a broken
-    conjugator produces.
+    conjugation may be a Conjugator or a dense register matrix; a dense
+    matrix is gated for unitarity as it becomes a Conjugator
+    (UnphysicalInputError).
     """
 
     basis: SuBasis
@@ -169,7 +167,7 @@ class CorrelationState:
         gate(max_abs(m - dag(m)), HERMITICITY_TOL, InternalConsistencyError,
              "correlation state hermiticity defect")
         gate(-np.linalg.eigvalsh(m).min(), NEGATIVITY_TOL, InternalConsistencyError,
-             "correlation state negativity (the virtual qudit's conjugator is not unitary)")
+             "correlation state negativity")
         object.__setattr__(self, "matrix", m)
 
     def purity(self) -> float:
@@ -203,7 +201,7 @@ class WriteOperation(_SiteConjugated):
 
     local_generator is the d x d seed t, Hermitian, traceless and normalized
     to Tr(t^2) = d; conjugation is the register unitary that dresses it, a
-    Conjugator or a dense matrix, whose head is gated here once.
+    Conjugator or a dense matrix, which is gated as it becomes a Conjugator.
     """
 
     local_generator: np.ndarray
@@ -220,10 +218,8 @@ class WriteOperation(_SiteConjugated):
         gate(abs(np.trace(t)), GENERATOR_NORM_TOL, ValueError, "local generator trace")
         gate(abs(np.trace(t @ t).real - d), GENERATOR_NORM_TOL, ValueError,
              f"local generator deviation from Tr(t^2) = {d}")
-        conj = _as_conjugator(self.conjugation, d)
-        conj.gate_head(UnphysicalInputError, "write conjugator unitarity defect")
         object.__setattr__(self, "local_generator", t)
-        object.__setattr__(self, "conjugation", conj)
+        object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, d))
 
     @classmethod
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
@@ -241,8 +237,8 @@ class WriteOperation(_SiteConjugated):
     def apply(self, state: PureState, theta: float) -> PureState:
         """The written state, computed as matvec + local rotation + matvec.
 
-        The d^N x d^N exponential is never formed, and the conjugator is not
-        gated again: construction already checked its unitarity.
+        The d^N x d^N exponential is never formed, and the conjugator is
+        unitary by construction, so nothing is gated here.
         """
         if state.local_dim != self.d or state.dim != self.full_dim:
             raise ValueError("state and write live on different registers")
@@ -524,8 +520,6 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
     if state_after_write.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
     conj = qudit.conjugation
-    conj.gate_head(UnphysicalInputError,
-                   "virtual qudit conjugator unitarity defect (its swap channel is not unitary)")
     slots = conj.apply(state_after_write.amplitudes).reshape(qudit.d, -1)
     # After the swap slot 1 holds |0>: column k of moved is |0> x (slot-1
     # amplitude k), and j[register, external] = C' moved is the joint state.

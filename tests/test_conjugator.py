@@ -6,6 +6,8 @@ below rebuild each conjugator the dense way, with Kronecker products and
 D x D matrix products, and the factored result must match them.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from qicsim import linalg
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
+from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import dag, expm_hermitian, haar_unitary, max_abs, unitarity_defect
 
 MATCH_TOL = 1e-12
@@ -220,8 +223,26 @@ def test_raw_qudit_head_is_gated_once(gate_calls):
     rng = np.random.default_rng(43)
     qudit = qi.VirtualQudit(qa.build_su_basis(2), haar_unitary(4, rng))
     state = qa.random_state(2, 2, rng)
-    assert gate_calls == []
+    assert gate_calls == [(4, 4)]
     for _ in range(2):
         qi.retrieve_by_swap(qudit, state)
     qi.retrieve_by_swap(qudit.conjugated_by_own_generators(rng.standard_normal(3)), state)
     assert gate_calls == [(4, 4)]
+
+
+BROKEN_HEADS = {"0.9I": 0.9 * np.eye(4), "nan": np.full((4, 4), np.nan),
+                "inf": np.full((4, 4), np.inf), "-inf": np.full((4, 4), -np.inf)}
+HEAD_OWNERS = {
+    "Conjugator": qa.Conjugator,
+    "VirtualQudit": lambda m: qi.VirtualQudit(qa.build_su_basis(2), m),
+    "WriteOperation": lambda m: qi.WriteOperation(np.diag([1.0, -1.0]), m),
+}
+
+
+@pytest.mark.parametrize("head", sorted(BROKEN_HEADS))
+@pytest.mark.parametrize("owner", sorted(HEAD_OWNERS))
+def test_broken_head_is_refused_at_construction(owner, head):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
+            HEAD_OWNERS[owner](BROKEN_HEADS[head].astype(complex))

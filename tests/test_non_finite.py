@@ -50,16 +50,13 @@ CASES = {
                  lambda x: g.ModePair(np.array([1.0, 0.0]), np.array([x, 1.0]))),
     "ModeCovariance": (UnphysicalInputError, "mode covariance must be finite",
                        lambda x: g.ModeCovariance(np.diag([x, 0.5]))),
-    "WriteOperation.conjugator": (UnphysicalInputError, "write conjugator unitarity defect",
+    "WriteOperation.conjugator": (UnphysicalInputError, "conjugator unitarity defect",
                                   lambda x: qi.WriteOperation(np.diag([1.0, -1.0]),
                                                               np.full((4, 4), x))),
-    "retrieve_by_swap": (UnphysicalInputError, "virtual qudit conjugator unitarity defect",
-                         lambda x: qi.retrieve_by_swap(
-                             qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), x)),
-                             qa.basis_state(2, 2))),
-    "apply_structured_unitary": (UnphysicalInputError, "site operator unitarity defect",
-                                 lambda x: qa.apply_structured_unitary(
-                                     qa.basis_state(2, 2), np.full((2, 2), x))),
+    "VirtualQudit": (UnphysicalInputError, "conjugator unitarity defect",
+                     lambda x: qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), x))),
+    "Conjugator": (UnphysicalInputError, "conjugator unitarity defect",
+                   lambda x: qa.Conjugator(np.full((4, 4), x))),
 }
 
 

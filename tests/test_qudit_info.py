@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qicsim import checks
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
 from qicsim.errors import InternalConsistencyError, UnphysicalInputError
@@ -83,9 +86,9 @@ def test_correlation_state_equals_partial_trace(d, n):
 
 
 def test_correlation_state_detects_broken_conjugator():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
-    with pytest.raises(InternalConsistencyError):
-        qi.correlation_state(vq, qa.basis_state(2, 2))
+    # A broken conjugator never reaches correlation_state: the qudit refuses it.
+    with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
+        qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
 
 
 def test_correlation_state_rejects_bad_matrix():
@@ -103,12 +106,12 @@ def test_write_validation():
         qi.WriteOperation(0.3 * PAULI_Z, np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         qi.WriteOperation(np.diag([1.5, 0.5]).astype(complex), np.eye(4, dtype=complex))
-    with pytest.raises(UnphysicalInputError, match="write conjugator unitarity"):
+    with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
         qi.WriteOperation(PAULI_Z, 0.5 * np.eye(4, dtype=complex))
 
 
 def test_write_rejects_nan_conjugator():
-    with pytest.raises(UnphysicalInputError, match="write conjugator unitarity"):
+    with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
         qi.WriteOperation(PAULI_Z, np.full((4, 4), np.nan, dtype=complex))
 
 
@@ -127,9 +130,13 @@ def test_write_apply_matches_gated_path_and_checks_register():
     rng = np.random.default_rng(24)
     write = qi.random_write_operation(3, 2, rng)
     state = qa.random_state(2, 3, rng)
-    gated = qa.apply_structured_unitary(state, write.local_unitary(0.7),
-                                        write.conjugator)
-    assert np.array_equal(write.apply(state, 0.7).amplitudes, gated.amplitudes)
+    # The same action through a Conjugator freshly gated from the dense matrix.
+    gated = qa.conjugated_action(write.local_unitary(0.7), qa.Conjugator(write.conjugator),
+                                 state.amplitudes)
+    assert np.array_equal(write.apply(state, 0.7).amplitudes, gated)
+    u = write.conjugator
+    dense = dag(u) @ np.kron(write.local_unitary(0.7), np.eye(3)) @ u
+    np.testing.assert_allclose(gated, dense @ state.amplitudes, atol=1e-12)
     with pytest.raises(ValueError):
         write.apply(qa.random_state(3, 3, rng), 0.7)
 
@@ -295,15 +302,44 @@ def test_retrieval_residual_state_purity():
 
 
 def test_retrieval_rejects_broken_qudit():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
-    with pytest.raises(UnphysicalInputError, match="virtual qudit conjugator unitarity"):
+    with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
+        vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
 
 
 def test_retrieval_rejects_nan_conjugator():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), np.nan, dtype=complex))
-    with pytest.raises(UnphysicalInputError, match="virtual qudit conjugator unitarity"):
+    with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
+        vq = qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), np.nan, dtype=complex))
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (3, 2), (4, 2))), st.integers(0, 2 ** 32 - 1),
+       st.floats(-13.0, -8.0), st.booleans(), st.booleans())
+def test_capsule_invariants_hold_for_faint_branches(shape, seed, log_weight, degenerate,
+                                                    scramble):
+    # One eigenbranch of the seed carries amplitude 1e-13 .. 1e-8, straddling
+    # ZERO_BRANCH_TOL; degenerate seeds have a (d - 1)-fold eigenvalue.
+    d, n = shape
+    rng = np.random.default_rng(seed)
+    t = qi.random_su_generator(d, rng)
+    if degenerate:
+        u = haar_unitary(d, rng)
+        t = u @ qa.build_su_basis(d).generators[-1] @ dag(u)
+    conj = haar_unitary(d ** n, rng) if scramble else np.eye(d ** n, dtype=complex)
+    rows = rng.standard_normal((d, d ** (n - 1))) + 1j * rng.standard_normal((d, d ** (n - 1)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    weights = rng.uniform(0.1, 1.0, d)
+    faint = rng.integers(d)
+    weights[faint] = 0.0
+    weights *= np.sqrt(1.0 - 10.0 ** (2 * log_weight)) / np.linalg.norm(weights)
+    weights[faint] = 10.0 ** log_weight
+    conjugated = (np.linalg.eigh(t)[1] @ (weights[:, None] * rows)).reshape(-1)
+    amps = dag(conj) @ conjugated
+    state = qa.PureState(n, d, amps / np.linalg.norm(amps))
+    residuals = checks.capsule_residuals(qi.WriteOperation(t, conj), state)
+    for name, value in residuals.items():
+        assert value <= checks.SWEEP_TOLERANCES[name], (name, value)
 
 
 def dense_swap_retrieval(qudit, state):
