@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian_cv, lattice_field, qudit_algebra, qudit_info
-from .gaussian_cv import _omega
+from .gaussian_cv import _det2, _omega
 from .linalg import (
     dag,
     haar_unitary,
@@ -25,6 +25,7 @@ from .linalg import (
 
 QUDIT_ENSEMBLE = ((2, 2), (2, 3), (3, 2), (3, 3))
 RETRIEVAL_THETAS = (0.0, 1.3)
+INJECTIONS = ("cov-asymmetry",)   # negative controls run_all can plant
 
 # Capsule and partner invariants of the random sweeps, in report order.
 SWEEP_TOLERANCES = {
@@ -272,7 +273,7 @@ def gaussian_checks(seed: int = 23) -> list:
             if norm < 1e-8:
                 continue
             delta /= norm
-            perturbed = mode_det(pair.v, pair.u + delta, m)
+            perturbed = _det2(gaussian_cv.mode_covariance_matrix(pair.v, pair.u + delta, m))
             min_increase = min(min_increase, perturbed - 0.25)
     results.append(_worst("gaussian_cv", "conjugate mode determinant",
                           det_residual, 1e-8))
@@ -310,11 +311,6 @@ def gaussian_checks(seed: int = 23) -> list:
     return results
 
 
-def mode_det(v: np.ndarray, u: np.ndarray, covariance: np.ndarray) -> float:
-    m = gaussian_cv.mode_covariance_matrix(v, u, covariance)
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 # ---- lattice_field ----
 
 
@@ -334,7 +330,8 @@ def lattice_checks(seed: int = 34) -> list:
             ep = lattice_field.evolve_pair(pair, t, mm)
             pairing = max(pairing, abs(ep.pairing - 1.0))
             stationarity = max(stationarity,
-                               abs(mode_det(ep.v_t, ep.u_t, state.covariance) - 0.25))
+                               abs(_det2(gaussian_cv.mode_covariance_matrix(
+                                   ep.v_t, ep.u_t, state.covariance)) - 0.25))
 
     invariance = round_trip = 0.0
     for _ in range(10):
@@ -373,14 +370,14 @@ def lattice_checks(seed: int = 34) -> list:
 
 
 def run_all(inject: str | None = None) -> list:
+    if inject is not None and inject not in INJECTIONS:
+        raise ValueError(f"unknown injection {inject!r}")
     results = []
     results += qudit_algebra_checks()
     results += qudit_info_checks()
     results += gaussian_checks()
     results += lattice_checks()
     if inject is not None:
-        if inject != "cov-asymmetry":
-            raise ValueError(f"unknown injection {inject!r}")
         cov = gaussian_cv.vacuum_state(2).covariance.copy()
         cov[0, 1] += 1e-3
         asymmetry = max_abs(cov - cov.T)

@@ -252,10 +252,9 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = checks.run_all(inject=args.inject)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if args.inject is not None and args.inject not in checks.INJECTIONS:
+        raise _UsageError(f"unknown injection {args.inject!r}")
+    results = checks.run_all(inject=args.inject)
     lines = _check_lines(results)
     for line in lines:
         print(line)

@@ -57,6 +57,11 @@ def _omega(x: np.ndarray, right: bool = False) -> np.ndarray:
     return out
 
 
+def _det2(m) -> float:
+    """Determinant of a 2 x 2 mode covariance; the one formula the package uses."""
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 def _add_omega(a: np.ndarray, scale) -> None:
     """a += scale * Omega in place, on the nonzero slots of Omega only."""
     q = np.arange(0, a.shape[0], 2)
@@ -200,7 +205,9 @@ class GaussianState:
         """
         if isinstance(self.covariance, CirculantCovariance):
             return self.covariance.purity_residual()
-        r = _omega(self.covariance, right=True) @ self.covariance
+        # A finite covariance can still overflow here; inf or NaN fails the gate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _omega(self.covariance, right=True) @ self.covariance
         _add_omega(r, -0.25)
         return max_abs(r)
 
@@ -305,14 +312,13 @@ class ModeCovariance:
             raise ValueError("mode covariance must be 2 x 2")
         require_finite(m, UnphysicalInputError, "mode covariance")
         gate(abs(m[0, 1] - m[1, 0]), 1e-10, ValueError, "mode covariance asymmetry")
-        gate(0.25 - (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]), MODE_DET_TOL,
+        gate(0.25 - _det2(m), MODE_DET_TOL,
              UnphysicalInputError, "det m below the uncertainty floor 1/4 by")
         object.__setattr__(self, "matrix", m)
 
     @property
     def det(self) -> float:
-        m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return _det2(self.matrix)
 
 
 def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
@@ -327,14 +333,17 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
     require_finite(v, UnphysicalInputError, "write vector v")
-    mv = state.covariance @ v
-    variance = float(v @ mv)
+    # Finite inputs can still overflow v' M v or v' mean; refuse that, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = state.covariance @ v
+        variance = float(v @ mv)
+        q_offset = float(v @ state.mean)
+    require_finite([variance, q_offset], UnphysicalInputError,
+                   "write quadrature variance and offset")
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"write quadrature variance below the floor {VARIANCE_FLOOR:g} by")
     u = -_omega(mv) / variance
-    return ModePair(v=v, u=u,
-                    q_offset=float(v @ state.mean),
-                    p_offset=float(u @ state.mean))
+    return ModePair(v=v, u=u, q_offset=q_offset, p_offset=float(u @ state.mean))
 
 
 def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,

@@ -36,6 +36,7 @@ from .gaussian_cv import (
     CirculantCovariance,
     GaussianState,
     ModePair,
+    _det2,
     _omega,
     conjugate_qic_vector,
     mode_covariance_matrix,
@@ -59,6 +60,8 @@ class LatticeConfig:
             raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
         if not self.eta > 0.0:
             raise ValueError(f"coupling eta must be positive, got {self.eta}")
+        if not np.isfinite(4.0 * self.eta):
+            raise UnphysicalInputError(f"coupling eta = {self.eta} overflows 1 + 4 eta")
 
 
 def dispersion(config: LatticeConfig) -> np.ndarray:
@@ -198,6 +201,6 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
             u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
             pairing=ep.pairing,
-            det_m=float(np.linalg.det(m)),
+            det_m=_det2(m),
             imag_residue=ep.imag_residue))
     return profiles

@@ -27,18 +27,13 @@ def expm_hermitian(h: np.ndarray, factor: complex = 1.0) -> np.ndarray:
     return (v * np.exp(factor * w)) @ dag(v)
 
 
-def exceeds(residual: float, tol: float) -> bool:
-    """Whether a gate residual fails its tolerance; NaN fails too."""
-    return not residual <= tol
-
-
 def gate(residual: float, tol: float, error: type, what: str) -> None:
     """Raise error when residual exceeds tol; the one tolerance check that raises.
 
     One-sided bounds pass a signed margin, e.g. -min eig for a positivity
     bound, so every gate reads "residual <= tol".  NaN fails.
     """
-    if exceeds(residual, tol):
+    if not residual <= tol:
         raise error(f"{what}: {residual:.3e} exceeds {tol:.1e}")
 
 
@@ -86,13 +81,3 @@ def pure_state_fidelity(vec: np.ndarray, rho: np.ndarray) -> float:
     """<vec| rho |vec> for a unit vector and a density matrix."""
     return float(np.real(np.vdot(vec, rho @ vec)))
 
-
-def orthonormal_completion(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the given columns.
-
-    The input columns must already be orthonormal; the result has
-    dim - k columns where the input has k.
-    """
-    k = columns.shape[1]
-    _, _, vh = np.linalg.svd(dag(columns))
-    return dag(vh[k:])

@@ -29,7 +29,7 @@ UNITARY_TOL = 1e-8
 NORM_TOL = 1e-12
 
 # Threshold below which two unit vectors count as collinear when building
-# the 2D rotation in map_vector_unitary.
+# the 2D rotation in vector_rotation.
 _COLLINEAR_TOL = 1e-13
 
 
@@ -240,6 +240,23 @@ def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
     return np.column_stack([src, w]), kernel
 
 
+def frame_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Low-rank (basis, kernel) of a unitary sending column j of src to column j of dst.
+
+    For k orthonormal columns each: the product of k vector_rotations, the
+    j-th turning the image of src[:, j] onto dst[:, j] (it fixes dst[:, :j],
+    orthogonal to both).  Identity off span(src, dst); vector_rotation if k = 1.
+    """
+    basis, kernel = vector_rotation(src[:, 0], dst[:, 0])
+    for j in range(1, src.shape[1]):
+        moved = src[:, j] + basis @ (kernel @ (dag(basis) @ src[:, j]))
+        b, k = vector_rotation(moved, dst[:, j])
+        kernel = np.block([[kernel, np.zeros((kernel.shape[0], k.shape[1]))],
+                           [k @ (dag(b) @ basis) @ kernel, k]])
+        basis = np.column_stack([basis, b])
+    return basis, kernel
+
+
 def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Dense unitary sending src to dst, identity on the complement of their span."""
     basis, kernel = vector_rotation(src, dst)
@@ -249,30 +266,19 @@ def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 # ---- Factored register unitaries ----
 
 
-def _on_axis(u: np.ndarray, outer: int, x: np.ndarray) -> np.ndarray:
-    """u applied to the middle axis of x reshaped to (outer, len(u), -1)."""
-    return np.matmul(u, x.reshape(outer, u.shape[0], -1)).reshape(x.shape)
-
-
 class AxisUnitary:
-    """A k x k unitary on one axis of the register, identity on the others.
+    """A k x k unitary on slot 1 (k = d) or slots 1 and 2 (k = d^2), identity after them."""
 
-    Register vectors and matrices are viewed as (outer, k, inner) arrays:
-    outer = 1 acts on the leading slots (k = d for slot 1, k = d^2 for
-    slots 1 and 2), outer = d acts on everything after slot 1.
-    """
+    __slots__ = ("matrix",)
 
-    __slots__ = ("matrix", "outer")
-
-    def __init__(self, matrix: np.ndarray, outer: int = 1):
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.outer = outer
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _on_axis(self.matrix, self.outer, x)
+        return act_on_first_site(self.matrix, x)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        return _on_axis(dag(self.matrix), self.outer, x)
+        return act_on_first_site(dag(self.matrix), x)
 
 
 class BranchRotation:

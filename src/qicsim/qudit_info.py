@@ -25,7 +25,6 @@ from .linalg import (
     gate,
     haar_unitary,
     max_abs,
-    orthonormal_completion,
     require_finite,
 )
 from .qudit_algebra import (
@@ -39,6 +38,7 @@ from .qudit_algebra import (
     build_su_basis,
     conjugated_action,
     conjugated_matrix,
+    frame_rotation,
     schmidt,
     vector_rotation,
 )
@@ -178,18 +178,15 @@ class CorrelationState:
 
 
 def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState:
-    """Correlation state (1/d) sum_mu <T_mu> t_mu of a virtual qudit."""
+    """Correlation state (1/d) sum_mu <T_mu> t_mu of a virtual qudit.
+
+    <T_mu> = Tr(t_mu x x') for the conjugated state x as a d x D/d matrix, and
+    (1/d) sum_mu Tr(t_mu R) t_mu = R, so this is x x', the reduced state of slot 1.
+    """
     if state.dim != qudit.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
-    d = qudit.d
-    psi = qudit.conjugation.apply(state.amplitudes)
-    x = psi.reshape(d, -1)
-    expectations = [np.vdot(psi, psi).real]
-    expectations += [np.vdot(x, t @ x).real for t in qudit.basis.generators]
-    rho = np.zeros((d, d), dtype=complex)
-    for e, t in zip(expectations, qudit.basis.extended):
-        rho += e * t
-    return CorrelationState(d, rho / d)
+    x = qudit.conjugation.apply(state.amplitudes).reshape(qudit.d, -1)
+    return CorrelationState(qudit.d, x @ dag(x))
 
 
 # ---- Write operations ----
@@ -333,28 +330,28 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     basis-exchange unitary, and conjugates back.  The pair's joint
     correlation state is pure and the two operator families commute
     elementwise; both facts are verified by the test suite rather than
-    assumed here.
+    assumed here.  Only the r Schmidt pairs weighing more than
+    ZERO_BRANCH_TOL enter, never the SVD's arbitrary zero-weight vectors.
     """
     if state.num_sites < 2:
         raise UnphysicalInputError("a partner needs at least one environment site")
     if state.dim != qudit_a.full_dim:
         raise ValueError("state and virtual qudit live on different registers")
     d = qudit_a.d
-    rest = qudit_a.rest_dim
-    sub = rest // d  # dimension of the register beyond the first two slots
 
     psi = qudit_a.conjugation.apply(state.amplitudes)
     dec = schmidt(PureState(state.num_sites, d, psi))
-    phis = dec.left_vectors          # (d, d)
-    psis = dec.right_vectors         # (rest, d), orthonormal columns
+    r = int(np.count_nonzero(dec.coefficients > ZERO_BRANCH_TOL))
 
-    # Unitary on the rest space sending the i-th right Schmidt vector to
-    # |i> x chi with chi = e_0 (row i * sub); the completion maps the
-    # complement, in order, onto the remaining rows.
-    v_rest = np.empty((rest, rest), dtype=complex)
-    v_rest[::sub] = dag(psis)
-    if rest > d:
-        v_rest[np.arange(rest) % sub != 0] = dag(orthonormal_completion(psis))
+    # Turn of the rest space sending the i-th right Schmidt vector to |i> x e_0,
+    # the same on every slot-1 branch.
+    targets = np.kron(np.eye(d, r), np.eye(qudit_a.rest_dim // d, 1))
+    basis, kernel = frame_rotation(dec.right_vectors[:, :r], targets)
+    turn = BranchRotation(np.eye(d, dtype=complex), (basis,) * d, (kernel,) * d)
+
+    # The left Schmidt basis: the turn carrying |i> onto the weighted left vectors.
+    basis, kernel = frame_rotation(np.eye(d, r), dec.left_vectors[:, :r])
+    phis = np.eye(d) + basis @ kernel @ dag(basis)
 
     # Exchange of the left Schmidt basis against the fresh slot's basis,
     # sum_ij |phi_i><phi_j| x |j><i| = (Phi x I) SWAP (Phi' x I).  Its entry
@@ -363,7 +360,7 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     exchange = np.multiply.outer(phis, phis.conj()).transpose(0, 3, 2, 1)
     exchange = exchange.reshape(d * d, d * d)
 
-    conj_b = qudit_a.conjugation.then(AxisUnitary(v_rest, outer=d), AxisUnitary(exchange))
+    conj_b = qudit_a.conjugation.then(turn, AxisUnitary(exchange))
     qudit_b = VirtualQudit(qudit_a.basis, conj_b)
     joint = _joint_correlation(qudit_a, qudit_b, state.amplitudes)
     return PartnerPair(qudit_a, qudit_b, joint)

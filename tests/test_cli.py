@@ -8,11 +8,12 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from qicsim import cli, gaussian_cv, lattice_field
+from qicsim import checks, cli, gaussian_cv, lattice_field
 from qicsim.errors import InternalConsistencyError, StateFileError, UnphysicalInputError
 
 ROUNDTRIP_TOL = 0.0          # 17 significant digits must round-trip exactly
@@ -290,6 +291,33 @@ def test_gaussian_conj_usage_errors(tmp_path):
     assert "usage error" in res.stderr and "Traceback" not in res.stderr
 
 
+# ---- huge but finite inputs ----
+
+
+VACUUM_TEXT = "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n"
+
+
+@pytest.mark.parametrize("argv, state_text, message", [
+    (["gaussian-conj", "--v=1e200,0"], VACUUM_TEXT,
+     "error: write quadrature variance and offset must be finite\n"),
+    (["lattice-evolve", "--eta", "1e308"], None,
+     "error: coupling eta = 1e+308 overflows 1 + 4 eta\n"),
+    (["gaussian-conj", "--v=1,0"], "gaussian N=1\nmean: 0,0\n1e200,0\n0,1e200\n",
+     "error: state is not pure: purity residual: inf exceeds 1.0e-08\n"),
+], ids=["huge v", "huge eta", "huge covariance"])
+def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_text,
+                                                 message):
+    """Overflow inside the arithmetic is refused like any unphysical input, unwarned."""
+    if state_text is not None:
+        path = tmp_path / "state.txt"
+        path.write_text(state_text, encoding="utf-8")
+        argv = argv + ["--state", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == message
+
+
 # ---- verify ----
 
 
@@ -319,6 +347,24 @@ def test_verify_unknown_inject(tmp_path):
     res = run_cli("verify", "--inject", "bogus")
     assert res.returncode == 2
     assert "usage error" in res.stderr
+
+
+def test_unknown_inject_is_refused_before_the_suite_runs(monkeypatch, capsys):
+    def suite(inject=None):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(checks, "run_all", suite)
+    assert cli.main(["verify", "--inject", "bogus"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown injection 'bogus'\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def suite(inject=None):
+        raise ValueError("shape mismatch inside a check")
+
+    monkeypatch.setattr(checks, "run_all", suite)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cli.main(["verify"])
 
 
 def test_linalg_error_exits_3_without_traceback(monkeypatch, capsys):

@@ -6,6 +6,7 @@ below rebuild each conjugator the dense way, with Kronecker products and
 D x D matrix products, and the factored result must match them.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,28 +56,30 @@ def dense_capsule_conjugator(write, state):
 
 
 def dense_partner_conjugator(qudit_a, state):
-    """kron(exchange, I) @ kron(I, v_rest) @ C with v_rest assembled by products."""
+    """kron(exchange, I) @ kron(I, turn) @ C with the turn a dense rest-space matrix.
+
+    Only the r weighted Schmidt pairs enter: the turn is the frame rotation
+    sending their right vectors to |i> x e_0, and the left basis is
+    completed by the frame rotation sending |i> to their left vectors.
+    """
     d = qudit_a.d
     rest = qudit_a.rest_dim
     sub = rest // d
     psi = qudit_a.conjugator @ state.amplitudes
     dec = qa.schmidt(qa.PureState(state.num_sites, d, psi))
-    phis, psis = dec.left_vectors, dec.right_vectors
-    targets = np.zeros((rest, d), dtype=complex)
-    for i in range(d):
+    r = int(np.sum(dec.coefficients > qi.ZERO_BRANCH_TOL))
+    targets = np.zeros((rest, r), dtype=complex)
+    for i in range(r):
         targets[i * sub, i] = 1.0
-    v_rest = targets @ dag(psis)
-    if rest > d:
-        source_extra = linalg.orthonormal_completion(psis)
-        target_cols = [j for j in range(rest) if j % sub != 0]
-        target_extra = np.zeros((rest, rest - d), dtype=complex)
-        for col, j in enumerate(target_cols):
-            target_extra[j, col] = 1.0
-        v_rest += target_extra @ dag(source_extra)
+    basis, kernel = qa.frame_rotation(dec.right_vectors[:, :r], targets)
+    turn = np.eye(rest) + basis @ kernel @ dag(basis)
+    basis, kernel = qa.frame_rotation(np.eye(d)[:, :r].astype(complex),
+                                      dec.left_vectors[:, :r])
+    phis = np.eye(d) + basis @ kernel @ dag(basis)
     exchange = sum(np.kron(np.outer(phis[:, i], phis[:, j].conj()),
                            np.outer(np.eye(d)[j], np.eye(d)[i]))
                    for i in range(d) for j in range(d))
-    return np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), v_rest) @ qudit_a.conjugator
+    return np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), turn) @ qudit_a.conjugator
 
 
 def dense_joint_state(conj_a, conj_b, basis, vec):
@@ -184,6 +187,67 @@ def test_own_generator_rotation_matches_kron():
     g = np.tensordot(coeffs, np.stack(vq.basis.generators), axes=(0, 0))
     expected = np.kron(expm_hermitian(g, -1.0j), np.eye(3)) @ vq.conjugator
     assert max_abs(vq.conjugated_by_own_generators(coeffs).conjugator - expected) < MATCH_TOL
+
+
+# ---- the partner of a rank-deficient state ----
+
+
+PIN_SHAPES = ((2, 2), (2, 3), (3, 2), (4, 2))
+
+
+def rank_deficient_case(kind, d, n, rng):
+    """A virtual qudit and a state whose conjugated Schmidt rank across slot 1 is below d.
+
+    "capsule": the capsule of a Haar write, rank 1; "product": a product
+    state under a local write, rank 1; "rank 2": two Schmidt pairs behind a
+    Haar conjugator (full rank when d = 2).
+    """
+    if kind == "capsule":
+        state = qa.random_state(n, d, rng)
+        return qi.construct_qic(qi.random_write_operation(d, n, rng), state).qudit, state
+    if kind == "product":
+        state = qa.product_state([rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                                  for _ in range(n)])
+        write = qi.WriteOperation.local(qi.random_su_generator(d, rng), n)
+        return write.virtual_qudit(), state
+    left = haar_unitary(d, rng)[:, :2]
+    right = haar_unitary(d ** (n - 1), rng)[:, :2]
+    weights = rng.uniform(0.2, 1.0, 2)
+    conjugated = ((left * weights / np.linalg.norm(weights)) @ right.T).reshape(-1)
+    head = haar_unitary(d ** n, rng)
+    return (qi.VirtualQudit(qa.build_su_basis(d), head),
+            qa.PureState(n, d, dag(head) @ conjugated))
+
+
+@pytest.mark.parametrize("d, n", PIN_SHAPES)
+@pytest.mark.parametrize("kind", ["capsule", "product", "rank 2"])
+def test_partner_is_stable_under_rounding_level_perturbation(kind, d, n):
+    """Only weighted Schmidt pairs enter the partner, so 1e-15 in moves it by ~1e-15."""
+    rng = np.random.default_rng(100 * d + 10 * n + len(kind))
+    for _ in range(5):
+        qudit, state = rank_deficient_case(kind, d, n, rng)
+        noise = rng.standard_normal(state.dim) + 1j * rng.standard_normal(state.dim)
+        nudged = state.amplitudes + 1e-15 * noise / np.linalg.norm(noise)
+        nudged = qa.PureState(n, d, nudged / np.linalg.norm(nudged))
+        moved = max_abs(qi.construct_partner(qudit, state).qudit_b.conjugator
+                        - qi.construct_partner(qudit, nudged).qudit_b.conjugator)
+        assert moved < 1e-8
+
+
+def test_partner_forms_no_rest_space_matrix():
+    # At (d, N) = (2, 10) a dense (D/d) x (D/d) complex matrix is 4 MB, and
+    # the dense turn with its SVD completion peaked at 12 MB; the low-rank
+    # turn needs about 0.5 MB.  The Haar head is built before tracing.
+    rng = np.random.default_rng(44)
+    state = qa.random_state(10, 2, rng)
+    qudit = qi.random_write_operation(2, 10, rng).virtual_qudit()
+    tracemalloc.start()
+    try:
+        qi.construct_partner(qudit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---- one unitarity gate per dense head ----

@@ -12,7 +12,6 @@ from qicsim.linalg import (
     gate,
     haar_unitary,
     max_abs,
-    orthonormal_completion,
     unitarity_defect,
 )
 
@@ -266,6 +265,39 @@ def test_map_rejects_mismatched_shapes():
         qa.map_vector_unitary(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=8),
+       st.sampled_from(["random", "from basis", "phases"]))
+def test_frame_rotation_properties(seed, dim, k, kind):
+    """Columns land on their targets; unitary; identity off span(src, dst)."""
+    rng = np.random.default_rng(seed)
+    k = min(k, dim)
+    src = haar_unitary(dim, rng)[:, :k]
+    dst = haar_unitary(dim, rng)[:, :k]
+    if kind == "from basis":
+        src = np.eye(dim, dtype=complex)[:, :k]
+    elif kind == "phases":
+        # Collinear targets take vector_rotation's one-column phase branch.
+        dst = src * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    basis, kernel = qa.frame_rotation(src, dst)
+    u = np.eye(dim) + basis @ kernel @ dag(basis)
+    assert max_abs(u @ src - dst) < MAP_TOL
+    assert unitarity_defect(u) < MAP_TOL
+    q, sv, _ = np.linalg.svd(np.column_stack([src, dst]), full_matrices=True)
+    complement = q[:, int(np.sum(sv > 1e-10)):]
+    assert max_abs(u @ complement - complement) < MAP_TOL
+
+
+def test_frame_rotation_of_one_column_is_vector_rotation():
+    rng = np.random.default_rng(13)
+    src = qa.random_state(1, 5, rng).amplitudes
+    dst = qa.random_state(1, 5, rng).amplitudes
+    basis, kernel = qa.frame_rotation(src[:, None], dst[:, None])
+    expected = qa.vector_rotation(src, dst)
+    assert np.array_equal(basis, expected[0]) and np.array_equal(kernel, expected[1])
+
+
 # ---- state containers ----
 
 
@@ -293,16 +325,6 @@ def test_basis_state_and_product_state():
 
 
 # ---- linalg helpers ----
-
-
-@pytest.mark.parametrize("k", [1, 5])
-def test_orthonormal_completion_spans_complement(k):
-    dim = 6
-    columns = haar_unitary(dim, np.random.default_rng(17 + k))[:, :k]
-    extra = orthonormal_completion(columns)
-    assert extra.shape == (dim, dim - k)
-    assert max_abs(dag(extra) @ extra - np.eye(dim - k)) < 1e-12
-    assert max_abs(dag(columns) @ extra) < 1e-12
 
 
 def test_gate_passes_at_tolerance_and_fails_above_or_nan():
