@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +52,14 @@ def _load_config(path: str) -> dict:
 
 
 class _Resolver:
-    """Layer command-line flags over config-file values over defaults."""
+    """Layer command-line flags over config-file values (only keys) over defaults."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, keys: tuple):
         self.args = args
         self.config = _load_config(args.config) if getattr(args, "config", None) else {}
+        for key in self.config:
+            if key not in keys:
+                raise _UsageError(f"{args.config}: unknown key {key!r} for {args.command}")
 
     def get(self, name: str, cast, default):
         flag_value = getattr(self.args, name)
@@ -104,7 +108,7 @@ def _check_lines(results) -> list:
 
 
 def cmd_lattice_evolve(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
+    opts = _Resolver(args, ("sites", "eta", "write_site", "times", "formats", "out"))
     sites = opts.get("sites", int, 30)
     eta = opts.get("eta", float, 0.4)
     write_site = opts.get("write_site", int, 15)
@@ -117,6 +121,10 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
         raise _UsageError(f"--eta must be finite and positive, got {eta}")
     if not 1 <= write_site <= sites:
         raise _UsageError(f"--write-site must lie in 1..{sites}, got {write_site}")
+    labels = Counter(f"{t:g}" for t in times)   # profile file names, invariants rows
+    clashing = ", ".join(repr(t) for t in times if labels[f"{t:g}"] > 1)
+    if clashing:
+        raise _UsageError(f"times {clashing} share profile file names at 6 significant digits")
 
     config = lattice_field.LatticeConfig(n_sites=sites, eta=eta)
     profiles = lattice_field.figure_experiment(config, write_site, times)
@@ -152,7 +160,7 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_qudit_suite(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
+    opts = _Resolver(args, ("d", "n", "trials", "seed", "out"))
     d = opts.get("d", int, 2)
     n = opts.get("n", int, 2)
     trials = opts.get("trials", int, 50)
@@ -187,7 +195,7 @@ def cmd_qudit_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_gaussian_conj(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
+    opts = _Resolver(args, ("state", "out"))
     state_path = opts.get("state", str, None)
     out = Path(opts.get("out", str, None))
     if not args.v:

@@ -267,7 +267,7 @@ def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 class AxisUnitary:
-    """A k x k unitary on slot 1 (k = d) or slots 1 and 2 (k = d^2), identity after them."""
+    """A k x k unitary on slot 1 (k = d), slots 1-2 (k = d^2) or the whole register (k = D)."""
 
     __slots__ = ("matrix",)
 
@@ -278,7 +278,8 @@ class AxisUnitary:
         return act_on_first_site(self.matrix, x)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        return act_on_first_site(dag(self.matrix), x)
+        # U' x as conj(U^T conj(x)): no conjugate copy of U.
+        return np.conj(act_on_first_site(self.matrix.T, np.conj(x)))
 
 
 class BranchRotation:
@@ -315,56 +316,51 @@ class BranchRotation:
 
 
 class Conjugator:
-    """Register unitary C = F_k ... F_1 H: a dense head H, then structural factors.
+    """Register unitary C = F_k ... F_1, a product of factors.
 
-    The head's unitarity is gated once, here.  Each factor (AxisUnitary,
-    BranchRotation) is unitary by construction and acts on register vectors
-    and matrices without forming a D x D matrix, so then() gates nothing and
-    every Conjugator is unitary.  dense() builds the D x D matrix on first
-    use by applying the factors to the head.
+    Conjugator(matrix) gates a dense register matrix for unitarity once and
+    keeps it as F_1, an AxisUnitary over the whole register.  Later factors
+    (AxisUnitary, BranchRotation) are unitary by construction, so then()
+    gates nothing; dense() applies them to F_1's matrix on first use.
     """
 
-    __slots__ = ("head", "factors", "_dense")
+    __slots__ = ("factors", "_dense")
 
-    def __init__(self, head: np.ndarray):
-        head = np.asarray(head, dtype=complex)
-        if head.ndim != 2 or head.shape[0] != head.shape[1]:
+    def __init__(self, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("conjugator must be a square matrix")
-        gate(unitarity_defect(head), UNITARY_TOL, UnphysicalInputError,
+        gate(unitarity_defect(matrix), UNITARY_TOL, UnphysicalInputError,
              "conjugator unitarity defect")
-        self.head = head
-        self.factors = ()
+        self.factors = (AxisUnitary(matrix),)
         self._dense = None
 
     @property
     def dim(self) -> int:
-        return self.head.shape[0]
+        return self.factors[0].matrix.shape[0]
 
     def then(self, *factors) -> "Conjugator":
-        """This conjugator followed by more factors; the gated head is reused as is."""
+        """This conjugator followed by more factors; nothing is gated again."""
         out = object.__new__(Conjugator)
-        out.head = self.head
         out.factors = self.factors + factors
         out._dense = None
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.head @ x
         for factor in self.factors:
-            y = factor.apply(y)
-        return y
+            x = factor.apply(x)
+        return x
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         for factor in reversed(self.factors):
             x = factor.apply_adjoint(x)
-        # H' x as conj(H^T conj(x)): no D x D conjugate copy of the head.
-        return np.conj(self.head.T @ np.conj(x))
+        return x
 
     def dense(self) -> np.ndarray:
-        """The D x D matrix, cached; the head itself when there are no factors."""
+        """The D x D matrix, cached; F_1's own matrix when nothing follows it."""
         if self._dense is None:
-            m = self.head
-            for factor in self.factors:
+            m = self.factors[0].matrix
+            for factor in self.factors[1:]:
                 m = factor.apply(m)
             self._dense = m
         return self._dense

@@ -3,9 +3,10 @@
 A virtual qudit is the operator family T_i = V' (t_i x I) V for a register
 unitary V (the conjugator) and the normalized su(d) generators t_i.  Its
 expectation values in a register state assemble a d x d density matrix, the
-correlation state of the virtual qudit.
+correlation state of the virtual qudit, the reduced state of slot 1 of V psi.
 
-This module builds purification partners of a given virtual qudit,
+This module builds purification partners of a given virtual qudit (a pair's
+joint state is that of two slots of the partner's conjugated register),
 information capsules for a write operation exp(-i theta T) that confine the
 written parameter to a single virtual qudit, the SWAP channel that moves a
 capsule onto an external register, and the (multi-parameter) Fisher
@@ -280,11 +281,15 @@ def random_write_operation(d: int, num_sites: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class PartnerPair:
-    """Two commuting virtual qudits that jointly purify the first one."""
+    """Two commuting virtual qudits that jointly purify the first one.
+
+    A pair comes from construct_partner, whose qudit_b frame holds B in slot 1
+    and A in slot 2: T^A_mu = C_b' (I x t_mu x I) C_b exactly.
+    """
 
     qudit_a: VirtualQudit
     qudit_b: VirtualQudit
-    joint_state: np.ndarray  # d^2 x d^2 two-qudit correlation state
+    joint_state: np.ndarray  # d^2 x d^2 two-qudit correlation state, A x B
 
     @property
     def d(self) -> int:
@@ -302,36 +307,21 @@ class PartnerPair:
         return np.einsum("abac->bc", self.joint_state.reshape(d, d, d, d))
 
 
-def _extended_images(qudit: VirtualQudit, ext: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Columns T_mu vec for the stacked extended generators ext, as a D x d^2 matrix.
-
-    The conjugator acts once on vec and once, adjoint, on all d^2 lifted
-    vectors together.
-    """
-    slots = np.matmul(ext, qudit.conjugation.apply(vec).reshape(qudit.d, -1))
-    return qudit.conjugation.apply_adjoint(slots.reshape(len(ext), -1).T)
-
-
-def _joint_correlation(qudit_a: VirtualQudit, qudit_b: VirtualQudit,
-                       vec: np.ndarray) -> np.ndarray:
-    """(1/d^2) sum_{mu nu} <T_mu^A T_nu^B> t_mu x t_nu."""
-    d = qudit_a.d
-    ext = np.stack(qudit_a.basis.extended)
-    gram = dag(_extended_images(qudit_a, ext, vec)) @ _extended_images(qudit_b, ext, vec)
-    rho = np.einsum("mn,mab,nce->acbe", gram, ext, ext).reshape(d * d, d * d)
-    return rho / (d * d)
+def _pair_state(framed: np.ndarray, d: int) -> np.ndarray:
+    """Joint A x B state of a vector in the partner's frame: slots 2 and 1, reduced."""
+    x = framed.reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
+    return x @ dag(x)
 
 
 def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     """Purification partner of a virtual qudit in a given register state.
 
-    Writes the state in the Schmidt basis of the conjugated register,
-    transports each right Schmidt factor onto a fresh d-level slot with a
-    basis-exchange unitary, and conjugates back.  The pair's joint
-    correlation state is pure and the two operator families commute
-    elementwise; both facts are verified by the test suite rather than
-    assumed here.  Only the r Schmidt pairs weighing more than
-    ZERO_BRANCH_TOL enter, never the SVD's arbitrary zero-weight vectors.
+    Writes C_a psi in its Schmidt basis, turns the i-th right Schmidt factor
+    onto |i> of slot 2, then exchanges slots 1 and 2 with slot 1 read in the
+    left Schmidt basis.  In that frame B is slot 1 and A is slot 2; the pair
+    is pure and commutes, which the test suite verifies rather than assumes.
+    Only the r Schmidt pairs weighing more than ZERO_BRANCH_TOL enter, never
+    the SVD's arbitrary zero-weight vectors.
     """
     if state.num_sites < 2:
         raise UnphysicalInputError("a partner needs at least one environment site")
@@ -353,16 +343,12 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     basis, kernel = frame_rotation(np.eye(d, r), dec.left_vectors[:, :r])
     phis = np.eye(d) + basis @ kernel @ dag(basis)
 
-    # Exchange of the left Schmidt basis against the fresh slot's basis,
-    # sum_ij |phi_i><phi_j| x |j><i| = (Phi x I) SWAP (Phi' x I).  Its entry
-    # [(a, x), (b, y)] is Phi[a, y] conj(Phi[b, x]): the outer product of Phi
-    # with conj(Phi), the SWAP done exactly as an exchange of the axes y and x.
-    exchange = np.multiply.outer(phis, phis.conj()).transpose(0, 3, 2, 1)
-    exchange = exchange.reshape(d * d, d * d)
+    # SWAP (I x Phi): entry [(a, x), (b, y)] is Phi[a, y] delta_xb.
+    exchange = np.multiply.outer(phis, np.eye(d)).transpose(0, 2, 3, 1)
+    exchange = AxisUnitary(exchange.reshape(d * d, d * d))
 
-    conj_b = qudit_a.conjugation.then(turn, AxisUnitary(exchange))
-    qudit_b = VirtualQudit(qudit_a.basis, conj_b)
-    joint = _joint_correlation(qudit_a, qudit_b, state.amplitudes)
+    qudit_b = VirtualQudit(qudit_a.basis, qudit_a.conjugation.then(turn, exchange))
+    joint = _pair_state(exchange.apply(turn.apply(psi)), d)
     return PartnerPair(qudit_a, qudit_b, joint)
 
 
@@ -383,7 +369,7 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
     gate(max_abs(pair.qudit_a.conjugator - write.conjugator), CONJUGATOR_MATCH_TOL,
          UnphysicalInputError, "partner pair and write conjugator mismatch")
     written = write.apply(state, theta)
-    return _joint_correlation(pair.qudit_a, pair.qudit_b, written.amplitudes)
+    return _pair_state(pair.qudit_b.conjugation.apply(written.amplitudes), pair.d)
 
 
 # ---- Information capsules ----

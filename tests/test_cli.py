@@ -291,6 +291,22 @@ def test_gaussian_conj_usage_errors(tmp_path):
     assert "usage error" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("times, named", [
+    ("25.0000001,25.0000002,1e-7,1.0000001e-7",
+     "25.0000001, 25.0000002, 1e-07, 1.0000001e-07"),
+    ("25,25", "25.0, 25.0"),
+    ("0,25.0000001,50,25.0000002", "25.0000001, 25.0000002"),
+], ids=["two clashes", "exact repeat", "clash among distinct"])
+def test_lattice_evolve_refuses_clashing_time_labels(tmp_path, capsys, times, named):
+    """Times that print alike at {t:g} would overwrite each other's profiles."""
+    out = tmp_path / "lat"
+    assert cli.main(["lattice-evolve", "--sites", "20", "--write-site", "10",
+                     "--times", times, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: times {named} share profile "
+                                       "file names at 6 significant digits\n")
+    assert not out.exists()
+
+
 # ---- huge but finite inputs ----
 
 
@@ -422,6 +438,24 @@ def test_config_parse_error(tmp_path):
     res = run_cli("lattice-evolve", "--config", cfg, "--out", tmp_path / "x")
     assert res.returncode == 2
     assert "key=value" in res.stderr
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["lattice-evolve"], "site = 12\n", "site"),
+    (["gaussian-conj", "--v", "1,0"], "v = 1,0\n", "v"),
+    (["qudit-suite", "--seed", "1"], "trials = 1\nseeds = 2\n", "seeds"),
+], ids=["typo", "flag-only", "after a known key"])
+def test_config_unknown_key_is_refused(tmp_path, capsys, argv, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    state = tmp_path / "vacuum.txt"
+    state.write_text(VACUUM_TEXT, encoding="utf-8")
+    extra = ["--state", str(state)] if argv[0] == "gaussian-conj" else []
+    assert cli.main(argv + extra + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"usage error: {cfg}: unknown key {key!r} "
+                                       f"for {argv[0]}\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_1(tmp_path):

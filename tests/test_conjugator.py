@@ -1,9 +1,9 @@
 """Factored conjugators against the dense constructions they replace.
 
 The capsule, its deformations and the purification partner keep their
-conjugators as a dense head followed by structural factors.  The references
-below rebuild each conjugator the dense way, with Kronecker products and
-D x D matrix products, and the factored result must match them.
+conjugators as a gated dense first factor followed by structural factors.
+The references below rebuild each conjugator the dense way, with Kronecker
+products and D x D matrix products, and the factored result must match them.
 """
 
 import tracemalloc
@@ -60,7 +60,8 @@ def dense_partner_conjugator(qudit_a, state):
 
     Only the r weighted Schmidt pairs enter: the turn is the frame rotation
     sending their right vectors to |i> x e_0, and the left basis is
-    completed by the frame rotation sending |i> to their left vectors.
+    completed by the frame rotation sending |i> to their left vectors.  The
+    exchange is SWAP (I x Phi), so the partner's frame holds A in slot 2.
     """
     d = qudit_a.d
     rest = qudit_a.rest_dim
@@ -76,9 +77,7 @@ def dense_partner_conjugator(qudit_a, state):
     basis, kernel = qa.frame_rotation(np.eye(d)[:, :r].astype(complex),
                                       dec.left_vectors[:, :r])
     phis = np.eye(d) + basis @ kernel @ dag(basis)
-    exchange = sum(np.kron(np.outer(phis[:, i], phis[:, j].conj()),
-                           np.outer(np.eye(d)[j], np.eye(d)[i]))
-                   for i in range(d) for j in range(d))
+    exchange = qa.swap_operator(d) @ np.kron(np.eye(d), phis)
     return np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), turn) @ qudit_a.conjugator
 
 
@@ -187,6 +186,53 @@ def test_own_generator_rotation_matches_kron():
     g = np.tensordot(coeffs, np.stack(vq.basis.generators), axes=(0, 0))
     expected = np.kron(expm_hermitian(g, -1.0j), np.eye(3)) @ vq.conjugator
     assert max_abs(vq.conjugated_by_own_generators(coeffs).conjugator - expected) < MATCH_TOL
+
+
+@pytest.mark.parametrize("state_kind", ["random", "branch"])
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):
+    write, state = make_inputs(d, n, 11, state_kind, False, True)
+    pair = qi.construct_partner(write.virtual_qudit(), state)
+    conj_b = pair.qudit_b.conjugator
+    rest = np.eye(d ** (n - 2))
+    for mu, t in enumerate(pair.qudit_a.basis.generators, 1):
+        lifted = dag(conj_b) @ np.kron(np.kron(np.eye(d), t), rest) @ conj_b
+        assert max_abs(lifted - pair.qudit_a.operator(mu)) < MATCH_TOL
+
+
+@pytest.fixture
+def head_calls(monkeypatch):
+    """(factor, method, inside WriteOperation.apply) for every AxisUnitary application."""
+    calls = []
+    writing = []
+    for method in ("apply", "apply_adjoint"):
+        def counting(factor, x, method=method, real=getattr(qa.AxisUnitary, method)):
+            calls.append((factor, method, bool(writing)))
+            return real(factor, x)
+        monkeypatch.setattr(qa.AxisUnitary, method, counting)
+    real_write = qi.WriteOperation.apply
+
+    def write_apply(write, state, theta):
+        writing.append(True)
+        try:
+            return real_write(write, state, theta)
+        finally:
+            writing.pop()
+
+    monkeypatch.setattr(qi.WriteOperation, "apply", write_apply)
+    return calls
+
+
+def test_partner_applies_the_head_once(head_calls):
+    rng = np.random.default_rng(45)
+    state = qa.random_state(3, 2, rng)
+    write = qi.random_write_operation(2, 3, rng)
+    head = write.conjugation.factors[0]
+    pair = qi.construct_partner(write.virtual_qudit(), state)
+    assert [c[1:] for c in head_calls if c[0] is head] == [("apply", False)]
+    head_calls.clear()
+    qi.partner_write_action(pair, write, 0.7, state)
+    assert [c[2] for c in head_calls if c[0] is head and c[1] == "apply_adjoint"] == [True]
 
 
 # ---- the partner of a rank-deficient state ----
