@@ -156,8 +156,9 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator,
     residuals = {"partner purity": abs(pair.purity() - 1.0)}
 
     locality = 0.0
+    ops_b = pair.qudit_b.operators()
     for ta in pair.qudit_a.operators():
-        for tb in pair.qudit_b.operators():
+        for tb in ops_b:
             locality = max(locality, max_abs(ta @ tb - tb @ ta))
     residuals["partner locality"] = locality
 

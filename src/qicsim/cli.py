@@ -39,8 +39,12 @@ def _write_text(path: Path, text: str) -> None:
 
 def _load_config(path: str) -> dict:
     """Flat key=value file; blank lines and #-comments are ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _UsageError(f"{path}: not UTF-8 text") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,6 +176,8 @@ def cmd_qudit_suite(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n must be 2 or 3, got {n}")
     if trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
 
     results = checks.qudit_random_suite(d, n, trials, seed)
     lines = [f"# qic qudit-suite d={d} n={n} trials={trials} "

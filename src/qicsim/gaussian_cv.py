@@ -212,8 +212,8 @@ class GaussianState:
         return max_abs(r)
 
 
-def require_pure(state: GaussianState, tol: float = PURITY_TOL) -> None:
-    gate(state.purity_residual(), tol, UnphysicalInputError,
+def require_pure(state: GaussianState) -> None:
+    gate(state.purity_residual(), PURITY_TOL, UnphysicalInputError,
          "state is not pure: purity residual")
 
 
@@ -398,15 +398,14 @@ class MultiparamReport:
 
     commuting: all v_i' Omega v_j vanish (the writes commute);
     independent: all v_i' M v_j vanish (each capsule ignores the others).
-    When independent, the conjugate vectors and the pairing matrix
-    v_i' Omega u_j (expected delta_ij) are included.
+    When independent, the pairing matrix v_i' Omega u_j with the conjugate
+    vectors u_j (expected delta_ij) is included.
     """
 
     omega_products: np.ndarray
     covariance_products: np.ndarray
     commuting: bool
     independent: bool
-    conjugates: tuple | None
     pairings: np.ndarray | None
     pairing_ok: bool
 
@@ -428,19 +427,17 @@ def multiparam_conditions(v_list, state: GaussianState) -> MultiparamReport:
     off = ~np.eye(k, dtype=bool)
     commuting = bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL))
     independent = bool(np.all(np.abs(cov_products[off]) < CONDITION_TOL))
-    conjugates = None
     pairings = None
     pairing_ok = True
     if independent:
-        conjugates = tuple(conjugate_qic_vector(v, state) for v in vs)
-        pairings = np.array([[vs_omega[i] @ conjugates[j].u for j in range(k)]
+        us = [conjugate_qic_vector(v, state).u for v in vs]
+        pairings = np.array([[vs_omega[i] @ us[j] for j in range(k)]
                              for i in range(k)])
         pairing_ok = bool(max_abs(pairings - np.eye(k)) < 1e-9)
     return MultiparamReport(omega_products=omega_products,
                             covariance_products=cov_products,
                             commuting=commuting, independent=independent,
-                            conjugates=conjugates, pairings=pairings,
-                            pairing_ok=pairing_ok)
+                            pairings=pairings, pairing_ok=pairing_ok)
 
 
 def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:
@@ -495,6 +492,9 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
 #     gaussian N=<n>
 #     mean: x,x,...,x          (2N values)
 #     x,x,...,x                (2N covariance rows of 2N values)
+#
+# and a mode pair as 'modepair N=<n>', then 'v:', 'u:' and 'offsets:' rows.
+# Only blank lines may follow a record.
 
 
 def _fmt(x: float) -> str:
@@ -527,46 +527,57 @@ def _parse_header(line: str, tag: str) -> int:
     return n
 
 
-def _parse_record(text: str, tag: str, keys) -> dict:
+def _parse_record(text: str, tag: str, layout) -> list:
+    """One float array per record line; layout(n) lists (key or None, count) per line."""
     lines = text.splitlines()
     if not lines:
         raise StateFileError(1, "empty record")
-    fields: dict = {"n": _parse_header(lines[0].strip(), tag), "lineno": {}}
-    for offset, key in enumerate(keys):
-        lineno = 2 + offset
+    n = _parse_header(lines[0].strip(), tag)
+    spec = layout(n)
+    rows = []
+    for lineno, (key, count) in enumerate(spec, 2):
         if lineno > len(lines):
-            raise StateFileError(lineno, f"missing '{key}:' row")
+            raise StateFileError(lineno, f"expected {1 + len(spec)} lines for N={n}, "
+                                         f"got {len(lines)}")
         line = lines[lineno - 1].strip()
-        prefix = f"{key}:"
-        if not line.startswith(prefix):
-            raise StateFileError(lineno, f"expected '{key}:' row, got {line!r}")
-        fields[key] = line[len(prefix):].strip()
-        fields["lineno"][key] = lineno
-    return fields
+        if key is not None:
+            if not line.startswith(f"{key}:"):
+                raise StateFileError(lineno, f"expected '{key}:' row, got {line!r}")
+            line = line[len(key) + 1:].strip()
+        rows.append(_parse_floats(line, count, lineno))
+    for lineno, line in enumerate(lines[1 + len(spec):], 2 + len(spec)):
+        if line.strip():
+            raise StateFileError(lineno, f"unexpected line after the record: {line.strip()!r}")
+    return rows
 
 
-def state_to_text(state: GaussianState) -> str:
-    lines = [f"gaussian N={state.n_modes}"]
-    lines.append("mean: " + ",".join(_fmt(x) for x in state.mean))
-    for row in np.asarray(state.covariance):
-        lines.append(",".join(_fmt(x) for x in row))
+def _record_text(tag: str, n: int, rows) -> str:
+    """Header line, then one line per (key or None, values) row."""
+    lines = [f"{tag} N={n}"]
+    for key, values in rows:
+        body = ",".join(_fmt(x) for x in values)
+        lines.append(body if key is None else f"{key}: {body}")
     return "\n".join(lines) + "\n"
 
 
+def _read_record(path) -> str:
+    """A record file's text; a byte that is not UTF-8 is refused at its line."""
+    with io.open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def state_to_text(state: GaussianState) -> str:
+    rows = [("mean", state.mean)] + [(None, row) for row in np.asarray(state.covariance)]
+    return _record_text("gaussian", state.n_modes, rows)
+
+
 def state_from_text(text: str) -> GaussianState:
-    lines = text.splitlines()
-    if not lines:
-        raise StateFileError(1, "empty state record")
-    n = _parse_header(lines[0].strip(), "gaussian")
-    dim = 2 * n
-    if len(lines) < 2 + dim:
-        raise StateFileError(len(lines) + 1,
-                             f"expected {2 + dim} lines for N={n}, got {len(lines)}")
-    mean_line = lines[1].strip()
-    if not mean_line.startswith("mean:"):
-        raise StateFileError(2, f"expected 'mean:' row, got {mean_line!r}")
-    mean = _parse_floats(mean_line[len("mean:"):].strip(), dim, 2)
-    rows = [_parse_floats(lines[2 + i].strip(), dim, 3 + i) for i in range(dim)]
+    mean, *rows = _parse_record(text, "gaussian",
+                                lambda n: [("mean", 2 * n)] + [(None, 2 * n)] * (2 * n))
     return GaussianState(mean, np.array(rows))
 
 
@@ -576,25 +587,18 @@ def write_state_file(path, state: GaussianState) -> None:
 
 
 def read_state_file(path) -> GaussianState:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return state_from_text(fh.read())
+    return state_from_text(_read_record(path))
 
 
 def pair_to_text(pair: ModePair) -> str:
-    lines = [f"modepair N={pair.n_modes}"]
-    lines.append("v: " + ",".join(_fmt(x) for x in pair.v))
-    lines.append("u: " + ",".join(_fmt(x) for x in pair.u))
-    lines.append("offsets: " + _fmt(pair.q_offset) + "," + _fmt(pair.p_offset))
-    return "\n".join(lines) + "\n"
+    rows = [("v", pair.v), ("u", pair.u), ("offsets", (pair.q_offset, pair.p_offset))]
+    return _record_text("modepair", pair.n_modes, rows)
 
 
 def pair_from_text(text: str) -> ModePair:
-    fields = _parse_record(text, "modepair", ("v", "u", "offsets"))
-    n = fields["n"]
-    v = _parse_floats(fields["v"], 2 * n, fields["lineno"]["v"])
-    u = _parse_floats(fields["u"], 2 * n, fields["lineno"]["u"])
-    offs = _parse_floats(fields["offsets"], 2, fields["lineno"]["offsets"])
-    return ModePair(v=v, u=u, q_offset=offs[0], p_offset=offs[1])
+    v, u, (q_offset, p_offset) = _parse_record(
+        text, "modepair", lambda n: [("v", 2 * n), ("u", 2 * n), ("offsets", 2)])
+    return ModePair(v=v, u=u, q_offset=q_offset, p_offset=p_offset)
 
 
 def write_pair_file(path, pair: ModePair) -> None:
@@ -603,5 +607,4 @@ def write_pair_file(path, pair: ModePair) -> None:
 
 
 def read_pair_file(path) -> ModePair:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return pair_from_text(fh.read())
+    return pair_from_text(_read_record(path))

@@ -10,8 +10,8 @@ Conventions used throughout the package:
 * A register of N qudits lives on the d^N-dimensional tensor product with
   site 1 stored as the leftmost (slowest-varying) factor.
 
-All objects here are immutable values, apart from the dense matrix a
-Conjugator caches; functions return new arrays and never mutate their inputs.
+All objects here are immutable values; functions return new arrays and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -201,9 +201,8 @@ def conjugated_action(op: np.ndarray, conjugator: Conjugator, vec: np.ndarray) -
     return conjugator.apply_adjoint(act_on_first_site(op, conjugator.apply(vec)))
 
 
-def conjugated_matrix(op: np.ndarray, conjugator: Conjugator) -> np.ndarray:
-    """Dense conjugator' (op x I) conjugator, for diagnostics and small sizes."""
-    dense = conjugator.dense()
+def conjugated_matrix(op: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """dense' (op x I) dense for a dense register unitary, for diagnostics and small sizes."""
     return dag(dense) @ act_on_first_site(op, dense)
 
 
@@ -321,10 +320,11 @@ class Conjugator:
     Conjugator(matrix) gates a dense register matrix for unitarity once and
     keeps it as F_1, an AxisUnitary over the whole register.  Later factors
     (AxisUnitary, BranchRotation) are unitary by construction, so then()
-    gates nothing; dense() applies them to F_1's matrix on first use.
+    gates nothing.  Nothing dense is cached: dense() applies the later
+    factors to F_1's matrix on every call.
     """
 
-    __slots__ = ("factors", "_dense")
+    __slots__ = ("factors",)
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -333,7 +333,6 @@ class Conjugator:
         gate(unitarity_defect(matrix), UNITARY_TOL, UnphysicalInputError,
              "conjugator unitarity defect")
         self.factors = (AxisUnitary(matrix),)
-        self._dense = None
 
     @property
     def dim(self) -> int:
@@ -343,7 +342,6 @@ class Conjugator:
         """This conjugator followed by more factors; nothing is gated again."""
         out = object.__new__(Conjugator)
         out.factors = self.factors + factors
-        out._dense = None
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -357,13 +355,11 @@ class Conjugator:
         return x
 
     def dense(self) -> np.ndarray:
-        """The D x D matrix, cached; F_1's own matrix when nothing follows it."""
-        if self._dense is None:
-            m = self.factors[0].matrix
-            for factor in self.factors[1:]:
-                m = factor.apply(m)
-            self._dense = m
-        return self._dense
+        """The D x D matrix, rebuilt per call; F_1's own matrix when nothing follows it."""
+        m = self.factors[0].matrix
+        for factor in self.factors[1:]:
+            m = factor.apply(m)
+        return m
 
 
 # ---- Convenience constructors ----

@@ -49,7 +49,6 @@ HERMITICITY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
 GENERATOR_NORM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
-CONJUGATOR_MATCH_TOL = 1e-10
 
 # Branches with smaller amplitude get an identity block in the capsule
 # conjugator; the branch carries no weight, so any unitary works there.
@@ -86,16 +85,12 @@ class _SiteConjugated:
 
     @property
     def conjugator(self) -> np.ndarray:
-        """The dense register unitary, built from the factors on first use."""
+        """The dense register unitary, rebuilt from the factors on every read."""
         return self.conjugation.dense()
 
     @property
     def full_dim(self) -> int:
         return self.conjugation.dim
-
-    @property
-    def num_sites(self) -> int:
-        return _sites_for_dim(self.full_dim, self.d)
 
     @property
     def rest_dim(self) -> int:
@@ -128,11 +123,12 @@ class VirtualQudit(_SiteConjugated):
         """Full-register matrix for extended index mu (mu = 0 is the identity)."""
         if mu == 0:
             return np.eye(self.full_dim, dtype=complex)
-        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugation)
+        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugator)
 
     def operators(self) -> list:
-        """The d^2 - 1 generator images, full-register matrices."""
-        return [self.operator(mu) for mu in range(1, self.d * self.d)]
+        """The d^2 - 1 generator images, full-register matrices, from one dense conjugator."""
+        dense = self.conjugator
+        return [conjugated_matrix(t, dense) for t in self.basis.generators]
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_mu c_mu T_mu).
@@ -246,7 +242,7 @@ class WriteOperation(_SiteConjugated):
 
     def generator_matrix(self) -> np.ndarray:
         """The full-register generator, for diagnostics and small tests only."""
-        return conjugated_matrix(self.local_generator, self.conjugation)
+        return conjugated_matrix(self.local_generator, self.conjugator)
 
     def apply_generator(self, vec: np.ndarray) -> np.ndarray:
         return conjugated_action(self.local_generator, self.conjugation, vec)
@@ -254,9 +250,9 @@ class WriteOperation(_SiteConjugated):
     def expectation(self, vec: np.ndarray) -> float:
         return np.vdot(vec, self.apply_generator(vec)).real
 
-    def virtual_qudit(self, basis: SuBasis | None = None) -> VirtualQudit:
+    def virtual_qudit(self) -> VirtualQudit:
         """The virtual qudit whose first generator family contains T."""
-        return VirtualQudit(basis or build_su_basis(self.d), self.conjugation)
+        return VirtualQudit(build_su_basis(self.d), self.conjugation)
 
 
 def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -267,13 +263,11 @@ def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
     return h * np.sqrt(d / np.trace(h @ h).real)
 
 
-def random_write_operation(d: int, num_sites: int, rng: np.random.Generator,
-                           scramble: bool = True) -> WriteOperation:
-    """Random write: Haar-scrambled conjugator unless scramble is False."""
+def random_write_operation(d: int, num_sites: int,
+                           rng: np.random.Generator) -> WriteOperation:
+    """Random write with a Haar-scrambled conjugator."""
     t = random_su_generator(d, rng)
-    if scramble:
-        return WriteOperation(t, haar_unitary(d ** num_sites, rng))
-    return WriteOperation.local(t, num_sites)
+    return WriteOperation(t, haar_unitary(d ** num_sites, rng))
 
 
 # ---- Purification partners ----
@@ -356,7 +350,9 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
                          state: PureState) -> np.ndarray:
     """Two-qudit correlation state recomputed from the written register state.
 
-    The pair must have been built for the write's own virtual qudit; the
+    The pair must have been built for the write's own virtual qudit: its
+    qudit_a must hold the write's own Conjugator object, so a pair built on a
+    separate Conjugator, even from the same matrix, is refused.  The
     recomputed state then equals the stored joint state rotated by the local
     write unitary on the first slot, which the tests verify independently.
     """
@@ -366,8 +362,8 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
     if pair.qudit_a.full_dim != write.full_dim:
         raise UnphysicalInputError(
             "partner pair and write operation live on different registers")
-    gate(max_abs(pair.qudit_a.conjugator - write.conjugator), CONJUGATOR_MATCH_TOL,
-         UnphysicalInputError, "partner pair and write conjugator mismatch")
+    if pair.qudit_a.conjugation is not write.conjugation:
+        raise UnphysicalInputError("partner pair and write conjugator mismatch")
     written = write.apply(state, theta)
     return _pair_state(pair.qudit_b.conjugation.apply(written.amplitudes), pair.d)
 
@@ -381,18 +377,16 @@ class QicConstruction:
 
     phi is the capsule's state vector (the correlation state is its
     projector); reference is the environment vector every branch is mapped
-    onto; coefficients, eigenvalues and eigenvectors record the branch
-    expansion of the conjugated register state.
+    onto; eigenvalues and eigenvectors are those of the write's local seed,
+    the branches of the conjugated register state.
     """
 
     qudit: VirtualQudit
     capsule_state: CorrelationState
     phi: np.ndarray
     reference: np.ndarray
-    coefficients: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    write: WriteOperation
 
 
 def _gauge_fixed(vec: np.ndarray) -> np.ndarray:
@@ -444,8 +438,7 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     phi = evecs @ coeffs
     capsule = CorrelationState(d, np.outer(phi, phi.conj()))
     return QicConstruction(qudit=qudit, capsule_state=capsule, phi=phi,
-                           reference=reference, coefficients=coeffs,
-                           eigenvalues=evals, eigenvectors=evecs, write=write)
+                           reference=reference, eigenvalues=evals, eigenvectors=evecs)
 
 
 def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:

@@ -175,6 +175,7 @@ def test_qudit_suite_deterministic(tmp_path):
     ("--n", "4", "--seed", "1"),
     ("--trials", "0", "--seed", "1"),
     (),                               # seed is required
+    ("--seed", "-1"),
 ])
 def test_qudit_suite_usage_errors(tmp_path, extra):
     res = run_cli("qudit-suite", "--out", tmp_path / "x", *extra)
@@ -456,6 +457,19 @@ def test_config_unknown_key_is_refused(tmp_path, capsys, argv, text, key):
     assert capsys.readouterr().err == (f"usage error: {cfg}: unknown key {key!r} "
                                        f"for {argv[0]}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["gaussian-conj", "--v=1,0", "--state"], b"gaussian N=1\n\xff\xfe",
+     "error: {path}: line 2: not UTF-8 text\n"),
+    (["lattice-evolve", "--config"], b"\xff\xfesites = 6\n",
+     "usage error: {path}: not UTF-8 text\n"),
+], ids=["state file", "config file"])
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    assert cli.main(argv + [str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == message.format(path=path)
 
 
 def test_unwritable_output_exits_1(tmp_path):

@@ -296,6 +296,22 @@ def test_partner_forms_no_rest_space_matrix():
     assert peak < 4e6
 
 
+def test_partner_write_action_forms_no_register_matrix():
+    # At (d, N) = (2, 10) one dense D x D complex matrix is 16 MB; comparing
+    # two dense conjugators peaked at 25 MB.  The pair is built before tracing.
+    rng = np.random.default_rng(45)
+    state = qa.random_state(10, 2, rng)
+    write = qi.random_write_operation(2, 10, rng)
+    pair = qi.construct_partner(write.virtual_qudit(), state)
+    tracemalloc.start()
+    try:
+        qi.partner_write_action(pair, write, 0.7, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # ---- one unitarity gate per dense head ----
 
 

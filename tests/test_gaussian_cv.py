@@ -568,6 +568,7 @@ def test_pair_file_round_trip_exact(tmp_path):
     ("gaussian N=1\nmean: 0,0,0\n0.5,0\n0,0.5\n", 2),
     ("gaussian N=1\nmean: nan,0\n0.5,0\n0,0.5\n", 2),
     ("gaussian N=1\nmean: 0,0\n0.5,inf\n0,0.5\n", 3),
+    ("gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n\n0,0.5\n", 6),
 ])
 def test_state_file_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.txt"

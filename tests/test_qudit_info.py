@@ -465,6 +465,11 @@ def test_partner_write_action_rejects_mismatch():
     pair = qi.construct_partner(other, state)
     with pytest.raises(UnphysicalInputError, match="conjugator mismatch"):
         qi.partner_write_action(pair, write, 0.5, state)
+    # The same matrix in a separate Conjugator is not the write's own qudit.
+    copy = qi.VirtualQudit(qa.build_su_basis(2), write.conjugator)
+    pair = qi.construct_partner(copy, state)
+    with pytest.raises(UnphysicalInputError, match="conjugator mismatch"):
+        qi.partner_write_action(pair, write, 0.5, state)
 
 
 def test_partner_write_action_rejects_register_mismatch():
