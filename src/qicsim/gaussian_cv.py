@@ -353,8 +353,11 @@ def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
     Two products, v' M and u' M, feed all four entries; each is O(N^2) for
     a dense covariance and O(N log N) for a CirculantCovariance.
     """
-    vm = v @ covariance
-    um = u @ covariance
+    return _mode_entries(v, u, v @ covariance, u @ covariance)
+
+
+def _mode_entries(v: np.ndarray, u: np.ndarray, vm: np.ndarray, um: np.ndarray) -> np.ndarray:
+    """The symmetrized 2x2 covariance of (v' r, u' r) from vm = v' M and um = u' M."""
     vv = float(vm @ v)
     uu = float(um @ u)
     cross = (float(vm @ u) + float(um @ v)) / 2.0

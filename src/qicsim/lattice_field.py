@@ -14,13 +14,13 @@ the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 
 The vacuum is translation invariant, so its covariance is kept as the
 per-mode spectra of a CirculantCovariance: it is validated in O(N), and
-each product with it is one FFT pair, O(N log N).  Free evolution of a
-weighting row w is an FFT of its q and p parts, the turn
+each product with it is one FFT pair, O(N log N).  Free evolution turns a
+stack of weighting rows at once: one FFT of their q and p parts, the turn
 w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p by the angle
-omega_k t on each mode, and an inverse FFT whose imaginary residue is
-returned and gated.  No step of figure_experiment forms an N x N matrix, so
-it costs O(N log N) per time.  The flow is the standard Heisenberg flow run
-for -t, and the sign is intended: with U = exp(-i H t), w(t)' r =
+omega_k t on each mode, and one inverse FFT whose imaginary residue is
+returned and gated.  No step of figure_experiment forms an N x N matrix,
+so it costs O(N log N) per time.  The flow is the standard Heisenberg flow
+run for -t, and the sign is intended: with U = exp(-i H t), w(t)' r =
 U (w' r) U^dagger is where the capsule written on w' r sits at time t in the
 Schroedinger picture.
 """
@@ -37,11 +37,11 @@ from .gaussian_cv import (
     GaussianState,
     ModePair,
     _det2,
+    _mode_entries,
     _omega,
     conjugate_qic_vector,
-    mode_covariance_matrix,
 )
-from .linalg import gate, max_abs
+from .linalg import gate, max_abs, require_finite
 
 IMAG_RESIDUE_TOL = 1e-9
 EVOLVED_PAIRING_TOL = 1e-9
@@ -59,7 +59,7 @@ class LatticeConfig:
         if self.n_sites < 1:
             raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
         if not self.eta > 0.0:
-            raise ValueError(f"coupling eta must be positive, got {self.eta}")
+            raise UnphysicalInputError(f"coupling eta must be positive, got {self.eta}")
         if not np.isfinite(4.0 * self.eta):
             raise UnphysicalInputError(f"coupling eta = {self.eta} overflows 1 + 4 eta")
 
@@ -77,6 +77,13 @@ class ModeMatrix:
     """Normal-mode frequencies omega_k of the chain, k = 1 .. N."""
 
     omegas: np.ndarray
+
+    def __post_init__(self):
+        omegas = np.asarray(self.omegas, dtype=float)
+        if not (np.isfinite(omegas) & (omegas > 0.0)).all():
+            raise UnphysicalInputError("mode frequencies must be finite and positive")
+        object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "_fft_omegas", np.roll(omegas, 1))   # index j: k = j mod N
 
     @property
     def n_sites(self) -> int:
@@ -107,20 +114,32 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 # ---- Free evolution of weighting vectors ----
 
 
+def _evolve_rows(rows: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
+    """Free evolution of a row or a k x 2N stack; returns (rows(t), imaginary residue)."""
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+    if t == 0.0:
+        return rows.copy(), 0.0
+    omegas = mm._fft_omegas
+    cos, sin = np.cos(omegas * t), np.sin(omegas * t)
+    # One complex buffer holds the q and p parts of every row through both
+    # transforms; the turn is written into it a row at a time.
+    modes = rows.reshape(-1, mm.n_sites, 2).swapaxes(1, 2).astype(complex)
+    np.fft.fft(modes, out=modes)
+    for wq, wp in modes:
+        wq[:], wp[:] = cos * wq + omegas * sin * wp, -sin / omegas * wq + cos * wp
+    np.fft.ifft(modes, out=modes)
+    residue = max_abs(modes.imag)
+    return modes.real.swapaxes(1, 2).reshape(rows.shape).copy(), residue
+
+
 def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     """Free evolution of one weighting row; returns (w(t), imaginary residue)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (2 * mm.n_sites,):
         raise ValueError("weighting vector length does not match the chain")
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    if t == 0.0:
-        return w.copy(), 0.0
-    omegas = np.roll(mm.omegas, 1)      # FFT order: index j holds mode k = j mod N
-    cos, sin = np.cos(omegas * t), np.sin(omegas * t)
-    wq, wp = np.fft.fft(w.reshape(-1, 2).T)
-    row = np.fft.ifft([cos * wq + omegas * sin * wp, -sin / omegas * wq + cos * wp])
-    return row.real.T.ravel(), max_abs(row.imag)
+    require_finite(w, ValueError, "weighting vector")
+    return _evolve_rows(w, t, mm)
 
 
 @dataclass(frozen=True)
@@ -139,12 +158,10 @@ class EvolvedPair:
 
 
 def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
-    """Evolve both members of a capsule pair, with residue and pairing gates."""
+    """Evolve a capsule pair as one stack of two rows, with residue and pairing gates."""
     if pair.n_modes != mm.n_sites:
         raise ValueError("pair and chain have different sizes")
-    v_t, res_v = evolve_vector(pair.v, t, mm)
-    u_t, res_u = evolve_vector(pair.u, t, mm)
-    residue = max_abs([res_v, res_u])
+    (v_t, u_t), residue = _evolve_rows(np.stack([pair.v, pair.u]), t, mm)
     gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
          f"imaginary evolution residue at t = {t}")
     pairing = float(_omega(v_t, right=True) @ u_t)
@@ -195,12 +212,12 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     profiles = []
     for t in times:
         ep = evolve_pair(pair, float(t), mm)
-        m = mode_covariance_matrix(ep.v_t, ep.u_t, state.covariance)
+        vm, um = np.stack([ep.v_t, ep.u_t]) @ state.covariance
         profiles.append(SiteProfiles(
             t=ep.t,
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
             u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
             pairing=ep.pairing,
-            det_m=_det2(m),
+            det_m=_det2(_mode_entries(ep.v_t, ep.u_t, vm, um)),
             imag_residue=ep.imag_residue))
     return profiles

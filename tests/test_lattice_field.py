@@ -79,9 +79,9 @@ def test_dispersion_reflection_symmetry():
 def test_config_validation():
     with pytest.raises(UnphysicalInputError, match="at least one site"):
         lf.LatticeConfig(0, 0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnphysicalInputError, match="coupling eta must be positive"):
         lf.LatticeConfig(10, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnphysicalInputError, match="coupling eta must be positive"):
         lf.LatticeConfig(10, -1.0)
 
 
@@ -171,6 +171,9 @@ def test_evolve_rejects_non_finite_time():
             lf.figure_experiment(config, 1, [t])
         with pytest.raises(ValueError):
             lf.evolve_vector(np.ones(8), t, lf.mode_matrix(config))
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            lf.evolve_pair(gaussian_cv.ModePair(np.eye(8)[0], np.eye(8)[1]), t,
+                           lf.mode_matrix(config))
 
 
 def test_chain_never_builds_the_dense_symplectic_form(monkeypatch):
@@ -439,3 +442,82 @@ def test_figure_rejects_out_of_range_site():
         lf.figure_experiment(config, 0, [0.0])
     with pytest.raises(UnphysicalInputError, match="write site 31 outside"):
         lf.figure_experiment(config, 31, [0.0])
+
+
+# ---- the batched route against the per-vector route ----
+
+
+def _per_vector_profiles(config, write_site, times):
+    """figure_experiment rebuilt from evolve_vector and mode_covariance_matrix."""
+    state = lf.vacuum_covariance(config)
+    mm = lf.mode_matrix(config)
+    v = np.zeros(2 * config.n_sites)
+    v[2 * (write_site - 1)] = 1.0
+    pair = gaussian_cv.conjugate_qic_vector(v, state)
+    om = gaussian_cv.symplectic_form(config.n_sites)
+    rows = []
+    for t in times:
+        v_t, res_v = lf.evolve_vector(pair.v, t, mm)
+        u_t, res_u = lf.evolve_vector(pair.u, t, mm)
+        m = gaussian_cv.mode_covariance_matrix(v_t, u_t, state.covariance)
+        rows.append((v_t, u_t, float(v_t @ om @ u_t), gaussian_cv._det2(m),
+                     max(res_v, res_u)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 400])
+def test_figure_experiment_matches_per_vector_route_bit_for_bit(n):
+    config = lf.LatticeConfig(n, ETA)
+    times = (0.0, 2.5, -7.0, 40.0, -150.0)
+    site = (n + 1) // 2
+    profiles = lf.figure_experiment(config, site, times)
+    for prof, (v_t, u_t, pairing, det_m, residue) in zip(
+            profiles, _per_vector_profiles(config, site, times)):
+        assert np.array_equal(prof.v_q, v_t[0::2]) and np.array_equal(prof.v_p, v_t[1::2])
+        assert np.array_equal(prof.u_q, u_t[0::2]) and np.array_equal(prof.u_p, u_t[1::2])
+        assert abs(prof.pairing - pairing) <= 1e-15
+        assert abs(prof.det_m - det_m) <= 1e-15
+        assert abs(prof.imag_residue - residue) <= 1e-15
+
+
+def _count_fft_calls(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_figure_experiment_makes_one_transform_pair_per_stack(monkeypatch):
+    # Per nonzero time: one fft and one ifft for the evolved pair, and one
+    # rfft and one irfft for its mode covariance; t = 0 skips the evolution.
+    # The capsule pair itself takes one more rfft/irfft: 2 + 7 * 2 + 8 * 2.
+    config = lf.LatticeConfig(400, ETA)
+    pair = gaussian_cv.conjugate_qic_vector(np.eye(800)[398],
+                                            lf.vacuum_covariance(config))
+    mm = lf.mode_matrix(config)
+    calls = _count_fft_calls(monkeypatch)
+    lf.figure_experiment(config, 200, range(0, 160, 20))
+    assert len(calls) == 32
+    assert calls.count("fft") == calls.count("ifft") == 7
+    calls.clear()
+    lf.evolve_pair(pair, 20.0, mm)
+    assert calls == ["fft", "ifft"]
+
+
+def test_figure_experiment_memory_stays_lean():
+    # Turning a pair in its own transform buffer, a row at a time, peaks near
+    # 22 MB here; a route that turns the whole stack out of place does not fit.
+    config = lf.LatticeConfig(2 ** 16, ETA)
+    tracemalloc.start()
+    try:
+        lf.figure_experiment(config, 2 ** 15, [0.0, 25.0, 50.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6

@@ -5,13 +5,14 @@ comparison is False.  Each case here must raise its documented error for
 NaN, +inf and -inf, without numpy's invalid-value RuntimeWarning (the suite
 turns RuntimeWarning into an error).  The circulant covariance must also
 refuse non-positive spectra and spectra below the uncertainty bound
-a_k b_k = 1/4.
+a_k b_k = 1/4, and the chain's mode frequencies must be positive.
 """
 
 import numpy as np
 import pytest
 
 from qicsim import gaussian_cv as g
+from qicsim import lattice_field as lf
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
 from qicsim.errors import InternalConsistencyError, UnphysicalInputError
@@ -57,6 +58,13 @@ CASES = {
                      lambda x: qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), x))),
     "Conjugator": (UnphysicalInputError, "conjugator unitarity defect",
                    lambda x: qa.Conjugator(np.full((4, 4), x))),
+    "evolve_vector": (ValueError, "weighting vector must be finite",
+                      lambda x: lf.evolve_vector(np.array([x, 1.0, 0.0, 1.0]), 2.0,
+                                                 lf.mode_matrix(lf.LatticeConfig(2, 0.4)))),
+    "ModeMatrix": (UnphysicalInputError, "mode frequencies must be finite and positive",
+                   lambda x: lf.ModeMatrix(np.array([1.0, x]))),
+    "LatticeConfig.eta": (UnphysicalInputError, "coupling eta",
+                          lambda x: lf.LatticeConfig(4, x)),
 }
 
 
@@ -76,3 +84,9 @@ def test_non_finite_input_raises(case, value):
 def test_circulant_covariance_refuses_unphysical_spectra(q, p, message):
     with pytest.raises(UnphysicalInputError, match=message):
         g.GaussianState(np.zeros(4), g.CirculantCovariance(2, q, p))
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0], ids=["zero", "negative"])
+def test_mode_matrix_refuses_non_positive_frequencies(omega):
+    with pytest.raises(UnphysicalInputError, match="finite and positive"):
+        lf.ModeMatrix(np.array([1.0, omega, 1.0]))
