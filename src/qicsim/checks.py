@@ -155,12 +155,10 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator,
     pair = qudit_info.construct_partner(write.virtual_qudit(), state)
     residuals = {"partner purity": abs(pair.purity() - 1.0)}
 
-    locality = 0.0
-    ops_b = pair.qudit_b.operators()
-    for ta in pair.qudit_a.operators():
-        for tb in ops_b:
-            locality = max(locality, max_abs(ta @ tb - tb @ ta))
-    residuals["partner locality"] = locality
+    # Every [T^A_i, T^B_j] at once per A operator, against the stack of B's.
+    ops_b = np.stack(pair.qudit_b.operators())
+    residuals["partner locality"] = max(max_abs(ta @ ops_b - ops_b @ ta)
+                                        for ta in pair.qudit_a.operators())
 
     recomputed = qudit_info.partner_write_action(pair, write, theta, state)
     local = np.kron(write.local_unitary(theta), np.eye(d))
@@ -237,6 +235,24 @@ def _symplectic_product(x: np.ndarray, y: np.ndarray) -> float:
     return float(_omega(x, right=True) @ y)
 
 
+def perturbed_mode_dets(pair: gaussian_cv.ModePair, m: np.ndarray, q: np.ndarray,
+                        deltas: np.ndarray) -> np.ndarray:
+    """det m of the pair (v, u + delta) for each admissible row delta.
+
+    Each row is projected off the orthonormal constraint columns q and
+    normalized; rows left shorter than 1e-8 are skipped.  The four mode
+    entries are those of gaussian_cv._mode_entries, for all rows at once.
+    """
+    deltas = deltas - (deltas @ q) @ q.T
+    norms = np.linalg.norm(deltas, axis=1)
+    keep = norms >= 1e-8
+    perturbed = pair.u + deltas[keep] / norms[keep, None]
+    vm = pair.v @ m
+    um = perturbed @ m
+    cross = (perturbed @ vm + um @ pair.v) / 2.0
+    return float(vm @ pair.v) * np.einsum("ij,ij->i", um, perturbed) - cross * cross
+
+
 def gaussian_checks(seed: int = 23) -> list:
     results = []
     rng = np.random.default_rng(seed)
@@ -267,15 +283,8 @@ def gaussian_checks(seed: int = 23) -> list:
                                abs(pair.v @ m @ pair.u))
         constraints = np.column_stack([_omega(pair.v), m @ pair.v])
         q, _ = np.linalg.qr(constraints)
-        for _ in range(20):
-            delta = rng.standard_normal(2 * n)
-            delta -= q @ (q.T @ delta)
-            norm = np.linalg.norm(delta)
-            if norm < 1e-8:
-                continue
-            delta /= norm
-            perturbed = _det2(gaussian_cv.mode_covariance_matrix(pair.v, pair.u + delta, m))
-            min_increase = min(min_increase, perturbed - 0.25)
+        dets = perturbed_mode_dets(pair, m, q, rng.standard_normal((20, 2 * n)))
+        min_increase = min(min_increase, (dets - 0.25).min(initial=np.inf))
     results.append(_worst("gaussian_cv", "conjugate mode determinant",
                           det_residual, 1e-8))
     results.append(_worst("gaussian_cv", "conjugate pairing and orthogonality",

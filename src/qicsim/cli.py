@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 for usage or parse errors, 3 when a physics
 invariant or a numpy linear-algebra routine fails, 1 for I/O failures.  All
 outputs are deterministic for a fixed seed: CSV files use 17-significant-digit
-decimals (exact float64 round-trips), LF endings and UTF-8.
+decimals (exact float64 round-trips), LF endings and UTF-8.  Each subcommand
+imports the modules it runs when it starts: importing this module loads only
+gaussian_cv, whose _fmt prints every number in the reports.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, gaussian_cv, lattice_field
+from . import gaussian_cv
 from .errors import QicError, StateFileError
 from .gaussian_cv import _fmt
-from .svg_plot import line_plot
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -112,6 +113,9 @@ def _check_lines(results) -> list:
 
 
 def cmd_lattice_evolve(args: argparse.Namespace) -> int:
+    from . import lattice_field
+    from .svg_plot import line_plot
+
     opts = _Resolver(args, ("sites", "eta", "write_site", "times", "formats", "out"))
     sites = opts.get("sites", int, 30)
     eta = opts.get("eta", float, 0.4)
@@ -164,6 +168,8 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_qudit_suite(args: argparse.Namespace) -> int:
+    from . import checks
+
     opts = _Resolver(args, ("d", "n", "trials", "seed", "out"))
     d = opts.get("d", int, 2)
     n = opts.get("n", int, 2)
@@ -266,6 +272,8 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     if args.inject is not None and args.inject not in checks.INJECTIONS:
         raise _UsageError(f"unknown injection {args.inject!r}")
     results = checks.run_all(inject=args.inject)

@@ -152,7 +152,7 @@ class CirculantCovariance:
         return max_abs(self.q_spectrum * self.p_spectrum - 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First and second moments of a Gaussian state, interleaved ordering.
 
@@ -271,7 +271,7 @@ def random_pure_state(n_modes: int, rng: np.random.Generator,
 # ---- Capsule modes ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModePair:
     """Canonical pair (Q, P) = (v' r, u' r) with v' Omega u = 1.
 
@@ -300,7 +300,7 @@ class ModePair:
         return self.v.size // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeCovariance:
     """2x2 covariance of a canonical pair; det >= 1/4 by the uncertainty bound."""
 
@@ -395,7 +395,7 @@ def apply_shift_write(state: GaussianState, v: np.ndarray,
 # ---- Multi-parameter writes ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiparamReport:
     """Pairwise symplectic and covariance products of several write vectors.
 

@@ -72,7 +72,7 @@ def dispersion(config: LatticeConfig) -> np.ndarray:
     return np.sqrt(1.0 + 2.0 * config.eta * (1.0 - np.cos(angle)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeMatrix:
     """Normal-mode frequencies omega_k of the chain, k = 1 .. N."""
 
@@ -142,7 +142,7 @@ def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     return _evolve_rows(w, t, mm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolvedPair:
     """A capsule pair's weighting vectors after free evolution for time t.
 
@@ -174,7 +174,7 @@ def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
 # ---- The delocalization experiment ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteProfiles:
     """Site-resolved weighting profiles of the evolved capsule pair at one time."""
 

@@ -16,6 +16,7 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ _COLLINEAR_TOL = 1e-13
 # ---- Core value types ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuBasis:
     """Traceless Hermitian generator set with Tr(t_i t_j) = d delta_ij.
 
@@ -62,7 +63,7 @@ class SuBasis:
         return self.generators[-(self.d - 1):]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector of an N-site register of d-level systems."""
 
@@ -92,7 +93,7 @@ class PureState:
         return self.amplitudes.reshape(self.local_dim, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOp:
     """A Hermitian operator tagged with the dimension it acts on."""
 
@@ -108,7 +109,7 @@ class HermitianOp:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data for the cut between site 1 and the rest of the register.
 
@@ -135,10 +136,16 @@ def build_su_basis(d: int) -> SuBasis:
 
     The standard construction (pairwise symmetric, pairwise antisymmetric,
     diagonal) gives Tr = 2 delta_ij, so each generator carries an extra
-    factor sqrt(d/2).
+    factor sqrt(d/2).  Built once per d and shared: the generators are
+    read-only arrays.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise UnphysicalInputError(f"need qudit dimension d >= 2, got {d!r}")
+    return _su_basis(int(d))
+
+
+@functools.cache
+def _su_basis(d: int) -> SuBasis:
     scale = np.sqrt(d / 2.0)
     gens = []
     for j in range(d):
@@ -159,7 +166,9 @@ def build_su_basis(d: int) -> SuBasis:
         diag[level] = -float(level)
         m = np.diag(diag.astype(complex)) * np.sqrt(2.0 / (level * (level + 1)))
         gens.append(scale * m)
-    return SuBasis(d=int(d), generators=tuple(gens))
+    for g in gens:
+        g.flags.writeable = False
+    return SuBasis(d=d, generators=tuple(gens))
 
 
 def swap_operator(d: int) -> np.ndarray:

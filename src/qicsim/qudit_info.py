@@ -100,7 +100,7 @@ class _SiteConjugated:
 # ---- Virtual qudits and their states ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualQudit(_SiteConjugated):
     """Operator family T_i = conjugator' (t_i x I) conjugator.
 
@@ -146,7 +146,7 @@ class VirtualQudit(_SiteConjugated):
         return VirtualQudit(self.basis, self.conjugation.then(AxisUnitary(rot)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationState:
     """Density matrix of a single virtual qudit."""
 
@@ -189,20 +189,22 @@ def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState
 # ---- Write operations ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WriteOperation(_SiteConjugated):
     """Parameter imprint exp(-i theta T) with T = conjugator' (t x I) conjugator.
 
     local_generator is the d x d seed t, Hermitian, traceless and normalized
     to Tr(t^2) = d; conjugation is the register unitary that dresses it, a
     Conjugator or a dense matrix, which is gated as it becomes a Conjugator.
+    t is kept as a read-only copy, and its eigendecomposition is taken once,
+    on construction, and serves every local_unitary and construct_qic call.
     """
 
     local_generator: np.ndarray
     conjugation: Conjugator
 
     def __post_init__(self):
-        t = np.asarray(self.local_generator, dtype=complex)
+        t = np.array(self.local_generator, dtype=complex)   # a copy: frozen below
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("local generator must be a square matrix")
         d = t.shape[0]
@@ -212,8 +214,12 @@ class WriteOperation(_SiteConjugated):
         gate(abs(np.trace(t)), GENERATOR_NORM_TOL, ValueError, "local generator trace")
         gate(abs(np.trace(t @ t).real - d), GENERATOR_NORM_TOL, ValueError,
              f"local generator deviation from Tr(t^2) = {d}")
+        eigh = np.linalg.eigh(t)
+        for a in (t, *eigh):
+            a.flags.writeable = False
         object.__setattr__(self, "local_generator", t)
         object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, d))
+        object.__setattr__(self, "_eigh", eigh)
 
     @classmethod
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
@@ -226,7 +232,9 @@ class WriteOperation(_SiteConjugated):
         return self.local_generator.shape[0]
 
     def local_unitary(self, theta: float) -> np.ndarray:
-        return expm_hermitian(self.local_generator, -1.0j * theta)
+        """exp(-i theta t), the expm_hermitian formula on the stored eigendecomposition."""
+        w, v = self._eigh
+        return (v * np.exp(-1.0j * theta * w)) @ dag(v)
 
     def apply(self, state: PureState, theta: float) -> PureState:
         """The written state, computed as matvec + local rotation + matvec.
@@ -273,7 +281,7 @@ def random_write_operation(d: int, num_sites: int,
 # ---- Purification partners ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartnerPair:
     """Two commuting virtual qudits that jointly purify the first one.
 
@@ -371,7 +379,7 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
 # ---- Information capsules ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QicConstruction:
     """Capsule for one write: virtual qudit, its state, and branch data.
 
@@ -410,7 +418,7 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     d = write.d
     basis = build_su_basis(d)
 
-    evals, evecs = np.linalg.eigh(write.local_generator)
+    evals, evecs = write._eigh
     psi = write.conjugation.apply(state.amplitudes)
     rows = dag(evecs) @ psi.reshape(d, -1)   # rows[i] = branch i environment vector
 
@@ -461,7 +469,7 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
 # ---- Retrieval by SWAP ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapRetrieval:
     """Reduced states after swapping a virtual qudit onto an external register."""
 

@@ -4,14 +4,22 @@ real subprocess so the argument parsing and error mapping are exercised the
 same way a shell user would hit them.
 """
 
+import contextlib
+import io
+import json
 import math
 import shutil
+import string
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qicsim import checks, cli, gaussian_cv, lattice_field
 from qicsim.errors import InternalConsistencyError, StateFileError, UnphysicalInputError
@@ -472,6 +480,145 @@ def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, argv, content, m
     assert capsys.readouterr().err == message.format(path=path)
 
 
+# ---- malformed input, property-based ----
+
+DIR = "@DIR@"   # replaced by a fresh temporary directory per example
+# Letters alone never parse as a finite number: float() takes only inf and nan.
+WORD = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999"])
+# A line break inside a refused value must not break the one-line message.
+BAD_NUMBER = st.one_of(WORD, NON_FINITE, WORD.map(lambda w: f"{w}\n{w}"))
+FINITE = st.floats(-100.0, 100.0).map(repr)
+
+
+@st.composite
+def _list_with_bad_item(draw, good, bad):
+    items = draw(st.lists(good, max_size=3))
+    items.insert(draw(st.integers(0, len(items))), draw(bad))
+    return ",".join(items)
+
+
+LATTICE_FLAGS = st.one_of(
+    st.integers(max_value=0).map(lambda n: f"--sites={n}"),
+    st.one_of(st.floats(max_value=0.0).map(repr), NON_FINITE).map(lambda x: f"--eta={x}"),
+    st.one_of(st.integers(max_value=0), st.integers(min_value=31)).map(
+        lambda n: f"--write-site={n}"),
+    st.one_of(_list_with_bad_item(FINITE, BAD_NUMBER), st.sampled_from(["", " ", ",", " , "]))
+    .map(lambda t: f"--times={t}"),
+    _list_with_bad_item(st.sampled_from(["csv", "svg"]),
+                        WORD.filter(lambda w: w not in ("csv", "svg")))
+    .map(lambda t: f"--formats={t}"),
+)
+SUITE_FLAGS = st.one_of(
+    st.integers().filter(lambda d: d not in (2, 3, 4)).map(lambda d: f"--d={d}"),
+    st.integers().filter(lambda n: n not in (2, 3)).map(lambda n: f"--n={n}"),
+    st.integers(max_value=0).map(lambda n: f"--trials={n}"),
+    st.integers(max_value=-1).map(lambda n: f"--seed={n}"),
+)
+
+
+@st.composite
+def _bad_vacuum_text(draw):
+    """The one-mode vacuum record with one entry, line or value made malformed."""
+    lines = VACUUM_TEXT.splitlines()
+    damage = draw(st.sampled_from(["entry", "entry", "drop line", "extra line", "extra value"]))
+    if damage == "entry":
+        rows = [["0", "0"], ["0.5", "0"], ["0", "0.5"]]
+        r, c = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        if r == 0:                               # any finite mean is valid
+            rows[r][c] = draw(BAD_NUMBER)
+        else:                                    # impure on the diagonal, else asymmetric
+            away = 0.5 if r == c + 1 else 0.0
+            rows[r][c] = draw(st.one_of(
+                BAD_NUMBER, st.floats(away + 1e-3, 10.0).map(repr),
+                st.floats(-10.0, away - 1e-3).map(repr)))
+        lines = lines[:1] + ["mean: " + ",".join(rows[0])] + [",".join(x) for x in rows[1:]]
+    elif damage == "drop line":
+        del lines[draw(st.integers(1, 3))]
+    elif damage == "extra line":
+        lines.append(draw(WORD))
+    else:
+        lines[2] += ",0"
+    return ("\n".join(lines) + "\n").encode()
+
+
+NOT_UTF8 = st.binary(max_size=8).map(lambda b: b"\xff" + b)
+STATE_FILES = st.one_of(_bad_vacuum_text(), st.text(max_size=40).map(str.encode),
+                        NOT_UTF8.map(lambda b: b"gaussian N=1\n" + b))
+V_FLAGS = st.one_of(
+    st.lists(FINITE, max_size=4).filter(lambda v: len(v) != 2).map(",".join),
+    _list_with_bad_item(FINITE, BAD_NUMBER),
+    st.sampled_from(["0,0", "1e200,0", "0,-1e200"]),
+).map(lambda v: f"--v={v}")
+VACUUM = {"vacuum.txt": VACUUM_TEXT.encode()}
+
+# command line, key=value keys, keys read as numbers (no flag given overrides them)
+CONFIG_TARGETS = (
+    (["lattice-evolve"], ("sites", "eta", "write_site", "times", "formats", "out"),
+     ("sites", "eta", "write_site")),
+    (["qudit-suite", "--seed=1", "--trials=1"], ("d", "n", "trials", "seed", "out"),
+     ("d", "n")),
+    (["gaussian-conj", "--v=1,0"], ("state", "out"), ()),
+)
+
+
+@st.composite
+def _bad_config_run(draw):
+    argv, keys, numeric = draw(st.sampled_from(CONFIG_TARGETS))
+    lines = draw(st.one_of(
+        WORD.map(lambda w: [w]),                                 # no '='
+        st.tuples(WORD.filter(lambda k: k not in keys), WORD)    # unknown key
+        .map(lambda kv: [f"{kv[0]} = {kv[1]}"]),
+        st.tuples(st.sampled_from(numeric or ("state",)), WORD)  # bad value
+        .map(lambda kv: [f"{kv[0]} = {DIR}/{kv[1]}" if kv[0] == "state"
+                         else f"{kv[0]} = {kv[1]}"]),
+    ))
+    text = "\n".join(["# run settings", ""] + lines).encode() + b"\n"
+    config = draw(st.one_of(st.just(text), NOT_UTF8))
+    return argv + [f"--config={DIR}/run.cfg", f"--out={DIR}/out"], {"run.cfg": config}
+
+
+MALFORMED_RUNS = st.one_of(
+    LATTICE_FLAGS.map(lambda f: (["lattice-evolve", f, f"--out={DIR}/out"], {})),
+    SUITE_FLAGS.map(lambda f: (["qudit-suite", "--seed=1", "--trials=1", f,
+                                f"--out={DIR}/out"], {})),
+    st.just((["qudit-suite", f"--out={DIR}/out"], {})),               # no --seed
+    STATE_FILES.map(lambda b: (["gaussian-conj", f"--state={DIR}/state.txt", "--v=1,0",
+                                f"--out={DIR}/out"], {"state.txt": b})),
+    V_FLAGS.map(lambda f: (["gaussian-conj", f"--state={DIR}/vacuum.txt", f,
+                            f"--out={DIR}/out"], VACUUM)),
+    st.just((["gaussian-conj", f"--state={DIR}/vacuum.txt", f"--out={DIR}/out"], VACUUM)),
+    st.just((["gaussian-conj", f"--state={DIR}/missing.txt", "--v=1,0",
+              f"--out={DIR}/out"], {})),
+    st.text(max_size=20).filter(lambda t: t not in checks.INJECTIONS).map(
+        lambda t: (["verify", f"--inject={t}"], {})),
+    _bad_config_run(),
+    st.just((["lattice-evolve", "--sites=4", "--write-site=2", "--times=0",
+              "--formats=csv", f"--out={DIR}/blocker/sub"], {"blocker": b""})),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=MALFORMED_RUNS)
+def test_malformed_input_exits_1_2_or_3_with_one_line(run):
+    """In-process, every refused argv, state file or config file ends in a documented
+    exit code and one stderr line: no traceback, no RuntimeWarning."""
+    argv, files = run
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            Path(tmp, name).write_bytes(content.replace(DIR.encode(), tmp.encode()))
+        argv = [arg.replace(DIR, tmp) for arg in argv]
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+    message = err.getvalue()
+    assert code in (1, 2, 3), (argv, message)
+    assert message.endswith("\n") and message.count("\n") == 1, (argv, message)
+    assert "Traceback" not in message
+
+
 def test_unwritable_output_exits_1(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
@@ -490,9 +637,35 @@ def test_console_script_installed():
         assert sub in res.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import qicsim.cli, sys; assert 'scipy' not in sys.modules"],
-        capture_output=True, text=True)
+FOOTPRINT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("qicsim", "scipy"))
+import qicsim
+stages = [loaded()]
+import qicsim.cli
+stages.append(loaded())
+code = qicsim.cli.main(["gaussian-conj", "--state", sys.argv[1], "--v=1,0",
+                        "--out", sys.argv[2]])
+stages.append(loaded())
+print(json.dumps([code, stages]))
+"""
+
+DEFERRED_MODULES = ("qicsim.qudit_", "qicsim.checks", "qicsim.lattice_field",
+                    "qicsim.svg_plot")
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """Each step loads only what it runs: scipy never, and gaussian-conj no qudit,
+    lattice, checks or SVG code."""
+    state = tmp_path / "vacuum.txt"
+    state.write_text(VACUUM_TEXT, encoding="utf-8")
+    res = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, str(state),
+                          str(tmp_path / "out")], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    code, (bare, cli_loaded, after_run) = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0
+    assert bare == ["qicsim", "qicsim.errors"]
+    for modules in (cli_loaded, after_run):
+        assert [m for m in modules if m.startswith(DEFERRED_MODULES + ("scipy",))] == []
+    assert "qicsim.gaussian_cv" in after_run

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qicsim import checks
 from qicsim import gaussian_cv as g
 from qicsim.errors import StateFileError, UnphysicalInputError
 from qicsim.linalg import max_abs
@@ -285,6 +286,44 @@ def test_conjugate_is_unique_minimizer():
         det_pert = var_q * var_p - cross * cross
         assert det_pert > 0.25 + 1e-12
 
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_perturbation_draw_equals_row_by_row_draws(n):
+    """The minimality check's one (20, 2n) draw is the stream of 20 single draws."""
+    one_by_one = np.random.default_rng(23 + n)
+    stacked = np.random.default_rng(23 + n)
+    rows = np.array([one_by_one.standard_normal(2 * n) for _ in range(20)])
+    assert np.array_equal(stacked.standard_normal((20, 2 * n)), rows)
+    assert np.array_equal(stacked.standard_normal(2 * n), one_by_one.standard_normal(2 * n))
+
+
+# Rounding bound for the batched determinants: the projection and the mode
+# entries sum the same length-2n products in another order (n <= 8).
+BATCHED_DET_RTOL = 1000 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_perturbed_mode_dets_match_the_row_by_row_route(n):
+    """checks' batched minimality determinants against one delta at a time."""
+    rng = np.random.default_rng(60 + n)
+    state = g.random_pure_state(n, rng)
+    pair = g.conjugate_qic_vector(rng.standard_normal(2 * n), state)
+    m = state.covariance
+    q = np.linalg.qr(np.column_stack([g.symplectic_form(n) @ pair.v, m @ pair.v]))[0]
+    deltas = rng.standard_normal((20, 2 * n))
+    deltas[3] = q @ rng.standard_normal(2)       # admissible part zero: skipped
+    expected = []
+    for delta in deltas:
+        delta = delta - q @ (q.T @ delta)
+        norm = np.linalg.norm(delta)
+        if norm >= 1e-8:
+            expected.append(g._det2(g.mode_covariance_matrix(pair.v, pair.u + delta / norm,
+                                                             m)))
+    got = checks.perturbed_mode_dets(pair, m, q, deltas)
+    # With one mode the two constraints span the space: no row is admissible.
+    assert got.shape == (len(expected),) and len(expected) == (19 if n > 1 else 0)
+    np.testing.assert_allclose(got, expected, rtol=BATCHED_DET_RTOL, atol=0.0)
 
 def test_conjugate_rejects_degenerate_direction():
     with pytest.raises(UnphysicalInputError, match="variance below the floor"):

@@ -71,6 +71,16 @@ def test_su_basis_traceless(d):
         assert max_abs(t - dag(t)) < 1e-14
 
 
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_su_basis_is_built_once_with_read_only_generators(d):
+    basis = qa.build_su_basis(d)
+    assert qa.build_su_basis(np.int64(d)) is basis
+    for t in basis.generators:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 0.0
+
 def test_su_basis_rejects_small_dimension():
     with pytest.raises(UnphysicalInputError, match="d >= 2"):
         qa.build_su_basis(1)

@@ -150,6 +150,31 @@ def test_write_expectation_matches_generator():
     assert abs(write.expectation(state.amplitudes) - direct) < 1e-12
 
 
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_local_unitary_equals_expm_route_exactly(d):
+    """The eigendecomposition stored on construction gives expm_hermitian's bits."""
+    write = qi.random_write_operation(d, 2, np.random.default_rng(40 + d))
+    for theta in (0.0, 0.7, -1.3, 2.9, 1e-9, 40.0):
+        assert np.array_equal(write.local_unitary(theta),
+                              expm_hermitian(write.local_generator, -1.0j * theta))
+
+
+def test_write_eigendecomposition_is_shared_read_only():
+    rng = np.random.default_rng(41)
+    write = qi.random_write_operation(3, 2, rng)
+    con = qi.construct_qic(write, qa.random_state(2, 3, rng))
+    evals, evecs = np.linalg.eigh(write.local_generator)
+    assert np.array_equal(con.eigenvalues, evals)
+    assert np.array_equal(con.eigenvectors, evecs)
+    for frozen in (con.eigenvalues, con.eigenvectors, write.local_generator):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 0.0
+    seed = PAULI_Z.copy()
+    qi.WriteOperation(seed, np.eye(4, dtype=complex))
+    assert seed.flags.writeable   # the write froze its own copy, not the caller's array
+
+
 # ---- QIC construction ----
 
 
@@ -445,6 +470,19 @@ def test_partner_write_action_random_trials():
         expected = lifted @ pair.joint_state @ dag(lifted)
         assert max_abs(recomputed - expected) < THEOREM_TOL
 
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (4, 2)])
+def test_partner_locality_residual_equals_pairwise_commutators(d, n):
+    """checks' stacked commutators give the pairwise loop's maximum exactly."""
+    residual = checks.partner_trial_residuals(d, n, np.random.default_rng(50 + d))
+    rng = np.random.default_rng(50 + d)   # the same draws, in the same order
+    state = qa.random_state(n, d, rng)
+    write = qi.random_write_operation(d, n, rng)
+    pair = qi.construct_partner(write.virtual_qudit(), state)
+    pairwise = max(max_abs(ta @ tb - tb @ ta)
+                   for ta in pair.qudit_a.operators() for tb in pair.qudit_b.operators())
+    assert residual["partner locality"] == pairwise
 
 def test_partner_write_action_preserves_purity():
     rng = np.random.default_rng(32)
