@@ -237,10 +237,8 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     summary = ["index,var_q,cross,var_p,det_m,entropy"]
-    pairs = []
     for i, vec in enumerate(vectors):
         pair = gaussian_cv.conjugate_qic_vector(vec, state)
-        pairs.append(pair)
         gaussian_cv.write_pair_file(out / f"pair_{i}.txt", pair)
         mode = gaussian_cv.mode_covariance(pair, state)
         entropy = gaussian_cv.mode_entropy(mode)
@@ -253,18 +251,19 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
         report = gaussian_cv.multiparam_conditions(vectors, state)
         rows = ["i,j,omega_product,covariance_product,commuting_pair,independent_pair"]
         k = len(vectors)
+        tol = gaussian_cv.CONDITION_TOL
         for i in range(k):
             for j in range(i + 1, k):
                 omega_ij = report.omega_products[i, j]
                 cov_ij = report.covariance_products[i, j]
                 rows.append(f"{i},{j},{_fmt(omega_ij)},{_fmt(cov_ij)},"
-                            f"{'yes' if abs(omega_ij) < 1e-10 else 'no'},"
-                            f"{'yes' if abs(cov_ij) < 1e-10 else 'no'}")
+                            f"{'yes' if abs(omega_ij) < tol else 'no'},"
+                            f"{'yes' if abs(cov_ij) < tol else 'no'}")
         _write_text(out / "multiparam.csv", "\n".join(rows) + "\n")
         print(f"multiparameter writes: commuting={'yes' if report.commuting else 'no'} "
               f"independent={'yes' if report.independent else 'no'}")
 
-    print(f"wrote {len(pairs)} conjugate pair(s) to {out}")
+    print(f"wrote {len(vectors)} conjugate pair(s) to {out}")
     return EXIT_OK
 
 

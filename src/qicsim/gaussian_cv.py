@@ -21,6 +21,7 @@ written parameter.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -276,7 +277,8 @@ class ModePair:
     """Canonical pair (Q, P) = (v' r, u' r) with v' Omega u = 1.
 
     Offsets record the state's first moments along the pair, so the mode is
-    fully specified by (v, u, q_offset, p_offset) and the covariance.
+    fully specified by (v, u, q_offset, p_offset) and the covariance.  All
+    of them must be finite (ValueError).
     """
 
     v: np.ndarray
@@ -290,6 +292,7 @@ class ModePair:
         if v.shape != u.shape or v.ndim != 1 or v.size % 2 != 0 or v.size == 0:
             raise ValueError("v and u must be vectors of one even length")
         require_finite([v, u], ValueError, "v and u")
+        require_finite([self.q_offset, self.p_offset], ValueError, "offsets")
         gate(abs(_omega(v, right=True) @ u - 1.0), PAIRING_TOL, ValueError,
              "pair is not canonical: |v'Omega u - 1|")
         object.__setattr__(self, "v", v)
@@ -333,17 +336,19 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
     require_finite(v, UnphysicalInputError, "write vector v")
-    # Finite inputs can still overflow v' M v or v' mean; refuse that, unwarned.
+    # Finite inputs can still overflow v' M v, v' mean or u' mean; refuse that,
+    # unwarned.  Dividing by at least the floor keeps u defined until the gate
+    # below refuses a small variance.
     with np.errstate(over="ignore", invalid="ignore"):
         mv = state.covariance @ v
         variance = float(v @ mv)
-        q_offset = float(v @ state.mean)
-    require_finite([variance, q_offset], UnphysicalInputError,
+        u = -_omega(mv) / max(variance, VARIANCE_FLOOR)
+        offsets = (float(v @ state.mean), float(u @ state.mean))
+    require_finite([variance, *offsets], UnphysicalInputError,
                    "write quadrature variance and offset")
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"write quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    u = -_omega(mv) / variance
-    return ModePair(v=v, u=u, q_offset=q_offset, p_offset=float(u @ state.mean))
+    return ModePair(v=v, u=u, q_offset=offsets[0], p_offset=offsets[1])
 
 
 def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
@@ -490,14 +495,23 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
 # ---- Plain-text serialization ----
 #
 # All records are UTF-8 text with LF line endings and 17-significant-digit
-# decimals, which round-trip float64 exactly.  A Gaussian state is stored as
+# decimals, which round-trip float64 exactly.  A record is a header
+# '<tag> N=<n>', its keyed rows 'key: x,...,x', and for a state the 2N x 2N
+# covariance, one row per line:
 #
 #     gaussian N=<n>
 #     mean: x,x,...,x          (2N values)
 #     x,x,...,x                (2N covariance rows of 2N values)
 #
-# and a mode pair as 'modepair N=<n>', then 'v:', 'u:' and 'offsets:' rows.
+# A mode pair is 'modepair N=<n>', then 'v:' and 'u:' (2N values each) and
+# 'offsets:' (2 values).  Each kind's layout is declared once, below; the
+# reader counts the lines it needs from N and parses only the lines the file
+# holds, so a header that claims more than the file holds allocates nothing.
 # Only blank lines may follow a record.
+
+# (tag, keyed rows as (key, values per row or None for 2N), 2N rows of 2N values follow)
+_STATE_RECORD = ("gaussian", (("mean", None),), True)
+_PAIR_RECORD = ("modepair", (("v", None), ("u", None), ("offsets", 2)), False)
 
 
 def _fmt(x: float) -> str:
@@ -530,84 +544,66 @@ def _parse_header(line: str, tag: str) -> int:
     return n
 
 
-def _parse_record(text: str, tag: str, layout) -> list:
-    """One float array per record line; layout(n) lists (key or None, count) per line."""
-    lines = text.splitlines()
+def _read_record(path, record) -> list:
+    """One float array per record line, in file order.
+
+    Lines are checked in order, so a malformed line is reported before a
+    missing one; a byte that is not UTF-8 is refused at its line.
+    """
+    tag, keyed, square = record
+    with io.open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise StateFileError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     if not lines:
         raise StateFileError(1, "empty record")
     n = _parse_header(lines[0].strip(), tag)
-    spec = layout(n)
+    total = 1 + len(keyed) + (2 * n if square else 0)
     rows = []
-    for lineno, (key, count) in enumerate(spec, 2):
-        if lineno > len(lines):
-            raise StateFileError(lineno, f"expected {1 + len(spec)} lines for N={n}, "
-                                         f"got {len(lines)}")
-        line = lines[lineno - 1].strip()
+    for lineno, line in enumerate(lines[1:total], 2):
+        line = line.strip()
+        key, count = keyed[lineno - 2] if lineno - 2 < len(keyed) else (None, None)
         if key is not None:
             if not line.startswith(f"{key}:"):
                 raise StateFileError(lineno, f"expected '{key}:' row, got {line!r}")
             line = line[len(key) + 1:].strip()
-        rows.append(_parse_floats(line, count, lineno))
-    for lineno, line in enumerate(lines[1 + len(spec):], 2 + len(spec)):
+        rows.append(_parse_floats(line, count or 2 * n, lineno))
+    if len(lines) < total:
+        raise StateFileError(len(lines) + 1, f"expected {total} lines for N={n}, "
+                                             f"got {len(lines)}")
+    for lineno, line in enumerate(lines[total:], total + 1):
         if line.strip():
             raise StateFileError(lineno, f"unexpected line after the record: {line.strip()!r}")
     return rows
 
 
-def _record_text(tag: str, n: int, rows) -> str:
-    """Header line, then one line per (key or None, values) row."""
-    lines = [f"{tag} N={n}"]
-    for key, values in rows:
-        body = ",".join(_fmt(x) for x in values)
-        lines.append(body if key is None else f"{key}: {body}")
-    return "\n".join(lines) + "\n"
-
-
-def _read_record(path) -> str:
-    """A record file's text; a byte that is not UTF-8 is refused at its line."""
-    with io.open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StateFileError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-
-
-def state_to_text(state: GaussianState) -> str:
-    rows = [("mean", state.mean)] + [(None, row) for row in np.asarray(state.covariance)]
-    return _record_text("gaussian", state.n_modes, rows)
-
-
-def state_from_text(text: str) -> GaussianState:
-    mean, *rows = _parse_record(text, "gaussian",
-                                lambda n: [("mean", 2 * n)] + [(None, 2 * n)] * (2 * n))
-    return GaussianState(mean, np.array(rows))
+def _write_record(path, record, n: int, rows) -> None:
+    """Header, then one line per row: the keyed rows in declared order, then the rest."""
+    tag, keyed, _ = record
+    prefixes = [f"{key}: " for key, _ in keyed]
+    with io.open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{tag} N={n}\n")
+        for prefix, values in itertools.zip_longest(prefixes, rows, fillvalue=""):
+            fh.write(prefix + ",".join(_fmt(x) for x in values) + "\n")
 
 
 def write_state_file(path, state: GaussianState) -> None:
-    with io.open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(state_to_text(state))
+    _write_record(path, _STATE_RECORD, state.n_modes,
+                  [state.mean, *np.asarray(state.covariance)])
 
 
 def read_state_file(path) -> GaussianState:
-    return state_from_text(_read_record(path))
-
-
-def pair_to_text(pair: ModePair) -> str:
-    rows = [("v", pair.v), ("u", pair.u), ("offsets", (pair.q_offset, pair.p_offset))]
-    return _record_text("modepair", pair.n_modes, rows)
-
-
-def pair_from_text(text: str) -> ModePair:
-    v, u, (q_offset, p_offset) = _parse_record(
-        text, "modepair", lambda n: [("v", 2 * n), ("u", 2 * n), ("offsets", 2)])
-    return ModePair(v=v, u=u, q_offset=q_offset, p_offset=p_offset)
+    mean, *rows = _read_record(path, _STATE_RECORD)
+    return GaussianState(mean, np.array(rows))
 
 
 def write_pair_file(path, pair: ModePair) -> None:
-    with io.open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(pair_to_text(pair))
+    _write_record(path, _PAIR_RECORD, pair.n_modes,
+                  [pair.v, pair.u, (pair.q_offset, pair.p_offset)])
 
 
 def read_pair_file(path) -> ModePair:
-    return pair_from_text(_read_record(path))
+    v, u, (q_offset, p_offset) = _read_record(path, _PAIR_RECORD)
+    return ModePair(v=v, u=u, q_offset=q_offset, p_offset=p_offset)

@@ -131,14 +131,11 @@ class VirtualQudit(_SiteConjugated):
         return [conjugated_matrix(t, dense) for t in self.basis.generators]
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
-        """Equivalent virtual qudit with T_i rotated by exp(-i sum_mu c_mu T_mu).
+        """Equivalent virtual qudit with T_i rotated by exp(-i sum_i c_i T_i).
 
-        coeffs may cover the generators only (length d^2 - 1) or the extended
-        set (length d^2, where the identity coefficient is a global phase).
+        coeffs holds one c_i per generator, d^2 - 1 in all.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape == (self.d * self.d,):
-            coeffs = coeffs[1:]
         if coeffs.shape != (self.d * self.d - 1,):
             raise ValueError("need one coefficient per generator")
         g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))

@@ -14,12 +14,15 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 36
 _MARGIN_BOTTOM = 46
+_WIDTH = 720
+_HEIGHT = 460
+_TICKS = 5
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
+def _nice_ticks(lo: float, hi: float) -> list:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
     first = math.ceil(lo / step) * step
@@ -31,8 +34,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     return ticks
 
 
-def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 720, height: int = 460) -> str:
+def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """SVG document plotting each (label, values) pair in series against x."""
     x = [float(v) for v in x]
     series = [(label, [float(v) for v in ys]) for label, ys in series]
@@ -47,8 +49,8 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "",
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(v: float) -> float:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -57,13 +59,13 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "",
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#202020">{title}</text>')
 
     for tick in _nice_ticks(x_lo, x_hi):
@@ -85,7 +87,7 @@ def line_plot(x, series, title: str = "", xlabel: str = "", ylabel: str = "",
     parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#404040" stroke-width="1"/>')
     if xlabel:
-        parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 8}" '
+        parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 8}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="12" '
                      f'fill="#202020">{xlabel}</text>')
     if ylabel:

@@ -283,6 +283,15 @@ def test_gaussian_conj_malformed_file_exits_2(tmp_path):
     assert "line 3" in res.stderr
 
 
+def test_gaussian_conj_short_file_with_huge_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("gaussian N=2000000\nmean: 0,0\n0.5,0\n0,0.5\n", encoding="utf-8")
+    assert cli.main(["gaussian-conj", "--state", str(path), "--v=1,0",
+                     "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line 2: expected 4000000 values, "
+                                       "got 2\n")
+
+
 def test_gaussian_conj_usage_errors(tmp_path):
     state_path = write_state(tmp_path, gaussian_cv.vacuum_state(1))
     res = run_cli("gaussian-conj", "--state", state_path,
@@ -329,7 +338,9 @@ VACUUM_TEXT = "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n"
      "error: coupling eta = 1e+308 overflows 1 + 4 eta\n"),
     (["gaussian-conj", "--v=1,0"], "gaussian N=1\nmean: 0,0\n1e200,0\n0,1e200\n",
      "error: state is not pure: purity residual: inf exceeds 1.0e-08\n"),
-], ids=["huge v", "huge eta", "huge covariance"])
+    (["gaussian-conj", "--v=2e-7,0"], "gaussian N=1\nmean: 0,1e303\n0.5,0\n0,0.5\n",
+     "error: write quadrature variance and offset must be finite\n"),
+], ids=["huge v", "huge eta", "huge covariance", "huge p offset"])
 def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_text,
                                                  message):
     """Overflow inside the arithmetic is refused like any unphysical input, unwarned."""

@@ -188,6 +188,12 @@ def test_own_generator_rotation_matches_kron():
     assert max_abs(vq.conjugated_by_own_generators(coeffs).conjugator - expected) < MATCH_TOL
 
 
+def test_own_generator_rotation_takes_one_coefficient_per_generator():
+    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="one coefficient per generator"):
+        vq.conjugated_by_own_generators(np.zeros(4))   # d^2 values: identity included
+
+
 @pytest.mark.parametrize("state_kind", ["random", "branch"])
 @pytest.mark.parametrize("d, n", SHAPES)
 def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):

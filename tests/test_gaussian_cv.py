@@ -1,6 +1,7 @@
 """Gaussian states, conjugate mode construction, entropy, and serialization."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -615,6 +616,65 @@ def test_state_file_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     with pytest.raises(StateFileError) as exc:
         g.read_state_file(path)
     assert exc.value.lineno == lineno
+
+
+def test_written_records_are_pinned_bytes(tmp_path):
+    state = g.GaussianState(np.array([0.1, -2.0]),
+                            np.diag([math.exp(0.6) / 2, math.exp(-0.6) / 2]))
+    pair = g.conjugate_qic_vector(np.array([1.0, 0.5]), state)
+    g.write_state_file(tmp_path / "state.txt", state)
+    g.write_pair_file(tmp_path / "pair.txt", pair)
+    assert (tmp_path / "state.txt").read_bytes() == (
+        b"gaussian N=1\nmean: 0.10000000000000001,-2\n"
+        b"0.91105940019525444,0\n0,0.27440581804701319\n")
+    assert (tmp_path / "pair.txt").read_bytes() == (
+        b"modepair N=1\nv: 1,0.5\nu: -0.14005143551902008,0.92997428224048995\n"
+        b"offsets: -0.90000000000000002,-1.8739537080328819\n")
+
+
+@pytest.mark.parametrize("read,content,message", [
+    (g.read_state_file, "", "line 1: empty record"),
+    (g.read_state_file, "gaussian N=0\n", "line 1: mode count must be positive, got 0"),
+    (g.read_state_file, "gaussian N=1\nmean: 0,0\n0.5,0\n",
+     "line 4: expected 4 lines for N=1, got 3"),
+    (g.read_state_file, "gaussian N=2\nmean: 0,0,0,0\n",
+     "line 3: expected 6 lines for N=2, got 2"),
+    # Truncated and malformed: the malformed line, met first, is the one reported.
+    (g.read_state_file, "gaussian N=2\nmean: 0,0\n", "line 2: expected 4 values, got 2"),
+    (g.read_state_file, "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n\n0,0.5\n",
+     "line 6: unexpected line after the record: '0,0.5'"),
+    (g.read_pair_file, "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n",
+     "line 1: expected header 'modepair N=<n>', got 'gaussian N=1'"),
+    (g.read_pair_file, "modepair N=1\nv: 1,0\nw: 0,1\noffsets: 0,0\n",
+     "line 3: expected 'u:' row, got 'w: 0,1'"),
+    (g.read_pair_file, "modepair N=1\nv: 1,0\nu: 0,1\n",
+     "line 4: expected 4 lines for N=1, got 3"),
+    (g.read_pair_file, "modepair N=1\nv: 1,0\nu: 0,1\noffsets: 0\n",
+     "line 4: expected 2 values, got 1"),
+    (g.read_pair_file, "modepair N=1\nv: 1,0\nu: 0,1\noffsets: 0,inf\n",
+     "line 4: numbers must be finite"),
+])
+def test_record_errors_name_line_and_cause(tmp_path, read, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(StateFileError) as exc:
+        read(path)
+    assert str(exc.value) == message
+
+
+def test_header_claiming_more_lines_than_the_file_allocates_nothing(tmp_path):
+    """The header's N sizes no allocation: only the lines the file holds are parsed."""
+    path = tmp_path / "short.txt"
+    path.write_text("gaussian N=2000000\nmean: 0,0\n0.5,0\n0,0.5\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError) as exc:
+            g.read_state_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 2: expected 4000000 values, got 2"
+    assert peak < 1 << 20
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,16 +6,26 @@ NaN, +inf and -inf, without numpy's invalid-value RuntimeWarning (the suite
 turns RuntimeWarning into an error).  The circulant covariance must also
 refuse non-positive spectra and spectra below the uncertainty bound
 a_k b_k = 1/4, and the chain's mode frequencies must be positive.
+
+The value types are also covered by construction: starting from one valid
+constructor call per public dataclass that validates itself, every float
+field and one entry of every array field is made non-finite in turn.
 """
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qicsim
 from qicsim import gaussian_cv as g
 from qicsim import lattice_field as lf
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
-from qicsim.errors import InternalConsistencyError, UnphysicalInputError
+from qicsim.errors import InternalConsistencyError, QicError, UnphysicalInputError
 
 I4 = np.eye(4, dtype=complex)
 
@@ -90,3 +100,58 @@ def test_circulant_covariance_refuses_unphysical_spectra(q, p, message):
 def test_mode_matrix_refuses_non_positive_frequencies(omega):
     with pytest.raises(UnphysicalInputError, match="finite and positive"):
         lf.ModeMatrix(np.array([1.0, omega, 1.0]))
+
+
+# One valid constructor call per public dataclass with a __post_init__, every
+# field given; dense arrays stand for the conjugators, so they are array fields.
+VALID = {
+    "CirculantCovariance": dict(n_sites=2, q_spectrum=np.array([0.5, 0.5]),
+                                p_spectrum=np.array([0.5, 0.5])),
+    "GaussianState": dict(mean=np.zeros(2), covariance=np.eye(2) / 2.0),
+    "ModePair": dict(v=np.array([1.0, 0.0]), u=np.array([0.0, 1.0]),
+                     q_offset=0.0, p_offset=0.0),
+    "ModeCovariance": dict(matrix=np.eye(2) / 2.0),
+    "LatticeConfig": dict(n_sites=4, eta=0.4),
+    "ModeMatrix": dict(omegas=np.array([1.0, 1.5])),
+    "PureState": dict(num_sites=2, local_dim=2, amplitudes=np.eye(4, dtype=complex)[0]),
+    "HermitianOp": dict(dim=2, matrix=np.diag([1.0, -1.0]).astype(complex)),
+    "VirtualQudit": dict(basis=qa.build_su_basis(2), conjugation=np.eye(4, dtype=complex)),
+    "CorrelationState": dict(d=2, matrix=np.eye(2, dtype=complex) / 2.0),
+    "WriteOperation": dict(local_generator=np.diag([1.0, -1.0]).astype(complex),
+                           conjugation=np.eye(4, dtype=complex)),
+}
+
+FIELD_CASES = [(name, field.name)
+               for name, kwargs in VALID.items()
+               for field in dataclasses.fields(getattr(qicsim, name))
+               if isinstance(kwargs[field.name], (float, np.ndarray))]
+
+
+def test_valid_calls_cover_every_validated_dataclass():
+    validated = {name for name in qicsim.__all__
+                 if isinstance(obj := getattr(qicsim, name), type)
+                 and dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")}
+    assert set(VALID) == validated
+    for name, kwargs in VALID.items():
+        cls = getattr(qicsim, name)
+        assert set(kwargs) == {f.name for f in dataclasses.fields(cls)}
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,field", FIELD_CASES, ids=[f"{n}.{f}" for n, f in FIELD_CASES])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_validated_field_refuses_non_finite(name, field, value, data):
+    kwargs = dict(VALID[name])
+    bad = kwargs[field]
+    if isinstance(bad, np.ndarray):
+        bad = bad.copy()
+        bad.flat[data.draw(st.integers(0, bad.size - 1), label="entry")] = value
+    else:
+        bad = value
+    kwargs[field] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises((ValueError, QicError)):
+            getattr(qicsim, name)(**kwargs)
