@@ -16,10 +16,10 @@ from . import gaussian_cv, lattice_field, qudit_algebra, qudit_info
 from .gaussian_cv import _det2, _omega
 from .linalg import (
     dag,
+    factored_trace_distance,
     haar_unitary,
     max_abs,
     pure_state_fidelity,
-    trace_distance,
     unitarity_defect,
 )
 
@@ -142,8 +142,8 @@ def capsule_residuals(write: qudit_info.WriteOperation,
         fidelity_deficit = max(fidelity_deficit,
                                1.0 - pure_state_fidelity(target, retrieval.extracted))
         retrievals.append(retrieval)
-    residuals["retrieval residual independence"] = trace_distance(
-        retrievals[0].residual, retrievals[1].residual)
+    residuals["retrieval residual independence"] = factored_trace_distance(
+        retrievals[0].joint, retrievals[1].joint)
     residuals["retrieval fidelity"] = fidelity_deficit
     return residuals
 

@@ -235,16 +235,18 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
                 f"got {vec.size}")
         vectors.append(vec)
 
-    out.mkdir(parents=True, exist_ok=True)
+    # Every pair and mode is built before --out is touched: a failing vector leaves no output.
+    pairs = [gaussian_cv.conjugate_qic_vector(vec, state) for vec in vectors]
+    modes = [gaussian_cv.mode_covariance(pair, state) for pair in pairs]
     summary = ["index,var_q,cross,var_p,det_m,entropy"]
-    for i, vec in enumerate(vectors):
-        pair = gaussian_cv.conjugate_qic_vector(vec, state)
-        gaussian_cv.write_pair_file(out / f"pair_{i}.txt", pair)
-        mode = gaussian_cv.mode_covariance(pair, state)
-        entropy = gaussian_cv.mode_entropy(mode)
+    for i, mode in enumerate(modes):
         m = mode.matrix
         summary.append(f"{i},{_fmt(m[0, 0])},{_fmt(m[0, 1])},{_fmt(m[1, 1])},"
-                       f"{_fmt(mode.det)},{_fmt(entropy)}")
+                       f"{_fmt(mode.det)},{_fmt(gaussian_cv.mode_entropy(mode))}")
+
+    out.mkdir(parents=True, exist_ok=True)
+    for i, pair in enumerate(pairs):
+        gaussian_cv.write_pair_file(out / f"pair_{i}.txt", pair)
     _write_text(out / "summary.csv", "\n".join(summary) + "\n")
 
     if len(vectors) > 1:

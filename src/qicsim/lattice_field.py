@@ -146,29 +146,29 @@ def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
 class EvolvedPair:
     """A capsule pair's weighting vectors after free evolution for time t.
 
-    imag_residue is the FFT's largest imaginary part and pairing is
-    v(t)'Omega u(t); both passed their gates in evolve_pair.
+    rows is the 2 x 2N stack (v(t), u(t)); imag_residue is the FFT's largest
+    imaginary part and pairing is v(t)'Omega u(t), both gated in evolve_pair.
     """
 
     t: float
-    v_t: np.ndarray
-    u_t: np.ndarray
+    rows: np.ndarray
     imag_residue: float
     pairing: float
+    v_t = property(lambda self: self.rows[0])
+    u_t = property(lambda self: self.rows[1])
 
 
 def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
     """Evolve a capsule pair as one stack of two rows, with residue and pairing gates."""
     if pair.n_modes != mm.n_sites:
         raise ValueError("pair and chain have different sizes")
-    (v_t, u_t), residue = _evolve_rows(np.stack([pair.v, pair.u]), t, mm)
+    rows, residue = _evolve_rows(np.stack([pair.v, pair.u]), t, mm)
     gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
          f"imaginary evolution residue at t = {t}")
-    pairing = float(_omega(v_t, right=True) @ u_t)
+    pairing = float(_omega(rows[0], right=True) @ rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
          f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
-    return EvolvedPair(t=float(t), v_t=v_t, u_t=u_t, imag_residue=residue,
-                       pairing=pairing)
+    return EvolvedPair(t=float(t), rows=rows, imag_residue=residue, pairing=pairing)
 
 
 # ---- The delocalization experiment ----
@@ -212,7 +212,7 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     profiles = []
     for t in times:
         ep = evolve_pair(pair, float(t), mm)
-        vm, um = np.stack([ep.v_t, ep.u_t]) @ state.covariance
+        vm, um = ep.rows @ state.covariance
         profiles.append(SiteProfiles(
             t=ep.t,
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],

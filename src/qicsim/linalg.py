@@ -77,6 +77,17 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
+def factored_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """trace_distance(a a', b b') for D x k factors, without forming either product.
+
+    [a b] = Q R gives a a' - b b' = Q (Ra Ra' - Rb Rb') Q', whose nonzero
+    spectrum is that of the small difference, as Q has orthonormal columns.
+    """
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    ra, rb = r[:, :a.shape[1]], r[:, a.shape[1]:]
+    return trace_distance(ra @ dag(ra), rb @ dag(rb))
+
+
 def pure_state_fidelity(vec: np.ndarray, rho: np.ndarray) -> float:
     """<vec| rho |vec> for a unit vector and a density matrix."""
     return float(np.real(np.vdot(vec, rho @ vec)))

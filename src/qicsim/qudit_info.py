@@ -9,8 +9,9 @@ This module builds purification partners of a given virtual qudit (a pair's
 joint state is that of two slots of the partner's conjugated register),
 information capsules for a write operation exp(-i theta T) that confine the
 written parameter to a single virtual qudit, the SWAP channel that moves a
-capsule onto an external register, and the (multi-parameter) Fisher
-information available to readout.
+capsule onto an external register (kept as its D x d joint block, as the
+register residual has rank d), and the (multi-parameter) Fisher information
+available to readout.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .qudit_algebra import (
     conjugated_action,
     conjugated_matrix,
     frame_rotation,
-    schmidt,
     vector_rotation,
 )
 
@@ -96,6 +96,12 @@ class _SiteConjugated:
     def rest_dim(self) -> int:
         return self.full_dim // self.d
 
+    def slots(self, state: PureState) -> np.ndarray:
+        """The conjugated state as a d x D/d matrix: slot 1 by the rest of the register."""
+        if state.dim != self.full_dim:
+            raise ValueError(f"state and {type(self).__name__} live on different registers")
+        return self.conjugation.apply(state.amplitudes).reshape(self.d, -1)
+
 
 # ---- Virtual qudits and their states ----
 
@@ -118,12 +124,6 @@ class VirtualQudit(_SiteConjugated):
     @property
     def d(self) -> int:
         return self.basis.d
-
-    def operator(self, mu: int) -> np.ndarray:
-        """Full-register matrix for extended index mu (mu = 0 is the identity)."""
-        if mu == 0:
-            return np.eye(self.full_dim, dtype=complex)
-        return conjugated_matrix(self.basis.generators[mu - 1], self.conjugator)
 
     def operators(self) -> list:
         """The d^2 - 1 generator images, full-register matrices, from one dense conjugator."""
@@ -177,9 +177,7 @@ def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState
     <T_mu> = Tr(t_mu x x') for the conjugated state x as a d x D/d matrix, and
     (1/d) sum_mu Tr(t_mu R) t_mu = R, so this is x x', the reduced state of slot 1.
     """
-    if state.dim != qudit.full_dim:
-        raise ValueError("state and virtual qudit live on different registers")
-    x = qudit.conjugation.apply(state.amplitudes).reshape(qudit.d, -1)
+    x = qudit.slots(state)
     return CorrelationState(qudit.d, x @ dag(x))
 
 
@@ -307,7 +305,7 @@ class PartnerPair:
 
 
 def _pair_state(framed: np.ndarray, d: int) -> np.ndarray:
-    """Joint A x B state of a vector in the partner's frame: slots 2 and 1, reduced."""
+    """Joint A x B state of a vector or slot view in the partner's frame: slots 2 and 1."""
     x = framed.reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
     return x @ dag(x)
 
@@ -324,22 +322,19 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     """
     if state.num_sites < 2:
         raise UnphysicalInputError("a partner needs at least one environment site")
-    if state.dim != qudit_a.full_dim:
-        raise ValueError("state and virtual qudit live on different registers")
     d = qudit_a.d
-
-    psi = qudit_a.conjugation.apply(state.amplitudes)
-    dec = schmidt(PureState(state.num_sites, d, psi))
-    r = int(np.count_nonzero(dec.coefficients > ZERO_BRANCH_TOL))
+    x = qudit_a.slots(state)
+    left, weights, right = np.linalg.svd(x, full_matrices=False)
+    r = int(np.count_nonzero(weights > ZERO_BRANCH_TOL))
 
     # Turn of the rest space sending the i-th right Schmidt vector to |i> x e_0,
     # the same on every slot-1 branch.
     targets = np.kron(np.eye(d, r), np.eye(qudit_a.rest_dim // d, 1))
-    basis, kernel = frame_rotation(dec.right_vectors[:, :r], targets)
+    basis, kernel = frame_rotation(right[:r].T, targets)
     turn = BranchRotation(np.eye(d, dtype=complex), (basis,) * d, (kernel,) * d)
 
     # The left Schmidt basis: the turn carrying |i> onto the weighted left vectors.
-    basis, kernel = frame_rotation(np.eye(d, r), dec.left_vectors[:, :r])
+    basis, kernel = frame_rotation(np.eye(d, r), left[:, :r])
     phis = np.eye(d) + basis @ kernel @ dag(basis)
 
     # SWAP (I x Phi): entry [(a, x), (b, y)] is Phi[a, y] delta_xb.
@@ -347,7 +342,7 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     exchange = AxisUnitary(exchange.reshape(d * d, d * d))
 
     qudit_b = VirtualQudit(qudit_a.basis, qudit_a.conjugation.then(turn, exchange))
-    joint = _pair_state(exchange.apply(turn.apply(psi)), d)
+    joint = _pair_state(exchange.apply(turn.apply(x.reshape(-1))), d)
     return PartnerPair(qudit_a, qudit_b, joint)
 
 
@@ -370,7 +365,7 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
     if pair.qudit_a.conjugation is not write.conjugation:
         raise UnphysicalInputError("partner pair and write conjugator mismatch")
     written = write.apply(state, theta)
-    return _pair_state(pair.qudit_b.conjugation.apply(written.amplitudes), pair.d)
+    return _pair_state(pair.qudit_b.slots(written), pair.d)
 
 
 # ---- Information capsules ----
@@ -410,14 +405,11 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     conjugator.  The resulting virtual qudit commutes with the write and its
     correlation state is the pure projector onto phi = sum_i c_i phi_i.
     """
-    if state.dim != write.full_dim:
-        raise ValueError("state and write operation live on different registers")
     d = write.d
     basis = build_su_basis(d)
 
     evals, evecs = write._eigh
-    psi = write.conjugation.apply(state.amplitudes)
-    rows = dag(evecs) @ psi.reshape(d, -1)   # rows[i] = branch i environment vector
+    rows = dag(evecs) @ write.slots(state)   # rows[i] = branch i environment vector
 
     coeffs = np.zeros(d, dtype=complex)
     conditionals: list = [None] * d
@@ -468,22 +460,30 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
 
 @dataclass(frozen=True, eq=False)
 class SwapRetrieval:
-    """Reduced states after swapping a virtual qudit onto an external register."""
+    """A swap's outcome as its D x d joint block j[register, external]."""
 
-    residual: np.ndarray   # register density matrix after the swap
-    extracted: np.ndarray  # d x d density matrix on the external register
+    joint: np.ndarray
+
+    @property
+    def extracted(self) -> np.ndarray:
+        return self.joint.T @ self.joint.conj()
+
+    @property
+    def residual(self) -> np.ndarray:
+        """The rank-d register state j j' as a D x D matrix, for diagnostics and small tests."""
+        return self.joint @ dag(self.joint)
 
     def residual_purity(self) -> float:
-        return float(np.real(np.trace(self.residual @ self.residual)))
+        """Tr(r^2) = ||j'j||_F^2 for the residual r = j j'."""
+        return float(np.linalg.norm(dag(self.joint) @ self.joint) ** 2)
 
     def residual_state(self) -> np.ndarray:
-        """Residual as a vector; only meaningful when the swap fully detaches."""
-        require_finite(self.residual, InternalConsistencyError, "residual register state")
+        """The residual as a vector (top left singular vector of j) when the swap detaches."""
+        require_finite(self.joint, InternalConsistencyError, "residual register state")
         gate(abs(self.residual_purity() - 1.0), 1e-6, InternalConsistencyError,
              "residual register impurity (the virtual qudit does not confine the "
              "information)")
-        w, v = np.linalg.eigh(self.residual)
-        return v[:, -1]
+        return np.linalg.svd(self.joint, full_matrices=False)[0][:, 0]
 
 
 def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapRetrieval:
@@ -493,23 +493,16 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
     (1/d) sum_mu t_mu x t_mu is the SWAP of two d-level slots, this operator
     equals (C' x I) SWAP(slot 1, external) (C x I) for the conjugator C.  It
     is applied in that form: apply C, move slot 1 into the external register
-    and leave |0> in its place, apply C'.  Returns both reduced states.  For
+    and leave |0> in its place, apply C'.  Returns the joint D x d block.  For
     a capsule this channel detaches the written parameter completely: the
     register residual is independent of the written angle and the external
     register carries the rotated capsule state.
     """
-    if state_after_write.dim != qudit.full_dim:
-        raise ValueError("state and virtual qudit live on different registers")
-    conj = qudit.conjugation
-    slots = conj.apply(state_after_write.amplitudes).reshape(qudit.d, -1)
     # After the swap slot 1 holds |0>: column k of moved is |0> x (slot-1
     # amplitude k), and j[register, external] = C' moved is the joint state.
     moved = np.zeros((qudit.full_dim, qudit.d), dtype=complex)
-    moved[:qudit.rest_dim] = slots.T
-    j = conj.apply_adjoint(moved)
-    residual = j @ dag(j)
-    extracted = j.T @ j.conj()
-    return SwapRetrieval(residual=residual, extracted=extracted)
+    moved[:qudit.rest_dim] = qudit.slots(state_after_write).T
+    return SwapRetrieval(qudit.conjugation.apply_adjoint(moved))
 
 
 # ---- Fisher information ----

@@ -354,6 +354,18 @@ def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_t
     assert capsys.readouterr().err == message
 
 
+def test_gaussian_conj_failing_later_vector_writes_nothing(tmp_path, capsys):
+    """The first vector succeeds and the second overflows: no pair file is left."""
+    path = tmp_path / "state.txt"
+    path.write_text("gaussian N=1\nmean: 0,1e303\n0.5,0\n0,0.5\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert cli.main(["gaussian-conj", "--state", str(path), "--v=1,0", "--v=2e-7,0",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: write quadrature variance and offset "
+                                       "must be finite\n")
+    assert not out.exists()
+
+
 # ---- verify ----
 
 

@@ -201,9 +201,10 @@ def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):
     pair = qi.construct_partner(write.virtual_qudit(), state)
     conj_b = pair.qudit_b.conjugator
     rest = np.eye(d ** (n - 2))
+    ops = [np.eye(d ** n)] + pair.qudit_a.operators()
     for mu, t in enumerate(pair.qudit_a.basis.generators, 1):
         lifted = dag(conj_b) @ np.kron(np.kron(np.eye(d), t), rest) @ conj_b
-        assert max_abs(lifted - pair.qudit_a.operator(mu)) < MATCH_TOL
+        assert max_abs(lifted - ops[mu]) < MATCH_TOL
 
 
 @pytest.fixture

@@ -42,8 +42,8 @@ CASES = {
                               qa.basis_state(2, 2))),
     "SwapRetrieval.residual_state": (InternalConsistencyError,
                                      "residual register state must be finite",
-                                     lambda x: qi.SwapRetrieval(np.full((4, 4), x),
-                                                                np.eye(2)).residual_state()),
+                                     lambda x: qi.SwapRetrieval(
+                                         np.full((4, 2), x)).residual_state()),
     "map_vector_unitary": (ValueError, "src norm deviation from 1",
                            lambda x: qa.map_vector_unitary(np.array([x, 0.0]),
                                                            np.array([1.0, 0.0]))),

@@ -9,9 +9,11 @@ from qicsim import qudit_algebra as qa
 from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import (
     dag,
+    factored_trace_distance,
     gate,
     haar_unitary,
     max_abs,
+    trace_distance,
     unitarity_defect,
 )
 
@@ -19,6 +21,7 @@ EXACT = 1e-15
 ORTHO_TOL = 1e-10
 SWAP_TOL = 1e-12
 MAP_TOL = 1e-12
+FACTORED_TOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -344,3 +347,38 @@ def test_gate_passes_at_tolerance_and_fails_above_or_nan():
         gate(2e-8, 1e-8, ValueError, "defect")
     with pytest.raises(UnphysicalInputError, match="^defect: nan exceeds"):
         gate(float("nan"), 1e-8, UnphysicalInputError, "defect")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(1, 64), st.integers(1, 4),
+       st.sampled_from(["generic", "rotated", "zero columns", "orthogonal", "short"]))
+def test_factored_trace_distance_matches_dense(seed, dim, k, kind):
+    """trace_distance(a a', b b') from the D x k factors equals the dense route."""
+    rng = np.random.default_rng(seed)
+    if kind == "short":
+        dim = int(rng.integers(1, 2 * k))         # D < 2k: QR of [a b] is wide
+    if kind == "orthogonal":
+        dim = max(dim, 2)
+
+    def factor(rows):
+        z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        z[~rows] = 0.0
+        return z / np.linalg.norm(z)              # a a' has unit trace
+
+    everywhere = np.ones(dim, dtype=bool)
+    a, b = factor(everywhere), factor(everywhere)
+    expected = None
+    if kind == "rotated":
+        b = a @ haar_unitary(k, rng)               # b b' = a a'
+        expected = 0.0
+    elif kind == "zero columns":
+        a[:, rng.random(k) < 0.5] = 0.0
+        b[:, rng.random(k) < 0.5] = 0.0
+    elif kind == "orthogonal":
+        lower = np.arange(dim) < rng.integers(1, dim)
+        a, b = factor(lower), factor(~lower)
+        expected = 1.0
+    got = factored_trace_distance(a, b)
+    assert abs(got - trace_distance(a @ dag(a), b @ dag(b))) < FACTORED_TOL
+    if expected is not None:
+        assert abs(got - expected) < FACTORED_TOL

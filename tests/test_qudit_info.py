@@ -1,5 +1,7 @@
 """Virtual qudits, capsules, partners, retrieval, and Fisher information."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from qicsim.errors import InternalConsistencyError, UnphysicalInputError
 from qicsim.linalg import (
     dag,
     expm_hermitian,
+    factored_trace_distance,
     haar_unitary,
     max_abs,
     pure_state_fidelity,
@@ -370,7 +373,7 @@ def test_capsule_invariants_hold_for_faint_branches(shape, seed, log_weight, deg
 def dense_swap_retrieval(qudit, state):
     """Reference: assemble (1/d) sum_mu T_mu x t_mu and apply it to state x |0>."""
     d = qudit.d
-    ops = [qudit.operator(0)] + qudit.operators()
+    ops = [np.eye(qudit.full_dim)] + qudit.operators()
     u_swap = sum(np.kron(op, t) for op, t in zip(ops, qudit.basis.extended)) / d
     fiducial = np.zeros(d)
     fiducial[0] = 1.0
@@ -393,6 +396,52 @@ def test_retrieval_matches_dense_swap(d, n, kind):
     residual, extracted = dense_swap_retrieval(qudit, written)
     assert max_abs(ret.residual - residual) < 1e-12
     assert max_abs(ret.extracted - extracted) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3),
+                        (8, 2))),
+       st.integers(0, 2 ** 32 - 1), st.floats(-np.pi, np.pi))
+def test_factored_residual_matches_dense(shape, seed, theta):
+    # Capsule retrievals at D <= 64: every factored quantity against the
+    # dense residual j j' it stands for.
+    d, n = shape
+    rng = np.random.default_rng(seed)
+    state = qa.random_state(n, d, rng)
+    write = qi.random_write_operation(d, n, rng)
+    qudit = qi.construct_qic(write, state).qudit
+    rets = [qi.retrieve_by_swap(qudit, write.apply(state, t)) for t in (0.0, theta)]
+    for ret in rets:
+        residual = ret.residual
+        assert abs(ret.residual_purity() - np.trace(residual @ residual).real) < 1e-12
+        top = np.linalg.eigh(residual)[1][:, -1]
+        vec = ret.residual_state()
+        phase = np.vdot(vec, top) / abs(np.vdot(vec, top))
+        assert max_abs(vec * phase - top) < 1e-12
+    assert abs(factored_trace_distance(rets[0].joint, rets[1].joint)
+               - trace_distance(rets[0].residual, rets[1].residual)) < 1e-12
+
+
+def test_retrieval_forms_no_register_matrix():
+    # At (d, N) = (2, 10) the dense D x D residual is 16.8 MB; the D x d joint
+    # blocks and their small products need tens of kB.  The capsule and the
+    # written state are built before tracing.
+    rng = np.random.default_rng(46)
+    state = qa.random_state(10, 2, rng)
+    write = qi.random_write_operation(2, 10, rng)
+    qudit = qi.construct_qic(write, state).qudit
+    written = write.apply(state, 1.3)
+    tracemalloc.start()
+    try:
+        rets = [qi.retrieve_by_swap(qudit, s) for s in (state, written)]
+        purity = rets[1].residual_purity()
+        rets[1].residual_state()
+        distance = factored_trace_distance(rets[0].joint, rets[1].joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(purity - 1.0) < 1e-8 and distance < 1e-7
+    assert peak < 2e6
 
 
 # ---- partners ----
