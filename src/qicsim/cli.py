@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 2 for usage or parse errors, 3 when a physics
 invariant or a numpy linear-algebra routine fails, 1 for I/O failures.  All
-outputs are deterministic for a fixed seed: CSV files use 17-significant-digit
-decimals (exact float64 round-trips), LF endings and UTF-8.  Each subcommand
-imports the modules it runs when it starts: importing this module loads only
-gaussian_cv, whose _fmt prints every number in the reports.
+outputs are deterministic for a fixed seed.  Every report table goes through
+one writer, _csv: floats in 17 significant digits (exact float64 round-trips),
+LF endings, UTF-8.  Each subcommand imports the modules it runs when it
+starts: importing this module loads only gaussian_cv, whose _fmt prints every
+number in the reports.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise _UsageError(f"{path}: not UTF-8 text") from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -52,7 +53,11 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise _UsageError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise _UsageError(f"{path}: key {key!r} set twice, on lines {first_line[key]} "
+                              f"and {lineno}")
+        values[key], first_line[key] = value.strip(), lineno
     return values
 
 
@@ -100,13 +105,17 @@ def _parse_formats(text: str) -> set:
     return formats
 
 
-def _check_lines(results) -> list:
-    lines = ["module,invariant,residual,tolerance,status"]
-    for r in results:
-        status = "pass" if r.passed else "fail"
-        lines.append(f"{r.module},{r.invariant},{_fmt(r.residual)},"
-                     f"{_fmt(r.tolerance)},{status}")
-    return lines
+def _csv(header: str, rows) -> str:
+    """One report table: float cells through _fmt, other cells through str, LF endings."""
+    lines = [header] + [",".join([_fmt(c) if isinstance(c, float) else str(c) for c in row])
+                        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _check_table(results) -> str:
+    return _csv("module,invariant,residual,tolerance,status",
+                ((r.module, r.invariant, r.residual, r.tolerance,
+                  "pass" if r.passed else "fail") for r in results))
 
 
 # ---- lattice-evolve ----
@@ -129,8 +138,9 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
         raise _UsageError(f"--eta must be finite and positive, got {eta}")
     if not 1 <= write_site <= sites:
         raise _UsageError(f"--write-site must lie in 1..{sites}, got {write_site}")
-    labels = Counter(f"{t:g}" for t in times)   # profile file names, invariants rows
-    clashing = ", ".join(repr(t) for t in times if labels[f"{t:g}"] > 1)
+    labels = [f"{t:g}" for t in times]   # file stems, SVG titles, invariants rows
+    counts = Counter(labels)
+    clashing = ", ".join(repr(t) for t, label in zip(times, labels) if counts[label] > 1)
     if clashing:
         raise _UsageError(f"times {clashing} share profile file names at 6 significant digits")
 
@@ -139,27 +149,21 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     site_axis = np.arange(1, sites + 1)
-    for prof in profiles:
-        stem = f"profile_t{prof.t:g}"
+    for label, prof in zip(labels, profiles):
+        columns = [prof.v_q, prof.v_p, prof.u_q, prof.u_p]
         if "csv" in formats:
-            rows = ["site,v_q,v_p,u_q,u_p"]
-            for i in range(sites):
-                rows.append(f"{site_axis[i]},{_fmt(prof.v_q[i])},{_fmt(prof.v_p[i])},"
-                            f"{_fmt(prof.u_q[i])},{_fmt(prof.u_p[i])}")
-            _write_text(out / f"{stem}.csv", "\n".join(rows) + "\n")
+            rows = zip(site_axis.tolist(), *(c.tolist() for c in columns))
+            _write_text(out / f"profile_t{label}.csv", _csv("site,v_q,v_p,u_q,u_p", rows))
         if "svg" in formats:
-            svg = line_plot(site_axis,
-                            [("v_q", prof.v_q), ("v_p", prof.v_p),
-                             ("u_q", prof.u_q), ("u_p", prof.u_p)],
-                            title=f"capsule weighting profiles, t = {prof.t:g}",
+            svg = line_plot(site_axis, list(zip(("v_q", "v_p", "u_q", "u_p"), columns)),
+                            title=f"capsule weighting profiles, t = {label}",
                             xlabel="site", ylabel="weight")
-            _write_text(out / f"{stem}.svg", svg)
+            _write_text(out / f"profile_t{label}.svg", svg)
 
-    rows = ["time,pairing_residual,det_m_residual,imag_residue"]
-    for prof in profiles:
-        rows.append(f"{prof.t:g},{_fmt(abs(prof.pairing - 1.0))},"
-                    f"{_fmt(abs(prof.det_m - 0.25))},{_fmt(prof.imag_residue)}")
-    _write_text(out / "invariants.csv", "\n".join(rows) + "\n")
+    _write_text(out / "invariants.csv", _csv(
+        "time,pairing_residual,det_m_residual,imag_residue",
+        ((label, abs(prof.pairing - 1.0), abs(prof.det_m - 0.25), prof.imag_residue)
+         for label, prof in zip(labels, profiles))))
     print(f"wrote {len(profiles)} profile(s) for {sites} sites to {out}")
     return EXIT_OK
 
@@ -186,11 +190,10 @@ def cmd_qudit_suite(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must be >= 0, got {seed}")
 
     results = checks.qudit_random_suite(d, n, trials, seed)
-    lines = [f"# qic qudit-suite d={d} n={n} trials={trials} "
-             f"seed={seed} prng={PRNG_NAME}"]
-    lines += _check_lines(results)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "report.csv", "\n".join(lines) + "\n")
+    _write_text(out / "report.csv",
+                f"# qic qudit-suite d={d} n={n} trials={trials} seed={seed} prng={PRNG_NAME}\n"
+                + _check_table(results))
 
     failed = [r for r in results if not r.passed]
     if failed:
@@ -238,30 +241,23 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
     # Every pair and mode is built before --out is touched: a failing vector leaves no output.
     pairs = [gaussian_cv.conjugate_qic_vector(vec, state) for vec in vectors]
     modes = [gaussian_cv.mode_covariance(pair, state) for pair in pairs]
-    summary = ["index,var_q,cross,var_p,det_m,entropy"]
-    for i, mode in enumerate(modes):
-        m = mode.matrix
-        summary.append(f"{i},{_fmt(m[0, 0])},{_fmt(m[0, 1])},{_fmt(m[1, 1])},"
-                       f"{_fmt(mode.det)},{_fmt(gaussian_cv.mode_entropy(mode))}")
+    summary = _csv("index,var_q,cross,var_p,det_m,entropy",
+                   ((i, mode.matrix[0, 0], mode.matrix[0, 1], mode.matrix[1, 1], mode.det,
+                     gaussian_cv.mode_entropy(mode)) for i, mode in enumerate(modes)))
 
     out.mkdir(parents=True, exist_ok=True)
     for i, pair in enumerate(pairs):
         gaussian_cv.write_pair_file(out / f"pair_{i}.txt", pair)
-    _write_text(out / "summary.csv", "\n".join(summary) + "\n")
+    _write_text(out / "summary.csv", summary)
 
-    if len(vectors) > 1:
-        report = gaussian_cv.multiparam_conditions(vectors, state)
-        rows = ["i,j,omega_product,covariance_product,commuting_pair,independent_pair"]
-        k = len(vectors)
-        tol = gaussian_cv.CONDITION_TOL
-        for i in range(k):
-            for j in range(i + 1, k):
-                omega_ij = report.omega_products[i, j]
-                cov_ij = report.covariance_products[i, j]
-                rows.append(f"{i},{j},{_fmt(omega_ij)},{_fmt(cov_ij)},"
-                            f"{'yes' if abs(omega_ij) < tol else 'no'},"
-                            f"{'yes' if abs(cov_ij) < tol else 'no'}")
-        _write_text(out / "multiparam.csv", "\n".join(rows) + "\n")
+    if len(pairs) > 1:
+        report = gaussian_cv.multiparam_conditions(pairs, state)
+        upper = np.triu_indices(len(pairs), 1)   # (i, j) with i < j, row by row
+        products = [report.omega_products[upper], report.covariance_products[upper]]
+        flags = [np.where(np.abs(p) < gaussian_cv.CONDITION_TOL, "yes", "no") for p in products]
+        _write_text(out / "multiparam.csv", _csv(
+            "i,j,omega_product,covariance_product,commuting_pair,independent_pair",
+            zip(*upper, *products, *flags)))
         print(f"multiparameter writes: commuting={'yes' if report.commuting else 'no'} "
               f"independent={'yes' if report.independent else 'no'}")
 
@@ -278,13 +274,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.inject is not None and args.inject not in checks.INJECTIONS:
         raise _UsageError(f"unknown injection {args.inject!r}")
     results = checks.run_all(inject=args.inject)
-    lines = _check_lines(results)
-    for line in lines:
-        print(line)
+    table = _check_table(results)
+    print(table, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(out / "verify_report.csv", "\n".join(lines) + "\n")
+        _write_text(out / "verify_report.csv", table)
     modules = sorted({r.module for r in results})
     for module in modules:
         count = sum(1 for r in results if r.module == module)

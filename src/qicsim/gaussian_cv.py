@@ -418,30 +418,25 @@ class MultiparamReport:
     pairing_ok: bool
 
 
-def multiparam_conditions(v_list, state: GaussianState) -> MultiparamReport:
-    vs = [np.asarray(v, dtype=float) for v in v_list]
-    if len(vs) < 2:
+def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
+    """Pairwise conditions of shift writes, given their conjugate ModePairs on state."""
+    if len(pairs) < 2:
         raise UnphysicalInputError("need at least two write vectors to compare")
-    for v in vs:
-        if v.shape != (2 * state.n_modes,):
-            raise ValueError("write vector length does not match the state")
-    k = len(vs)
-    m = state.covariance
+    if any(pair.v.shape != (2 * state.n_modes,) for pair in pairs):
+        raise ValueError("write vector length does not match the state")
+    vs = [pair.v for pair in pairs]
     vs_omega = [_omega(v, right=True) for v in vs]
-    omega_products = np.array([[vs_omega[i] @ vs[j] for j in range(k)]
-                               for i in range(k)])
-    cov_products = np.array([[vs[i] @ m @ vs[j] for j in range(k)]
-                             for i in range(k)])
-    off = ~np.eye(k, dtype=bool)
+    vs_m = [v @ state.covariance for v in vs]
+    omega_products = np.array([[vo @ v for v in vs] for vo in vs_omega])
+    cov_products = np.array([[vm @ v for v in vs] for vm in vs_m])
+    off = ~np.eye(len(pairs), dtype=bool)
     commuting = bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL))
     independent = bool(np.all(np.abs(cov_products[off]) < CONDITION_TOL))
     pairings = None
     pairing_ok = True
     if independent:
-        us = [conjugate_qic_vector(v, state).u for v in vs]
-        pairings = np.array([[vs_omega[i] @ us[j] for j in range(k)]
-                             for i in range(k)])
-        pairing_ok = bool(max_abs(pairings - np.eye(k)) < 1e-9)
+        pairings = np.array([[vo @ pair.u for pair in pairs] for vo in vs_omega])
+        pairing_ok = bool(max_abs(pairings - np.eye(len(pairs))) < 1e-9)
     return MultiparamReport(omega_products=omega_products,
                             covariance_products=cov_products,
                             commuting=commuting, independent=independent,
@@ -452,10 +447,12 @@ def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:
     """Fisher matrix diag(4 v_i' M v_i) for commuting independent shift writes.
 
     A single vector needs no pairwise conditions and reduces to the scalar
-    Fisher value 4 Var(Q).
+    Fisher value 4 Var(Q); several vectors need a pure state, on which their
+    conjugate pairs are built for the conditions.
     """
     if len(v_list) > 1:
-        report = multiparam_conditions(v_list, state)
+        report = multiparam_conditions(
+            [conjugate_qic_vector(v, state) for v in v_list], state)
         if not report.commuting or not report.independent:
             raise UnphysicalInputError(
                 "shift writes must commute and be independent for the diagonal "

@@ -48,10 +48,12 @@ def require_finite(a, error: type, what: str) -> None:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs entry of u'u - I; inf, without numpy warnings, if u is not finite."""
+    """Max-abs entry of u'u - I for square u; inf, without numpy warnings, if u is not finite."""
     if not np.isfinite(u).all():
         return np.inf
-    return max_abs(dag(u) @ u - np.eye(u.shape[0]))
+    gram = dag(u) @ u
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return max_abs(gram)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,8 +62,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The R-diagonal phase fix makes the distribution exactly Haar rather
     than merely column-orthonormal.
     """
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    z = np.empty((dim, dim), dtype=complex)
+    z.real = rng.standard_normal((dim, dim))
+    z.imag = rng.standard_normal((dim, dim))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases

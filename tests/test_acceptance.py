@@ -224,18 +224,22 @@ def test_c09_multiparameter_conditions():
     def body():
         vacuum = gaussian_cv.vacuum_state(3)
         good = [np.eye(6)[0], np.eye(6)[2], np.eye(6)[4]]
-        report = gaussian_cv.multiparam_conditions(good, vacuum)
+        report = gaussian_cv.multiparam_conditions(
+            [gaussian_cv.conjugate_qic_vector(v, vacuum) for v in good], vacuum)
         assert report.commuting and report.independent and report.pairing_ok
         np.testing.assert_allclose(report.pairings, np.eye(3), atol=1e-9)
         fisher = gaussian_cv.shift_fisher_matrix(good, vacuum)
         assert all(fisher[i, i] > 0.0 for i in range(3))
 
+        single = gaussian_cv.vacuum_state(1)
         clashing = gaussian_cv.multiparam_conditions(
-            [np.eye(2)[0], np.eye(2)[1]], gaussian_cv.vacuum_state(1))
+            [gaussian_cv.conjugate_qic_vector(v, single) for v in np.eye(2)], single)
         assert not clashing.commuting
 
+        squeezed = gaussian_cv.two_mode_squeezed(0.8)
         correlated = gaussian_cv.multiparam_conditions(
-            [np.eye(4)[0], np.eye(4)[2]], gaussian_cv.two_mode_squeezed(0.8))
+            [gaussian_cv.conjugate_qic_vector(v, squeezed) for v in np.eye(4)[[0, 2]]],
+            squeezed)
         assert correlated.commuting and not correlated.independent
     body()
 

@@ -151,6 +151,17 @@ def test_lattice_evolve_has_no_seed_option(tmp_path):
     assert "unrecognized arguments: --seed" in res.stderr
 
 
+def test_lattice_evolve_single_site_bytes(tmp_path, capsys):
+    """The N = 1 chain at t = 0 is exact on every platform, so its tables pin the bytes."""
+    out = tmp_path / "lat"
+    assert cli.main(["lattice-evolve", "--sites", "1", "--write-site", "1", "--times", "0",
+                     "--formats", "csv", "--out", str(out)]) == 0
+    assert (out / "profile_t0.csv").read_bytes() == b"site,v_q,v_p,u_q,u_p\n1,1,0,-0,1\n"
+    assert (out / "invariants.csv").read_bytes() == (
+        b"time,pairing_residual,det_m_residual,imag_residue\n0,0,0,0\n")
+    assert capsys.readouterr().out == f"wrote 1 profile(s) for 1 sites to {out}\n"
+
+
 # ---- qudit-suite ----
 
 
@@ -366,6 +377,32 @@ def test_gaussian_conj_failing_later_vector_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gaussian_conj_vacuum_bytes(tmp_path):
+    """The two-mode vacuum's tables are exact on every platform, so they pin the bytes."""
+    out = tmp_path / "conj"
+    state = write_state(tmp_path, gaussian_cv.vacuum_state(2))
+    assert cli.main(["gaussian-conj", "--state", str(state), "--v=1,0,0,0", "--v=0,0,1,0",
+                     "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == (b"index,var_q,cross,var_p,det_m,entropy\n"
+                                                  b"0,0.5,0,0.5,0.25,0\n"
+                                                  b"1,0.5,0,0.5,0.25,0\n")
+    assert (out / "multiparam.csv").read_bytes() == (
+        b"i,j,omega_product,covariance_product,commuting_pair,independent_pair\n"
+        b"0,1,0,0,yes,yes\n")
+
+
+def test_gaussian_conj_builds_each_pair_once(tmp_path, monkeypatch):
+    """Independent writes: the multiparameter conditions read the pairs already built."""
+    built = []
+    conjugate = gaussian_cv.conjugate_qic_vector
+    monkeypatch.setattr(gaussian_cv, "conjugate_qic_vector",
+                        lambda v, state: built.append(v) or conjugate(v, state))
+    state = write_state(tmp_path, gaussian_cv.vacuum_state(3))
+    assert cli.main(["gaussian-conj", "--state", str(state), "--v=1,0,0,0,0,0",
+                     "--v=0,0,1,0,0,0", "--v=0,0,0,0,1,0", "--out", str(tmp_path / "x")]) == 0
+    assert len(built) == 3
+
+
 # ---- verify ----
 
 
@@ -380,6 +417,33 @@ def test_verify_green(tmp_path):
     # every module contributes a per-module count line
     for module in ("qudit_algebra", "qudit_info", "gaussian_cv", "lattice_field"):
         assert f"# {module}:" in res.stdout
+
+
+def test_verify_table_bytes(tmp_path, monkeypatch, capsys):
+    """Fixed check results pin the verify table on stdout and in verify_report.csv."""
+    results = [
+        checks.CheckResult("qudit_algebra", "swap unitary and involutive", 1e-16, 1e-12, True),
+        # A margin row: the residual must stay above the tolerance.
+        checks.CheckResult("gaussian_cv", "conjugate minimality", 0.061224405070965382,
+                           1e-12, True),
+        checks.CheckResult("lattice_field", "evolution round trip", 0.0, 1e-10, True),
+        checks.CheckResult("gaussian_cv", "entropy monotone in det", -0.25, 0.0, False),
+    ]
+    monkeypatch.setattr(checks, "run_all", lambda inject=None: results)
+    out = tmp_path / "rep"
+    assert cli.main(["verify", "--out", str(out)]) == 3
+    table = ("module,invariant,residual,tolerance,status\n"
+             "qudit_algebra,swap unitary and involutive,9.9999999999999998e-17,"
+             "9.9999999999999998e-13,pass\n"
+             "gaussian_cv,conjugate minimality,0.061224405070965382,9.9999999999999998e-13,pass\n"
+             "lattice_field,evolution round trip,0,1e-10,pass\n"
+             "gaussian_cv,entropy monotone in det,-0.25,0,fail\n")
+    captured = capsys.readouterr()
+    assert captured.out == table + ("# gaussian_cv: 2 checks\n# lattice_field: 1 checks\n"
+                                    "# qudit_algebra: 1 checks\n")
+    assert captured.err == ("verify: FAILED gaussian_cv entropy monotone in det "
+                            "(residual -2.500e-01, tolerance 0.0e+00)\n")
+    assert (out / "verify_report.csv").read_bytes() == table.encode()
 
 
 def test_verify_injected_fault_exits_3(tmp_path):
@@ -472,12 +536,15 @@ def test_config_parse_error(tmp_path):
     assert "key=value" in res.stderr
 
 
-@pytest.mark.parametrize("argv, text, key", [
-    (["lattice-evolve"], "site = 12\n", "site"),
-    (["gaussian-conj", "--v", "1,0"], "v = 1,0\n", "v"),
-    (["qudit-suite", "--seed", "1"], "trials = 1\nseeds = 2\n", "seeds"),
-], ids=["typo", "flag-only", "after a known key"])
-def test_config_unknown_key_is_refused(tmp_path, capsys, argv, text, key):
+@pytest.mark.parametrize("argv, text, message", [
+    (["lattice-evolve"], "site = 12\n", "unknown key 'site' for lattice-evolve"),
+    (["gaussian-conj", "--v", "1,0"], "v = 1,0\n", "unknown key 'v' for gaussian-conj"),
+    (["qudit-suite", "--seed", "1"], "trials = 1\nseeds = 2\n",
+     "unknown key 'seeds' for qudit-suite"),
+    (["lattice-evolve"], "sites = 10\n# again\nwrite-site = 2\nsites = 20\n",
+     "key 'sites' set twice, on lines 1 and 4"),
+], ids=["typo", "flag-only", "after a known key", "duplicate key"])
+def test_config_unknown_key_is_refused(tmp_path, capsys, argv, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "x"
@@ -485,8 +552,7 @@ def test_config_unknown_key_is_refused(tmp_path, capsys, argv, text, key):
     state.write_text(VACUUM_TEXT, encoding="utf-8")
     extra = ["--state", str(state)] if argv[0] == "gaussian-conj" else []
     assert cli.main(argv + extra + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"usage error: {cfg}: unknown key {key!r} "
-                                       f"for {argv[0]}\n")
+    assert capsys.readouterr().err == f"usage error: {cfg}: {message}\n"
     assert not out.exists()
 
 

@@ -86,7 +86,8 @@ def _gaussian_values():
         "ModePair": pair,
         "ModeCovariance": gaussian_cv.mode_covariance(pair, state),
         "MultiparamReport": gaussian_cv.multiparam_conditions(
-            [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], state),
+            [gaussian_cv.conjugate_qic_vector(v, state)
+             for v in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])], state),
         "CirculantCovariance": vacuum.covariance,
         "ModeMatrix": mm,
         "EvolvedPair": lattice_field.evolve_pair(chain_pair, 1.0, mm),

@@ -484,10 +484,13 @@ def test_shift_write_moves_conjugate_offset_linearly():
 # ---- multi-parameter writes ----
 
 
+def pairs_on(state, *vectors):
+    return [g.conjugate_qic_vector(np.array(v, dtype=float), state) for v in vectors]
+
+
 def test_multiparam_two_mode_vacuum():
     state = g.vacuum_state(2)
-    report = g.multiparam_conditions(
-        [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])], state)
+    report = g.multiparam_conditions(pairs_on(state, [1.0, 0, 0, 0], [0, 0, 1.0, 0]), state)
     assert report.commuting and report.independent
     assert report.pairing_ok
     np.testing.assert_allclose(report.pairings, np.eye(2), atol=1e-9)
@@ -495,25 +498,33 @@ def test_multiparam_two_mode_vacuum():
 
 def test_multiparam_single_mode_clash():
     state = g.vacuum_state(1)
-    report = g.multiparam_conditions(
-        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], state)
+    report = g.multiparam_conditions(pairs_on(state, [1.0, 0.0], [0.0, 1.0]), state)
     assert not report.commuting
     assert abs(report.omega_products[0, 1] - 1.0) < 1e-12
 
 
 def test_multiparam_two_mode_squeezed_not_independent():
     state = g.two_mode_squeezed(0.8)
-    report = g.multiparam_conditions(
-        [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])], state)
+    report = g.multiparam_conditions(pairs_on(state, [1.0, 0, 0, 0], [0, 0, 1.0, 0]), state)
     assert report.commuting
     assert not report.independent
     # q-q cross covariance is sinh(2r)*cosh(2r) scaled; just nonzero
     assert abs(report.covariance_products[0, 1]) > 1e-3
 
 
+def test_multiparam_covariance_products_keep_their_bits():
+    """One v_i' M per vector gives v_i @ M @ v_j exactly, as Python groups it."""
+    rng = np.random.default_rng(52)
+    state = g.random_pure_state(4, rng)
+    vs = rng.standard_normal((3, 8))
+    report = g.multiparam_conditions(pairs_on(state, *vs), state)
+    assert np.array_equal(report.covariance_products,
+                          [[a @ state.covariance @ b for b in vs] for a in vs])
+
+
 def test_multiparam_requires_two_vectors():
     with pytest.raises(UnphysicalInputError, match="at least two write vectors"):
-        g.multiparam_conditions([np.array([1.0, 0.0])], g.vacuum_state(1))
+        g.multiparam_conditions(pairs_on(g.vacuum_state(1), [1.0, 0.0]), g.vacuum_state(1))
 
 
 def test_shift_fisher_vacuum_value():

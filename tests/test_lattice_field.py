@@ -222,7 +222,8 @@ def _gaussian_api_outputs(state, v1, v2):
     shifted = gaussian_cv.apply_shift_write(state, v2, 0.3)
     return [pair.u,
             gaussian_cv.mode_covariance(pair, state).matrix,
-            gaussian_cv.multiparam_conditions([v1, v2], state).covariance_products,
+            gaussian_cv.multiparam_conditions(
+                [pair, gaussian_cv.conjugate_qic_vector(v2, state)], state).covariance_products,
             [drift.q_drift, drift.p_drift],
             shifted.mean,
             gaussian_cv.shift_fisher_matrix([v1], shifted)]

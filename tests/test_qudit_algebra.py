@@ -382,3 +382,22 @@ def test_factored_trace_distance_matches_dense(seed, dim, k, kind):
     assert abs(got - trace_distance(a @ dag(a), b @ dag(b))) < FACTORED_TOL
     if expected is not None:
         assert abs(got - expected) < FACTORED_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 256])
+def test_haar_unitary_matches_out_of_place_ginibre(dim):
+    """The in-place Ginibre fill draws and scales exactly as (x + i y) / sqrt(2)."""
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    expected = q * (np.diag(r) / np.abs(np.diag(r)))
+    assert np.array_equal(haar_unitary(dim, np.random.default_rng(dim)), expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 256])
+def test_unitarity_defect_matches_identity_difference(dim):
+    """Subtracting 1 on the diagonal in place gives the defect of u'u - I bit for bit."""
+    rng = np.random.default_rng(dim)
+    u = haar_unitary(dim, rng)
+    for m in (u, 0.9 * u, u + 1e-9 * rng.standard_normal((dim, dim)), u.real.copy()):
+        assert np.array_equal(unitarity_defect(m), max_abs(dag(m) @ m - np.eye(dim)))
