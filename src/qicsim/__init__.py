@@ -34,16 +34,15 @@ _EXPORTS = {
     "lattice_field": ("EvolvedPair", "LatticeConfig", "ModeMatrix", "SiteProfiles",
                       "dispersion", "evolve_pair", "evolve_vector", "figure_experiment",
                       "mode_matrix", "vacuum_covariance"),
-    "qudit_algebra": ("HermitianOp", "PureState", "SchmidtDecomposition", "SuBasis",
-                      "basis_state", "build_su_basis", "map_vector_unitary",
-                      "product_state", "random_state", "schmidt", "swap_operator"),
+    "qudit_algebra": ("PureState", "SchmidtDecomposition", "SuBasis", "basis_state",
+                      "build_su_basis", "map_vector_unitary", "product_state",
+                      "random_state", "schmidt", "swap_operator"),
     "qudit_info": ("CorrelationState", "FeasibilityReport", "PartnerPair",
                    "QicConstruction", "SwapRetrieval", "VirtualQudit", "WriteOperation",
-                   "commuting_generators", "construct_partner", "construct_qic",
-                   "correlation_state", "fisher_information",
-                   "max_entangled_partner_feasible", "partner_write_action", "qic_family",
-                   "random_su_generator", "random_write_operation", "retrieve_by_swap",
-                   "sld_fisher_matrix"),
+                   "construct_partner", "construct_qic", "correlation_state",
+                   "fisher_information", "max_entangled_partner_feasible",
+                   "partner_write_action", "qic_family", "random_su_generator",
+                   "random_write_operation", "retrieve_by_swap", "sld_fisher_matrix"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "linalg", "svg_plot"}

@@ -25,6 +25,7 @@ from .linalg import (
 
 QUDIT_ENSEMBLE = ((2, 2), (2, 3), (3, 2), (3, 3))
 RETRIEVAL_THETAS = (0.0, 1.3)
+PARTNER_THETA = 0.7
 INJECTIONS = ("cov-asymmetry",)   # negative controls run_all can plant
 
 # Capsule and partner invariants of the random sweeps, in report order.
@@ -148,8 +149,7 @@ def capsule_residuals(write: qudit_info.WriteOperation,
     return residuals
 
 
-def partner_trial_residuals(d: int, n: int, rng: np.random.Generator,
-                            theta: float = 0.7) -> dict:
+def partner_trial_residuals(d: int, n: int, rng: np.random.Generator) -> dict:
     state = qudit_algebra.random_state(n, d, rng)
     write = qudit_info.random_write_operation(d, n, rng)
     pair = qudit_info.construct_partner(write.virtual_qudit(), state)
@@ -160,8 +160,8 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator,
     residuals["partner locality"] = max(max_abs(ta @ ops_b - ops_b @ ta)
                                         for ta in pair.qudit_a.operators())
 
-    recomputed = qudit_info.partner_write_action(pair, write, theta, state)
-    local = np.kron(write.local_unitary(theta), np.eye(d))
+    recomputed = qudit_info.partner_write_action(pair, write, PARTNER_THETA, state)
+    local = np.kron(write.local_unitary(PARTNER_THETA), np.eye(d))
     rotated = local @ pair.joint_state @ dag(local)
     residuals["partner write action"] = max_abs(recomputed - rotated)
     return residuals
@@ -177,8 +177,8 @@ def _sweep_results(worst: dict) -> list:
             for name, tol in SWEEP_TOLERANCES.items()]
 
 
-def qudit_info_checks(seed: int = 12) -> list:
-    rng = np.random.default_rng(seed)
+def qudit_info_checks() -> list:
+    rng = np.random.default_rng(12)
 
     worst: dict = {}
     for d, n in QUDIT_ENSEMBLE:
@@ -253,9 +253,9 @@ def perturbed_mode_dets(pair: gaussian_cv.ModePair, m: np.ndarray, q: np.ndarray
     return float(vm @ pair.v) * np.einsum("ij,ij->i", um, perturbed) - cross * cross
 
 
-def gaussian_checks(seed: int = 23) -> list:
+def gaussian_checks() -> list:
     results = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
 
     residual = max(gaussian_cv.vacuum_state(3).purity_residual(),
                    gaussian_cv.single_mode_squeezed(0.7).purity_residual(),
@@ -324,8 +324,8 @@ def gaussian_checks(seed: int = 23) -> list:
 # ---- lattice_field ----
 
 
-def lattice_checks(seed: int = 34) -> list:
-    rng = np.random.default_rng(seed)
+def lattice_checks() -> list:
+    rng = np.random.default_rng(34)
     config = lattice_field.LatticeConfig(n_sites=30, eta=0.4)
     mm = lattice_field.mode_matrix(config)
     state = lattice_field.vacuum_covariance(config)

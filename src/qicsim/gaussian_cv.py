@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateFileError, UnphysicalInputError
-from .linalg import gate, haar_unitary, max_abs, require_finite
+from .linalg import gate, haar_unitary, max_abs, require_finite, scaled
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -394,7 +394,11 @@ def apply_shift_write(state: GaussianState, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     if v.shape != (2 * state.n_modes,):
         raise ValueError("v length does not match the state")
-    return GaussianState(state.mean + theta * _omega(v), state.covariance)
+    require_finite(v, UnphysicalInputError, "write vector v")
+    shift = scaled(theta, _omega(v), "write angle theta", "theta Omega v")
+    with np.errstate(over="ignore"):   # a mean that overflows is refused as non-finite
+        mean = state.mean + shift
+    return GaussianState(mean, state.covariance)
 
 
 # ---- Multi-parameter writes ----
@@ -480,13 +484,14 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
     v2 = np.asarray(v2, dtype=float)
     if v2.shape != pair.v.shape:
         raise ValueError("v2 length does not match the pair")
+    require_finite(v2, UnphysicalInputError, "write vector v2")
     vm = pair.v @ state.covariance
     variance = float(vm @ pair.v)
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"capsule quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    return WriteDrift(
-        q_drift=abs(theta2 * float(_omega(pair.v, right=True) @ v2)),
-        p_drift=abs(theta2 * float(vm @ v2) / variance))
+    drift = scaled(theta2, np.array([_omega(pair.v, right=True) @ v2, float(vm @ v2) / variance]),
+                   "write angle theta2", "the drift")
+    return WriteDrift(q_drift=float(abs(drift[0])), p_drift=float(abs(drift[1])))
 
 
 # ---- Plain-text serialization ----

@@ -41,7 +41,7 @@ from .gaussian_cv import (
     _omega,
     conjugate_qic_vector,
 )
-from .linalg import gate, max_abs, require_finite
+from .linalg import gate, max_abs, require_finite, scaled
 
 IMAG_RESIDUE_TOL = 1e-9
 EVOLVED_PAIRING_TOL = 1e-9
@@ -116,12 +116,11 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 
 def _evolve_rows(rows: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     """Free evolution of a row or a k x 2N stack; returns (rows(t), imaginary residue)."""
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+    omegas = mm._fft_omegas
+    phase = scaled(t, omegas, "evolution time", "omega t")
     if t == 0.0:
         return rows.copy(), 0.0
-    omegas = mm._fft_omegas
-    cos, sin = np.cos(omegas * t), np.sin(omegas * t)
+    cos, sin = np.cos(phase), np.sin(phase)
     # One complex buffer holds the q and p parts of every row through both
     # transforms; the turn is written into it a row at a time.
     modes = rows.reshape(-1, mm.n_sites, 2).swapaxes(1, 2).astype(complex)

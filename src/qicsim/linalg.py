@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import UnphysicalInputError
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -45,6 +49,21 @@ def require_finite(a, error: type, what: str) -> None:
     """
     if not np.isfinite(a).all():
         raise error(f"{what} must be finite")
+
+
+def scaled(x, a, what: str, product: str) -> np.ndarray:
+    """x * a for a scalar parameter x (an angle, a time), refused without numpy warnings.
+
+    A non-finite x raises ValueError.  A finite x whose product with the
+    finite array a overflows raises UnphysicalInputError.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    with np.errstate(over="ignore"):
+        out = x * a
+    if not np.isfinite(out).all():
+        raise UnphysicalInputError(f"{what} = {x} overflows {product}")
+    return out
 
 
 def unitarity_defect(u: np.ndarray) -> float:

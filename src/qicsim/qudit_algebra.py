@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalInputError
-from .linalg import (dag, gate, max_abs, random_unit_vector, require_finite,
-                     unitarity_defect)
+from .linalg import dag, gate, random_unit_vector, unitarity_defect
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -91,22 +90,6 @@ class PureState:
     def first_site_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (d, d^(N-1)) with site 1 as the row index."""
         return self.amplitudes.reshape(self.local_dim, -1)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOp:
-    """A Hermitian operator tagged with the dimension it acts on."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim} x {self.dim} matrix, got {m.shape}")
-        require_finite(m, ValueError, "matrix")
-        gate(max_abs(m - dag(m)), HERMITIAN_TOL, ValueError, "matrix hermiticity defect")
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +191,6 @@ def act_on_first_site(op: np.ndarray, m: np.ndarray) -> np.ndarray:
 def conjugated_action(op: np.ndarray, conjugator: Conjugator, vec: np.ndarray) -> np.ndarray:
     """conjugator' (op x I) conjugator applied to vec, as two applications and a site action."""
     return conjugator.apply_adjoint(act_on_first_site(op, conjugator.apply(vec)))
-
-
-def conjugated_matrix(op: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """dense' (op x I) dense for a dense register unitary, for diagnostics and small sizes."""
-    return dag(dense) @ act_on_first_site(op, dense)
 
 
 def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:

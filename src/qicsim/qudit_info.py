@@ -28,18 +28,18 @@ from .linalg import (
     haar_unitary,
     max_abs,
     require_finite,
+    scaled,
 )
 from .qudit_algebra import (
     HERMITIAN_TOL,
     AxisUnitary,
     BranchRotation,
     Conjugator,
-    HermitianOp,
     PureState,
     SuBasis,
+    act_on_first_site,
     build_su_basis,
     conjugated_action,
-    conjugated_matrix,
     frame_rotation,
     vector_rotation,
 )
@@ -79,8 +79,8 @@ class _SiteConjugated:
 
     Shared by virtual qudits and write operations, which provide the
     conjugation field (a qudit_algebra.Conjugator) and the local dimension
-    d; the operators themselves come from qudit_algebra.conjugated_action
-    and conjugated_matrix.
+    d; the operators act through qudit_algebra.conjugated_action, and
+    VirtualQudit.operators() forms them densely for small registers.
     """
 
     @property
@@ -128,7 +128,7 @@ class VirtualQudit(_SiteConjugated):
     def operators(self) -> list:
         """The d^2 - 1 generator images, full-register matrices, from one dense conjugator."""
         dense = self.conjugator
-        return [conjugated_matrix(t, dense) for t in self.basis.generators]
+        return [dag(dense) @ act_on_first_site(t, dense) for t in self.basis.generators]
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_i c_i T_i).
@@ -138,8 +138,14 @@ class VirtualQudit(_SiteConjugated):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.d * self.d - 1,):
             raise ValueError("need one coefficient per generator")
-        g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))
-        rot = expm_hermitian(g, -1.0j)
+        require_finite(coeffs, ValueError, "generator coefficients")
+        # Huge finite coefficients overflow the sum (then left unexponentiated)
+        # or its spectrum; either leaves rot non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))
+            rot = expm_hermitian(g, -1.0j) if np.isfinite(g).all() else g
+        if not np.isfinite(rot).all():
+            raise UnphysicalInputError("generator coefficients overflow exp(-i sum_i c_i t_i)")
         return VirtualQudit(self.basis, self.conjugation.then(AxisUnitary(rot)))
 
 
@@ -229,7 +235,7 @@ class WriteOperation(_SiteConjugated):
     def local_unitary(self, theta: float) -> np.ndarray:
         """exp(-i theta t), the expm_hermitian formula on the stored eigendecomposition."""
         w, v = self._eigh
-        return (v * np.exp(-1.0j * theta * w)) @ dag(v)
+        return (v * np.exp(-1.0j * scaled(theta, w, "write angle theta", "theta t"))) @ dag(v)
 
     def apply(self, state: PureState, theta: float) -> PureState:
         """The written state, computed as matvec + local rotation + matvec.
@@ -242,10 +248,6 @@ class WriteOperation(_SiteConjugated):
         psi = conjugated_action(self.local_unitary(theta), self.conjugation,
                                 state.amplitudes)
         return PureState(state.num_sites, self.d, psi)
-
-    def generator_matrix(self) -> np.ndarray:
-        """The full-register generator, for diagnostics and small tests only."""
-        return conjugated_matrix(self.local_generator, self.conjugator)
 
     def apply_generator(self, vec: np.ndarray) -> np.ndarray:
         return conjugated_action(self.local_generator, self.conjugation, vec)
@@ -449,7 +451,7 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
     """
     d = construction.qudit.d
     ref = construction.reference[:, None]
-    phases = np.exp(-1.0j * r * construction.eigenvalues) - 1.0
+    phases = np.exp(-1.0j * scaled(r, construction.eigenvalues, "deformation r", "r t")) - 1.0
     deform = BranchRotation(construction.eigenvectors, (ref,) * d,
                             tuple(np.array([[p]]) for p in phases))
     return VirtualQudit(construction.qudit.basis, construction.qudit.conjugation.then(deform))
@@ -515,21 +517,15 @@ def fisher_information(write: WriteOperation, state: PureState) -> float:
     return 4.0 * (np.vdot(y, y).real - mean * mean)
 
 
-def commuting_generators(d: int) -> list:
-    """The d - 1 mutually commuting diagonal generators, as tagged operators."""
-    basis = build_su_basis(d)
-    return [HermitianOp(d, g) for g in basis.diagonal_generators()]
-
-
 def sld_fisher_matrix(generators, state: PureState) -> np.ndarray:
     """Fisher matrix 4 Re <dC_i dC_j> for commuting full-register generators.
 
-    generators may be HermitianOp instances or plain arrays on the full
-    register; they must pairwise commute, otherwise the symmetric
+    generators are plain D x D arrays on the full register (lift a site
+    generator such as build_su_basis(d).diagonal_generators()[i] with
+    np.kron first); they must pairwise commute, otherwise the symmetric
     logarithmic derivatives do not reduce to this covariance form.
     """
-    mats = [g.matrix if isinstance(g, HermitianOp) else np.asarray(g, dtype=complex)
-            for g in generators]
+    mats = [np.asarray(g, dtype=complex) for g in generators]
     k = len(mats)
     if k == 0:
         raise ValueError("need at least one generator")

@@ -20,8 +20,7 @@ _TICKS = 5
 
 
 def _nice_ticks(lo: float, hi: float) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values over [lo, hi]; line_plot widens an empty range, so lo < hi."""
     raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)

@@ -351,7 +351,12 @@ VACUUM_TEXT = "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n"
      "error: state is not pure: purity residual: inf exceeds 1.0e-08\n"),
     (["gaussian-conj", "--v=2e-7,0"], "gaussian N=1\nmean: 0,1e303\n0.5,0\n0,0.5\n",
      "error: write quadrature variance and offset must be finite\n"),
-], ids=["huge v", "huge eta", "huge covariance", "huge p offset"])
+    (["lattice-evolve", "--times", "1.7e308"], None,
+     "error: evolution time = 1.7e+308 overflows omega t\n"),
+    (["lattice-evolve", "--eta", "1", "--times", "0,1e308"], None,
+     "error: evolution time = 1e+308 overflows omega t\n"),
+], ids=["huge v", "huge eta", "huge covariance", "huge p offset", "huge time",
+        "huge time at eta 1"])
 def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_text,
                                                  message):
     """Overflow inside the arithmetic is refused like any unphysical input, unwarned."""

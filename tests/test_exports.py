@@ -63,7 +63,6 @@ def _qudit_values():
     return {
         "SuBasis": qa.build_su_basis(2),
         "PureState": state,
-        "HermitianOp": qa.HermitianOp(2, np.diag([1.0, -1.0])),
         "SchmidtDecomposition": qa.schmidt(state),
         "WriteOperation": write,
         "VirtualQudit": write.virtual_qudit(),

@@ -7,6 +7,11 @@ turns RuntimeWarning into an error).  The circulant covariance must also
 refuse non-positive spectra and spectra below the uncertainty bound
 a_k b_k = 1/4, and the chain's mode frequencies must be positive.
 
+Scalar parameters (a write angle, a family deformation, generator
+coefficients, an evolution time) refuse non-finite values with ValueError,
+and finite values whose phase or shift overflows with UnphysicalInputError,
+unwarned.
+
 The value types are also covered by construction: starting from one valid
 constructor call per public dataclass that validates itself, every float
 field and one entry of every array field is made non-finite in turn.
@@ -28,14 +33,25 @@ from qicsim import qudit_info as qi
 from qicsim.errors import InternalConsistencyError, QicError, UnphysicalInputError
 
 I4 = np.eye(4, dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def z_write():
+    return qi.WriteOperation(SIGMA_Z, I4)
+
+
+def vacuum_drift(v2, theta2):
+    """Drift of the one-mode vacuum's q-write capsule under a second write."""
+    state = g.vacuum_state(1)
+    return g.qic_invariance_under_other_writes(g.conjugate_qic_vector([1.0, 0.0], state),
+                                               v2, theta2, state)
+
 
 CASES = {
     "WriteOperation": (ValueError, "local generator must be finite",
                        lambda x: qi.WriteOperation(np.diag([x, x]).astype(complex), I4)),
     "CorrelationState": (InternalConsistencyError, "correlation state must be finite",
                          lambda x: qi.CorrelationState(2, np.diag([x, x]).astype(complex))),
-    "HermitianOp": (ValueError, "matrix must be finite",
-                    lambda x: qa.HermitianOp(2, np.diag([x, 0.0]).astype(complex))),
     "sld_fisher_matrix": (UnphysicalInputError, "generator must be finite",
                           lambda x: qi.sld_fisher_matrix(
                               [np.diag([x, 0.0, 0.0, 0.0]), np.diag([1.0, -1.0, 1.0, -1.0])],
@@ -75,6 +91,21 @@ CASES = {
                    lambda x: lf.ModeMatrix(np.array([1.0, x]))),
     "LatticeConfig.eta": (UnphysicalInputError, "coupling eta",
                           lambda x: lf.LatticeConfig(4, x)),
+    # Scalar parameters of the unitary-by-construction factors and writes.
+    "VirtualQudit.conjugated_by_own_generators": (
+        ValueError, "generator coefficients must be finite",
+        lambda x: qi.VirtualQudit(qa.build_su_basis(2), I4).conjugated_by_own_generators(
+            [x, 0.0, 0.0])),
+    "qic_family": (ValueError, "deformation r must be finite",
+                   lambda x: qi.qic_family(qi.construct_qic(z_write(), qa.basis_state(2, 2)), x)),
+    "WriteOperation.local_unitary": (ValueError, "write angle theta must be finite",
+                                     lambda x: z_write().local_unitary(x)),
+    "WriteOperation.apply": (ValueError, "write angle theta must be finite",
+                             lambda x: z_write().apply(qa.basis_state(2, 2), x)),
+    "apply_shift_write": (ValueError, "write angle theta must be finite",
+                          lambda x: g.apply_shift_write(g.vacuum_state(1), [1.0, 0.0], x)),
+    "qic_invariance_under_other_writes": (ValueError, "write angle theta2 must be finite",
+                                          lambda x: vacuum_drift([0.0, 1.0], x)),
 }
 
 
@@ -84,6 +115,60 @@ def test_non_finite_input_raises(case, value):
     error, message, build = CASES[case]
     with pytest.raises(error, match=message):
         build(value)
+
+
+# A qutrit seed with eigenvalue -sqrt(2), so a finite angle near the float
+# maximum overflows its phase; a qubit seed's phases are the angle itself.
+QUTRIT_SEED = np.diag([1.0, 1.0, -2.0]) / np.sqrt(2.0)
+
+
+def qutrit_write():
+    return qi.WriteOperation(QUTRIT_SEED, np.eye(9, dtype=complex))
+
+
+def chain_modes():
+    return lf.mode_matrix(lf.LatticeConfig(2, 0.4))   # omega up to sqrt(2.6)
+
+
+OVERFLOWS = {
+    "conjugated_by_own_generators sum": (
+        "generator coefficients overflow",
+        lambda: qi.VirtualQudit(qa.build_su_basis(3), np.eye(9, dtype=complex))
+        .conjugated_by_own_generators(np.full(8, 1.7e308))),
+    "conjugated_by_own_generators spectrum": (
+        "generator coefficients overflow",
+        lambda: qi.VirtualQudit(qa.build_su_basis(2), I4)
+        .conjugated_by_own_generators([1.5e308, 0.0, 1.5e308])),
+    "qic_family": (r"deformation r = 1.7e\+308 overflows",
+                   lambda: qi.qic_family(qi.construct_qic(qutrit_write(), qa.basis_state(2, 3)),
+                                         1.7e308)),
+    "WriteOperation.local_unitary": (r"write angle theta = 1.7e\+308 overflows",
+                                     lambda: qutrit_write().local_unitary(1.7e308)),
+    "WriteOperation.apply": (r"write angle theta = -1.7e\+308 overflows",
+                             lambda: qutrit_write().apply(qa.basis_state(2, 3), -1.7e308)),
+    "apply_shift_write": (r"write angle theta = 1e\+308 overflows",
+                          lambda: g.apply_shift_write(g.vacuum_state(1), [2.0, 0.0], 1e308)),
+    "apply_shift_write mean": (
+        "mean must be finite",
+        lambda: g.apply_shift_write(g.GaussianState(np.array([0.0, -1e308]), np.eye(2) / 2.0),
+                                    [1.0, 0.0], 1e308)),
+    "qic_invariance_under_other_writes": (r"write angle theta2 = 1e\+308 overflows",
+                                          lambda: vacuum_drift([2.0, 0.0], 1e308)),
+    "evolve_vector": (r"evolution time = 1.7e\+308 overflows",
+                      lambda: lf.evolve_vector(np.array([1.0, 0.0, 0.0, 1.0]), 1.7e308,
+                                               chain_modes())),
+    "figure_experiment": (r"evolution time = 1e\+308 overflows",
+                          lambda: lf.figure_experiment(lf.LatticeConfig(4, 1.0), 1, [1e308])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_finite_parameter_that_overflows_is_refused_unwarned(case):
+    message, build = OVERFLOWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalInputError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("q,p,message", [
@@ -114,7 +199,6 @@ VALID = {
     "LatticeConfig": dict(n_sites=4, eta=0.4),
     "ModeMatrix": dict(omegas=np.array([1.0, 1.5])),
     "PureState": dict(num_sites=2, local_dim=2, amplitudes=np.eye(4, dtype=complex)[0]),
-    "HermitianOp": dict(dim=2, matrix=np.diag([1.0, -1.0]).astype(complex)),
     "VirtualQudit": dict(basis=qa.build_su_basis(2), conjugation=np.eye(4, dtype=complex)),
     "CorrelationState": dict(d=2, matrix=np.eye(2, dtype=complex) / 2.0),
     "WriteOperation": dict(local_generator=np.diag([1.0, -1.0]).astype(complex),

@@ -38,6 +38,12 @@ def sigma_z_write(num_sites=2):
     return qi.WriteOperation.local(PAULI_Z, num_sites)
 
 
+def dense_generator(write):
+    """The full-register T = C' (t x I) C, built from the dense conjugator C."""
+    u = write.conjugator
+    return dag(u) @ np.kron(write.local_generator, np.eye(write.rest_dim)) @ u
+
+
 def partial_trace_rest(vec, d):
     """Reduced density matrix of the first d-dim factor (independent oracle)."""
     m = vec.reshape(d, -1)
@@ -125,7 +131,7 @@ def test_write_apply_matches_dense_exponential():
     state = qa.random_state(2, 2, rng)
     theta = 1.1
     out = write.apply(state, theta)
-    dense = expm_hermitian(write.generator_matrix(), -1j * theta)
+    dense = expm_hermitian(dense_generator(write), -1j * theta)
     np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
 
 
@@ -149,7 +155,7 @@ def test_write_expectation_matches_generator():
     write = qi.random_write_operation(3, 2, rng)
     state = qa.random_state(2, 3, rng)
     direct = np.vdot(state.amplitudes,
-                     write.generator_matrix() @ state.amplitudes).real
+                     dense_generator(write) @ state.amplitudes).real
     assert abs(write.expectation(state.amplitudes) - direct) < 1e-12
 
 
@@ -624,25 +630,25 @@ def test_fisher_invariant_under_theta():
 
 
 def test_commuting_generators_d2():
-    gens = qi.commuting_generators(2)
+    gens = qa.build_su_basis(2).diagonal_generators()
     assert len(gens) == 1
-    np.testing.assert_allclose(gens[0].matrix, PAULI_Z, atol=1e-14)
+    np.testing.assert_allclose(gens[0], PAULI_Z, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_commuting_generators_properties(d):
-    gens = qi.commuting_generators(d)
+    gens = qa.build_su_basis(d).diagonal_generators()
     assert len(gens) == d - 1
     for i, a in enumerate(gens):
         for j, b in enumerate(gens):
-            assert max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) < 1e-13
+            assert max_abs(a @ b - b @ a) < 1e-13
             expected = d if i == j else 0.0
-            assert abs(np.trace(a.matrix @ b.matrix) - expected) < 1e-10
+            assert abs(np.trace(a @ b) - expected) < 1e-10
 
 
 def test_sld_zero_for_simultaneous_eigenstate():
     state = qa.basis_state(1, 3)
-    gens = qi.commuting_generators(3)
+    gens = qa.build_su_basis(3).diagonal_generators()
     f = qi.sld_fisher_matrix(gens, state)
     assert max_abs(f) < 1e-12
 
@@ -651,10 +657,9 @@ def test_sld_qutrit_ghz_matches_direct_expectations():
     amps = np.zeros(27, dtype=complex)
     amps[0] = amps[13] = amps[26] = 1 / np.sqrt(3)   # |000>, |111>, |222>
     state = qa.PureState(3, 3, amps)
-    cartans = qi.commuting_generators(3)
-    lifted = [np.kron(np.kron(c.matrix, np.eye(3)), np.eye(3)) for c in cartans]
-    f = qi.sld_fisher_matrix(
-        [qi.HermitianOp(27, g) for g in lifted], state)
+    cartans = qa.build_su_basis(3).diagonal_generators()
+    lifted = [np.kron(np.kron(c, np.eye(3)), np.eye(3)) for c in cartans]
+    f = qi.sld_fisher_matrix(lifted, state)
     # independent evaluation from raw expectation values
     vec = state.amplitudes
     expect = [np.vdot(vec, g @ vec).real for g in lifted]
@@ -671,18 +676,28 @@ def test_sld_qutrit_ghz_matches_direct_expectations():
 def test_sld_single_generator_matches_scalar_fisher():
     rng = np.random.default_rng(37)
     state = qa.random_state(2, 2, rng)
-    cartan = qi.commuting_generators(2)[0]
-    lifted = np.kron(cartan.matrix, np.eye(2))
-    f_matrix = qi.sld_fisher_matrix([qi.HermitianOp(4, lifted)], state)
-    write = qi.WriteOperation(cartan.matrix, np.eye(4, dtype=complex))
+    cartan = qa.build_su_basis(2).diagonal_generators()[0]
+    lifted = np.kron(cartan, np.eye(2))
+    f_matrix = qi.sld_fisher_matrix([lifted], state)
+    write = qi.WriteOperation(cartan, np.eye(4, dtype=complex))
     assert abs(f_matrix[0, 0] - qi.fisher_information(write, state)) < 1e-10
 
 
 def test_sld_rejects_noncommuting():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    gens = [qi.HermitianOp(2, sx), qi.HermitianOp(2, PAULI_Z)]
+    gens = [sx, PAULI_Z]
     with pytest.raises(UnphysicalInputError, match="commutator of generators 0 and 1"):
         qi.sld_fisher_matrix(gens, qa.basis_state(1, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sld_rejects_unlifted_site_generator(d):
+    """A d x d diagonal generator on a two-site register must be lifted with np.kron first."""
+    unlifted = qa.build_su_basis(d).diagonal_generators()[0]
+    with pytest.raises(ValueError, match="generators must act on the full register"):
+        qi.sld_fisher_matrix([unlifted], qa.basis_state(2, d))
+    lifted = np.kron(unlifted, np.eye(d))
+    assert max_abs(qi.sld_fisher_matrix([lifted], qa.basis_state(2, d))) < 1e-12
 
 
 def test_sld_rejects_non_hermitian_array():
@@ -712,6 +727,6 @@ def test_feasibility_matches_direct_expectation():
     write = qi.random_write_operation(2, 2, rng)
     report = qi.max_entangled_partner_feasible(write, state)
     direct = np.vdot(state.amplitudes,
-                     write.generator_matrix() @ state.amplitudes).real
+                     dense_generator(write) @ state.amplitudes).real
     assert abs(report.expectation - direct) < 1e-12
     assert report.feasible == (abs(direct) < 1e-10)
