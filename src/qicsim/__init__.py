@@ -34,9 +34,8 @@ _EXPORTS = {
     "lattice_field": ("EvolvedPair", "LatticeConfig", "ModeMatrix", "SiteProfiles",
                       "dispersion", "evolve_pair", "evolve_vector", "figure_experiment",
                       "mode_matrix", "vacuum_covariance"),
-    "qudit_algebra": ("PureState", "SchmidtDecomposition", "SuBasis", "basis_state",
-                      "build_su_basis", "map_vector_unitary", "product_state",
-                      "random_state", "schmidt", "swap_operator"),
+    "qudit_algebra": ("PureState", "SuBasis", "basis_state", "build_su_basis",
+                      "product_state", "random_state", "swap_operator"),
     "qudit_info": ("CorrelationState", "FeasibilityReport", "PartnerPair",
                    "QicConstruction", "SwapRetrieval", "VirtualQudit", "WriteOperation",
                    "construct_partner", "construct_qic", "correlation_state",

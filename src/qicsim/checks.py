@@ -8,6 +8,7 @@ to exercise the failure path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .linalg import (
     haar_unitary,
     max_abs,
     pure_state_fidelity,
+    random_unit_vector,
     unitarity_defect,
 )
 
@@ -48,12 +50,26 @@ class CheckResult:
     passed: bool
 
 
+def _fold(*values, pick=max) -> float:
+    """pick(values), or NaN if any value is NaN.
+
+    The builtins keep whichever operand compares first, so max(0.0, nan) is
+    0.0 and min(inf, nan) is inf: a NaN residual folded by them would pass.
+    """
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def _worst(module: str, invariant: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(module=module, invariant=invariant, residual=float(residual),
                        tolerance=float(tolerance), passed=bool(residual <= tolerance))
 
 
 # ---- qudit_algebra ----
+
+
+def _random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k orthonormal columns in C^dim: Q of a complex Ginibre dim x k matrix."""
+    return np.linalg.qr(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))[0]
 
 
 def qudit_algebra_checks() -> list:
@@ -65,13 +81,13 @@ def qudit_algebra_checks() -> list:
         for mu, tm in enumerate(ext):
             for nu, tn in enumerate(ext):
                 target = d if mu == nu else 0.0
-                worst = max(worst, abs(np.trace(tm @ tn).real - target))
+                worst = _fold(worst, abs(np.trace(tm @ tn).real - target))
     results.append(_worst("qudit_algebra", "generator trace orthonormality", worst, 1e-10))
 
     worst = 0.0
     for d in (2, 3, 4):
         s = qudit_algebra.swap_operator(d)
-        worst = max(worst, unitarity_defect(s), max_abs(s @ s - np.eye(d * d)))
+        worst = _fold(worst, unitarity_defect(s), max_abs(s @ s - np.eye(d * d)))
     results.append(_worst("qudit_algebra", "swap unitary and involutive", worst, 1e-12))
 
     worst = 0.0
@@ -79,41 +95,27 @@ def qudit_algebra_checks() -> list:
         s = qudit_algebra.swap_operator(d)
         ext = qudit_algebra.build_su_basis(d).extended
         generator_sum = sum(np.kron(t, t) for t in ext) / d
-        worst = max(worst, max_abs(s - generator_sum))
+        worst = _fold(worst, max_abs(s - generator_sum))
     results.append(_worst("qudit_algebra", "swap generator-sum identity", worst, 1e-12))
 
     rng = np.random.default_rng(11)
     worst = 0.0
-    for d, n in ((2, 2), (3, 2), (2, 3)):
-        state = qudit_algebra.random_state(n, d, rng)
-        dec = qudit_algebra.schmidt(state)
-        worst = max(worst, abs(np.sum(dec.coefficients ** 2) - 1.0))
-        worst = max(worst, max_abs(dec.reconstruct() - state.amplitudes))
-        x = state.first_site_matrix()
-        reduced = x @ dag(x)
-        rebuilt = (dec.left_vectors * dec.coefficients ** 2) @ dag(dec.left_vectors)
-        worst = max(worst, max_abs(reduced - rebuilt))
-    results.append(_worst("qudit_algebra", "schmidt reconstruction", worst, 1e-10))
-
-    worst = 0.0
-    for dim in (2, 4, 9):
-        for _ in range(5):
-            src = qudit_algebra.random_state(1, dim, rng).amplitudes
-            dst = qudit_algebra.random_state(1, dim, rng).amplitudes
-            v = qudit_algebra.map_vector_unitary(src, dst)
-            worst = max(worst, float(np.linalg.norm(v @ src - dst)), unitarity_defect(v))
-            if dim == 2:
-                continue   # span{src, dst} is the whole space
-            # The map must be the identity off span{src, dst}; project the
-            # probe with an exact orthonormal basis of that span.
-            q = np.linalg.qr(np.column_stack([src, dst]))[0]
-            probe = qudit_algebra.random_state(1, dim, rng).amplitudes
-            probe = probe - q @ (dag(q) @ probe)
-            norm = np.linalg.norm(probe)
-            if norm > 1e-6:
-                probe /= norm
-                worst = max(worst, float(np.linalg.norm(v @ probe - probe)))
-    results.append(_worst("qudit_algebra", "vector-map unitary", worst, 1e-11))
+    for dim, k in ((4, 1), (9, 2), (16, 3), (64, 4)):
+        for _ in range(3):
+            src, dst = _random_frame(dim, k, rng), _random_frame(dim, k, rng)
+            basis, kernel = qudit_algebra.frame_rotation(src, dst)
+            # With B = QR, I + B K B' = I + Q (R K R') Q' is unitary exactly
+            # when the small I + R K R' is, and fixes everything off span(Q).
+            q, r = np.linalg.qr(basis)
+            landed = src + basis @ (kernel @ (dag(basis) @ src))
+            probe = random_unit_vector(dim, rng)
+            probe -= q @ (dag(q) @ probe)
+            probe /= np.linalg.norm(probe)
+            worst = _fold(worst,
+                          unitarity_defect(np.eye(r.shape[0]) + r @ kernel @ dag(r)),
+                          np.linalg.norm(landed - dst, axis=0).max(),
+                          np.linalg.norm(basis @ (kernel @ (dag(basis) @ probe))))
+    results.append(_worst("qudit_algebra", "frame rotation", worst, 1e-11))
 
     return results
 
@@ -140,8 +142,8 @@ def capsule_residuals(write: qudit_info.WriteOperation,
         written = write.apply(state, theta)
         retrieval = qudit_info.retrieve_by_swap(construction.qudit, written)
         target = write.local_unitary(theta) @ construction.phi
-        fidelity_deficit = max(fidelity_deficit,
-                               1.0 - pure_state_fidelity(target, retrieval.extracted))
+        fidelity_deficit = _fold(fidelity_deficit,
+                                 1.0 - pure_state_fidelity(target, retrieval.extracted))
         retrievals.append(retrieval)
     residuals["retrieval residual independence"] = factored_trace_distance(
         retrievals[0].joint, retrievals[1].joint)
@@ -157,8 +159,8 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator) -> dict:
 
     # Every [T^A_i, T^B_j] at once per A operator, against the stack of B's.
     ops_b = np.stack(pair.qudit_b.operators())
-    residuals["partner locality"] = max(max_abs(ta @ ops_b - ops_b @ ta)
-                                        for ta in pair.qudit_a.operators())
+    residuals["partner locality"] = _fold(*(max_abs(ta @ ops_b - ops_b @ ta)
+                                            for ta in pair.qudit_a.operators()))
 
     recomputed = qudit_info.partner_write_action(pair, write, PARTNER_THETA, state)
     local = np.kron(write.local_unitary(PARTNER_THETA), np.eye(d))
@@ -169,7 +171,7 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator) -> dict:
 
 def _track_worst(worst: dict, residuals: dict) -> None:
     for name, value in residuals.items():
-        worst[name] = max(worst.get(name, 0.0), value)
+        worst[name] = _fold(worst.get(name, 0.0), value)
 
 
 def _sweep_results(worst: dict) -> list:
@@ -198,7 +200,7 @@ def qudit_info_checks() -> list:
         coeffs = rng.uniform(-1.0, 1.0, d * d - 1)
         rotated = qudit.conjugated_by_own_generators(coeffs)
         spectrum_rot = qudit_info.correlation_state(rotated, state).eigenvalues()
-        residual = max(residual, max_abs(np.sort(spectrum) - np.sort(spectrum_rot)))
+        residual = _fold(residual, max_abs(np.sort(spectrum) - np.sort(spectrum_rot)))
     results.append(_worst("qudit_info", "equivalent-set spectrum invariance",
                           residual, 1e-9))
 
@@ -211,7 +213,7 @@ def qudit_info_checks() -> list:
         for theta in (0.5, 1.5):
             written = write.apply(state, theta)
             value = qudit_info.fisher_information(write, written)
-            residual = max(residual, abs(value - base) / max(abs(base), 1e-12))
+            residual = _fold(residual, abs(value - base) / max(abs(base), 1e-12))
     results.append(_worst("qudit_info", "fisher write-angle invariance", residual, 1e-9))
 
     return results
@@ -257,13 +259,13 @@ def gaussian_checks() -> list:
     results = []
     rng = np.random.default_rng(23)
 
-    residual = max(gaussian_cv.vacuum_state(3).purity_residual(),
-                   gaussian_cv.single_mode_squeezed(0.7).purity_residual(),
-                   gaussian_cv.two_mode_squeezed(0.9).purity_residual())
+    residual = _fold(gaussian_cv.vacuum_state(3).purity_residual(),
+                     gaussian_cv.single_mode_squeezed(0.7).purity_residual(),
+                     gaussian_cv.two_mode_squeezed(0.9).purity_residual())
     for _ in range(5):
         n = int(rng.integers(1, 9))
-        residual = max(residual,
-                       gaussian_cv.random_pure_state(n, rng).purity_residual())
+        residual = _fold(residual,
+                         gaussian_cv.random_pure_state(n, rng).purity_residual())
     results.append(_worst("gaussian_cv", "pure-state covariance relation",
                           residual, 1e-8))
 
@@ -276,15 +278,15 @@ def gaussian_checks() -> list:
         v = rng.standard_normal(2 * n)
         pair = gaussian_cv.conjugate_qic_vector(v, state)
         mode = gaussian_cv.mode_covariance(pair, state)
-        det_residual = max(det_residual, abs(mode.det - 0.25))
+        det_residual = _fold(det_residual, abs(mode.det - 0.25))
         m = state.covariance
-        pairing_residual = max(pairing_residual,
-                               abs(_symplectic_product(pair.v, pair.u) - 1.0),
-                               abs(pair.v @ m @ pair.u))
+        pairing_residual = _fold(pairing_residual,
+                                 abs(_symplectic_product(pair.v, pair.u) - 1.0),
+                                 abs(pair.v @ m @ pair.u))
         constraints = np.column_stack([_omega(pair.v), m @ pair.v])
         q, _ = np.linalg.qr(constraints)
         dets = perturbed_mode_dets(pair, m, q, rng.standard_normal((20, 2 * n)))
-        min_increase = min(min_increase, (dets - 0.25).min(initial=np.inf))
+        min_increase = _fold(min_increase, (dets - 0.25).min(initial=np.inf), pick=min)
     results.append(_worst("gaussian_cv", "conjugate mode determinant",
                           det_residual, 1e-8))
     results.append(_worst("gaussian_cv", "conjugate pairing and orthogonality",
@@ -315,7 +317,7 @@ def gaussian_checks() -> list:
         base = 4.0 * float(v @ state.covariance @ v)
         shifted = gaussian_cv.apply_shift_write(state, rng.standard_normal(2 * n), 0.9)
         after = 4.0 * float(v @ shifted.covariance @ v)
-        drift = max(drift, abs(after - base) / base)
+        drift = _fold(drift, abs(after - base) / base)
     results.append(_worst("gaussian_cv", "fisher invariance under shifts", drift, 1e-12))
 
     return results
@@ -338,10 +340,10 @@ def lattice_checks() -> list:
         pair = gaussian_cv.conjugate_qic_vector(v, state)
         for t in times:
             ep = lattice_field.evolve_pair(pair, t, mm)
-            pairing = max(pairing, abs(ep.pairing - 1.0))
-            stationarity = max(stationarity,
-                               abs(_det2(gaussian_cv.mode_covariance_matrix(
-                                   ep.v_t, ep.u_t, state.covariance)) - 0.25))
+            pairing = _fold(pairing, abs(ep.pairing - 1.0))
+            stationarity = _fold(stationarity,
+                                 abs(_det2(gaussian_cv.mode_covariance_matrix(
+                                     ep.v_t, ep.u_t, state.covariance)) - 0.25))
 
     invariance = round_trip = 0.0
     for _ in range(10):
@@ -351,10 +353,10 @@ def lattice_checks() -> list:
         for t in times:
             w1_t, _ = lattice_field.evolve_vector(w1, t, mm)
             w2_t, _ = lattice_field.evolve_vector(w2, t, mm)
-            invariance = max(invariance, abs(_symplectic_product(w1_t, w2_t) - base))
+            invariance = _fold(invariance, abs(_symplectic_product(w1_t, w2_t) - base))
             if t == 25.0:
                 w1_back, _ = lattice_field.evolve_vector(w1_t, -25.0, mm)
-                round_trip = max(round_trip, max_abs(w1_back - w1))
+                round_trip = _fold(round_trip, max_abs(w1_back - w1))
 
     results = [
         _worst("lattice_field", "vacuum purity relation", state.purity_residual(), 1e-8),
@@ -370,7 +372,7 @@ def lattice_checks() -> list:
     mismatch = 0.0
     for name in ("v_q", "v_p", "u_q", "u_p"):
         rolled = np.roll(getattr(base_profiles, name), shift)
-        mismatch = max(mismatch, max_abs(rolled - getattr(moved_profiles, name)))
+        mismatch = _fold(mismatch, max_abs(rolled - getattr(moved_profiles, name)))
     results.append(_worst("lattice_field", "translation covariance", mismatch, 1e-10))
 
     return results

@@ -87,29 +87,6 @@ class PureState:
     def dim(self) -> int:
         return self.local_dim ** self.num_sites
 
-    def first_site_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (d, d^(N-1)) with site 1 as the row index."""
-        return self.amplitudes.reshape(self.local_dim, -1)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Schmidt data for the cut between site 1 and the rest of the register.
-
-    Exactly d triples are stored, padded with zero coefficients and
-    orthonormal completions when the rank is lower; coefficients are
-    nonincreasing and nonnegative.
-    """
-
-    coefficients: np.ndarray   # shape (d,)
-    left_vectors: np.ndarray   # shape (d, d), column i is the i-th left vector
-    right_vectors: np.ndarray  # shape (d^(N-1), d), column i pairs with column i above
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of coefficient * left x right, flattened back to a register vector."""
-        weighted = self.left_vectors * self.coefficients
-        return (weighted @ self.right_vectors.T).reshape(-1)
-
 
 # ---- Basis and swap construction ----
 
@@ -172,17 +149,6 @@ def swap_operator(d: int) -> np.ndarray:
 # ---- State manipulation ----
 
 
-def schmidt(state: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition across the cut after site 1."""
-    if state.num_sites < 2:
-        raise UnphysicalInputError("a Schmidt cut needs at least two sites")
-    x = state.first_site_matrix()
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    # Rows of vh are the (unconjugated) right factors; columns of vh.T pair
-    # one-to-one with the columns of u, zeros included.
-    return SchmidtDecomposition(coefficients=s, left_vectors=u, right_vectors=vh.T)
-
-
 def act_on_first_site(op: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(op x I) m for a register vector or matrix m, without forming op x I."""
     return (op @ m.reshape(op.shape[0], -1)).reshape(m.shape)
@@ -241,12 +207,6 @@ def frame_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
                            [k @ (dag(b) @ basis) @ kernel, k]])
         basis = np.column_stack([basis, b])
     return basis, kernel
-
-
-def map_vector_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Dense unitary sending src to dst, identity on the complement of their span."""
-    basis, kernel = vector_rotation(src, dst)
-    return np.eye(basis.shape[0], dtype=complex) + basis @ kernel @ dag(basis)
 
 
 # ---- Factored register unitaries ----

@@ -529,24 +529,35 @@ def sld_fisher_matrix(generators, state: PureState) -> np.ndarray:
     k = len(mats)
     if k == 0:
         raise ValueError("need at least one generator")
-    for m in mats:
-        if m.shape != (state.dim, state.dim):
-            raise ValueError("generators must act on the full register")
-        require_finite(m, UnphysicalInputError, "generator")
-        gate(max_abs(m - dag(m)), HERMITIAN_TOL, UnphysicalInputError,
-             "generator hermiticity defect")
-    for i in range(k):
-        for j in range(i + 1, k):
-            gate(max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]), COMMUTE_TOL,
-                 UnphysicalInputError, f"commutator of generators {i} and {j}")
-    psi = state.amplitudes
-    ys = [m @ psi for m in mats]
-    means = [np.vdot(psi, y).real for y in ys]
-    f = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            f[i, j] = 4.0 * (np.vdot(ys[i], ys[j]).real - means[i] * means[j])
-    return (f + f.T) / 2.0
+    # Finite generators can still overflow a difference or a product: refuse
+    # that as one error rather than numpy's warnings, as linalg.scaled does.
+    # An overflowed hermiticity defect is inf, which fails its gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in mats:
+            if m.shape != (state.dim, state.dim):
+                raise ValueError("generators must act on the full register")
+            require_finite(m, UnphysicalInputError, "generator")
+            gate(max_abs(m - dag(m)), HERMITIAN_TOL, UnphysicalInputError,
+                 "generator hermiticity defect")
+        for i in range(k):
+            for j in range(i + 1, k):
+                commutator = mats[i] @ mats[j] - mats[j] @ mats[i]
+                if not np.isfinite(commutator).all():
+                    raise UnphysicalInputError(
+                        f"generators {i} and {j} overflow their commutator")
+                gate(max_abs(commutator), COMMUTE_TOL,
+                     UnphysicalInputError, f"commutator of generators {i} and {j}")
+        psi = state.amplitudes
+        ys = [m @ psi for m in mats]
+        means = [np.vdot(psi, y).real for y in ys]
+        f = np.zeros((k, k))
+        for i in range(k):
+            for j in range(k):
+                f[i, j] = 4.0 * (np.vdot(ys[i], ys[j]).real - means[i] * means[j])
+        f = (f + f.T) / 2.0
+    if not np.isfinite(f).all():
+        raise UnphysicalInputError("generators overflow the Fisher matrix")
+    return f
 
 
 @dataclass(frozen=True)

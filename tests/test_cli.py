@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qicsim import checks, cli, gaussian_cv, lattice_field
+from qicsim import checks, cli, gaussian_cv, lattice_field, qudit_algebra
 from qicsim.errors import InternalConsistencyError, StateFileError, UnphysicalInputError
 
 ROUNDTRIP_TOL = 0.0          # 17 significant digits must round-trip exactly
@@ -422,6 +422,78 @@ def test_verify_green(tmp_path):
     # every module contributes a per-module count line
     for module in ("qudit_algebra", "qudit_info", "gaussian_cv", "lattice_field"):
         assert f"# {module}:" in res.stdout
+
+
+VERIFY_ROWS = [
+    ("qudit_algebra", "generator trace orthonormality"),
+    ("qudit_algebra", "swap unitary and involutive"),
+    ("qudit_algebra", "swap generator-sum identity"),
+    ("qudit_algebra", "frame rotation"),
+    ("qudit_info", "capsule purity"),
+    ("qudit_info", "retrieval residual independence"),
+    ("qudit_info", "retrieval fidelity"),
+    ("qudit_info", "partner purity"),
+    ("qudit_info", "partner locality"),
+    ("qudit_info", "partner write action"),
+    ("qudit_info", "equivalent-set spectrum invariance"),
+    ("qudit_info", "fisher write-angle invariance"),
+    ("gaussian_cv", "pure-state covariance relation"),
+    ("gaussian_cv", "conjugate mode determinant"),
+    ("gaussian_cv", "conjugate pairing and orthogonality"),
+    ("gaussian_cv", "conjugate minimality"),
+    ("gaussian_cv", "entropy monotone in det"),
+    ("gaussian_cv", "fisher invariance under shifts"),
+    ("lattice_field", "vacuum purity relation"),
+    ("lattice_field", "evolution round trip"),
+    ("lattice_field", "evolution preserves pairing"),
+    ("lattice_field", "mode purity is stationary"),
+    ("lattice_field", "symplectic product invariance"),
+    ("lattice_field", "translation covariance"),
+]
+
+
+def test_verify_rows_are_pinned():
+    """Adding, dropping or renaming a verify row has to change this list too."""
+    assert [(r.module, r.invariant) for r in checks.run_all()] == VERIFY_ROWS
+
+
+def test_frame_rotation_row_fails_on_a_perturbed_kernel(monkeypatch):
+    """Negative control: a kernel off by a factor 1 + 1e-6 fails the row."""
+    exact = qudit_algebra.frame_rotation
+
+    def perturbed(src, dst):
+        basis, kernel = exact(src, dst)
+        return basis, kernel * (1.0 + 1e-6)
+
+    assert checks.qudit_algebra_checks()[-1].passed
+    monkeypatch.setattr(qudit_algebra, "frame_rotation", perturbed)
+    row = checks.qudit_algebra_checks()[-1]
+    assert row.invariant == "frame rotation" and row.passed is False
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["verify"], "verify_report.csv"),
+    (["qudit-suite", "--d", "2", "--n", "2", "--trials", "3", "--seed", "1"], "report.csv"),
+], ids=["verify", "qudit-suite"])
+def test_nan_residual_fails_its_row(tmp_path, monkeypatch, capsys, argv, report):
+    """A NaN from one trial, not the first, must not be folded away by the worst-case."""
+    exact = checks.capsule_residuals
+    calls = []
+
+    def nan_on_second_trial(write, state):
+        calls.append(None)
+        residuals = exact(write, state)
+        return {name: math.nan for name in residuals} if len(calls) == 2 else residuals
+
+    monkeypatch.setattr(checks, "capsule_residuals", nan_on_second_trial)
+    out = tmp_path / "rep"
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    _, rows = read_csv_columns(out / report)
+    status = {row[1]: row[4] for row in rows}
+    for name in ("capsule purity", "retrieval residual independence", "retrieval fidelity"):
+        assert status[name] == "fail"
+    assert status["partner purity"] == "pass"
+    assert "capsule purity" in capsys.readouterr().err
 
 
 def test_verify_table_bytes(tmp_path, monkeypatch, capsys):

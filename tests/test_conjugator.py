@@ -49,8 +49,10 @@ def dense_capsule_conjugator(write, state):
     reference = conditionals[int(np.argmax(np.abs(coeffs)))]
     v_hat = np.zeros((d * rest, d * rest), dtype=complex)
     for i in range(d):
-        block = np.eye(rest) if conditionals[i] is None \
-            else qa.map_vector_unitary(conditionals[i], reference)
+        block = np.eye(rest, dtype=complex)
+        if conditionals[i] is not None:
+            basis, kernel = qa.vector_rotation(conditionals[i], reference)
+            block += basis @ kernel @ dag(basis)
         v_hat += np.kron(np.outer(evecs[:, i], evecs[:, i].conj()), block)
     return v_hat @ write.conjugator
 
@@ -67,15 +69,14 @@ def dense_partner_conjugator(qudit_a, state):
     rest = qudit_a.rest_dim
     sub = rest // d
     psi = qudit_a.conjugator @ state.amplitudes
-    dec = qa.schmidt(qa.PureState(state.num_sites, d, psi))
-    r = int(np.sum(dec.coefficients > qi.ZERO_BRANCH_TOL))
+    left, weights, right = np.linalg.svd(psi.reshape(d, -1), full_matrices=False)
+    r = int(np.sum(weights > qi.ZERO_BRANCH_TOL))
     targets = np.zeros((rest, r), dtype=complex)
     for i in range(r):
         targets[i * sub, i] = 1.0
-    basis, kernel = qa.frame_rotation(dec.right_vectors[:, :r], targets)
+    basis, kernel = qa.frame_rotation(right[:r].T, targets)
     turn = np.eye(rest) + basis @ kernel @ dag(basis)
-    basis, kernel = qa.frame_rotation(np.eye(d)[:, :r].astype(complex),
-                                      dec.left_vectors[:, :r])
+    basis, kernel = qa.frame_rotation(np.eye(d)[:, :r].astype(complex), left[:, :r])
     phis = np.eye(d) + basis @ kernel @ dag(basis)
     exchange = qa.swap_operator(d) @ np.kron(np.eye(d), phis)
     return np.kron(exchange, np.eye(sub)) @ np.kron(np.eye(d), turn) @ qudit_a.conjugator

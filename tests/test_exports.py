@@ -63,7 +63,6 @@ def _qudit_values():
     return {
         "SuBasis": qa.build_su_basis(2),
         "PureState": state,
-        "SchmidtDecomposition": qa.schmidt(state),
         "WriteOperation": write,
         "VirtualQudit": write.virtual_qudit(),
         "CorrelationState": qi.correlation_state(construction.qudit, state),

@@ -10,7 +10,8 @@ a_k b_k = 1/4, and the chain's mode frequencies must be positive.
 Scalar parameters (a write angle, a family deformation, generator
 coefficients, an evolution time) refuse non-finite values with ValueError,
 and finite values whose phase or shift overflows with UnphysicalInputError,
-unwarned.
+unwarned.  Finite sld_fisher_matrix generators whose hermiticity defect,
+commutator or Fisher products overflow are refused the same way.
 
 The value types are also covered by construction: starting from one valid
 constructor call per public dataclass that validates itself, every float
@@ -60,9 +61,8 @@ CASES = {
                                      "residual register state must be finite",
                                      lambda x: qi.SwapRetrieval(
                                          np.full((4, 2), x)).residual_state()),
-    "map_vector_unitary": (ValueError, "src norm deviation from 1",
-                           lambda x: qa.map_vector_unitary(np.array([x, 0.0]),
-                                                           np.array([1.0, 0.0]))),
+    "vector_rotation": (ValueError, "src norm deviation from 1",
+                        lambda x: qa.vector_rotation(np.array([x, 0.0]), np.array([1.0, 0.0]))),
     "PureState": (ValueError, "state vector norm deviation from 1",
                   lambda x: qa.PureState(1, 2, np.array([x, 0.0]))),
     "GaussianState": (UnphysicalInputError, "covariance must be finite",
@@ -159,6 +159,19 @@ OVERFLOWS = {
                                                chain_modes())),
     "figure_experiment": (r"evolution time = 1e\+308 overflows",
                           lambda: lf.figure_experiment(lf.LatticeConfig(4, 1.0), 1, [1e308])),
+    "sld_fisher_matrix commutator": (
+        "generators 0 and 1 overflow their commutator",
+        lambda: qi.sld_fisher_matrix([np.diag([1e200, -1e200, 1e200, -1e200]),
+                                      np.diag([1e200, 1e200, -1e200, -1e200])],
+                                     qa.random_state(2, 2, np.random.default_rng(0)))),
+    "sld_fisher_matrix hermiticity": (
+        "generator hermiticity defect: inf exceeds",
+        lambda: qi.sld_fisher_matrix([np.kron([[0.0, 1.7e308], [-1.7e308, 0.0]], np.eye(2))],
+                                     qa.random_state(2, 2, np.random.default_rng(0)))),
+    "sld_fisher_matrix covariance": (
+        "generators overflow the Fisher matrix",
+        lambda: qi.sld_fisher_matrix([np.diag([1e200, -1e200, 1e200, -1e200])],
+                                     qa.random_state(2, 2, np.random.default_rng(0)))),
 }
 
 

@@ -1,4 +1,4 @@
-"""Generator algebra, SWAP identity, Schmidt utilities, and vector maps."""
+"""Generator algebra, SWAP identity, vector and frame rotations, and linalg helpers."""
 
 import numpy as np
 import pytest
@@ -129,54 +129,6 @@ def test_swap_unitary_and_involutive(d):
     assert max_abs(s @ s - np.eye(d * d)) < SWAP_TOL
 
 
-# ---- Schmidt decomposition ----
-
-
-def test_schmidt_product_state():
-    state = qa.product_state([[1, 0], [0.6, 0.8]])
-    dec = qa.schmidt(state)
-    np.testing.assert_allclose(dec.coefficients, [1.0, 0.0], atol=1e-12)
-
-
-def test_schmidt_bell_state():
-    bell = qa.PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    dec = qa.schmidt(bell)
-    np.testing.assert_allclose(dec.coefficients, [1, 1] / np.sqrt(2), atol=1e-12)
-
-
-def test_schmidt_random_reconstruction():
-    rng = np.random.default_rng(5)
-    state = qa.random_state(2, 3, rng)
-    dec = qa.schmidt(state)
-    assert abs(np.sum(dec.coefficients ** 2) - 1.0) < 1e-12
-    assert max_abs(dec.reconstruct() - state.amplitudes) < 1e-10
-    # both vector sets orthonormal
-    assert max_abs(dag(dec.left_vectors) @ dec.left_vectors - np.eye(3)) < ORTHO_TOL
-    gram_right = dag(dec.right_vectors) @ dec.right_vectors
-    np.testing.assert_allclose(gram_right, np.eye(3), atol=ORTHO_TOL)
-    # coefficients sorted nonincreasing
-    assert np.all(np.diff(dec.coefficients) <= 1e-15)
-
-
-def test_schmidt_matches_reduced_state():
-    rng = np.random.default_rng(6)
-    state = qa.random_state(3, 2, rng)
-    dec = qa.schmidt(state)
-    x = state.first_site_matrix()
-    reduced = x @ dag(x)
-    rebuilt = (dec.left_vectors * dec.coefficients ** 2) @ dag(dec.left_vectors)
-    assert max_abs(reduced - rebuilt) < ORTHO_TOL
-
-
-def test_schmidt_padded_rank():
-    # rank-1 state on 2 qutrits still yields 3 orthonormal triples
-    state = qa.product_state([[1, 0, 0], [0, 1, 0]])
-    dec = qa.schmidt(state)
-    assert dec.coefficients.shape == (3,)
-    np.testing.assert_allclose(
-        dag(dec.right_vectors) @ dec.right_vectors, np.eye(3), atol=ORTHO_TOL)
-
-
 # ---- conjugated site action ----
 
 
@@ -216,18 +168,24 @@ def test_structured_preserves_norm_with_conjugator():
     np.testing.assert_allclose(out, dense @ state.amplitudes, atol=1e-12)
 
 
-# ---- vector-map unitary ----
+# ---- vector rotation ----
+
+
+def rotation(src, dst):
+    """The dense unitary I + B K B' of vector_rotation(src, dst)."""
+    basis, kernel = qa.vector_rotation(src, dst)
+    return np.eye(len(src)) + basis @ kernel @ dag(basis)
 
 
 def test_map_same_vector_is_identity():
     v = np.array([0.6, 0.8j], dtype=complex)
-    np.testing.assert_allclose(qa.map_vector_unitary(v, v), np.eye(2), atol=EXACT)
+    np.testing.assert_allclose(rotation(v, v), np.eye(2), atol=EXACT)
 
 
 def test_map_basis_exchange():
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
-    v = qa.map_vector_unitary(e0, e1)
+    v = rotation(e0, e1)
     np.testing.assert_allclose(v @ e0, e1, atol=MAP_TOL)
     assert unitarity_defect(v) < MAP_TOL
 
@@ -235,7 +193,7 @@ def test_map_basis_exchange():
 def test_map_antipodal_vectors():
     rng = np.random.default_rng(9)
     src = qa.random_state(1, 5, rng).amplitudes
-    v = qa.map_vector_unitary(src, -src)
+    v = rotation(src, -src)
     np.testing.assert_allclose(v @ src, -src, atol=MAP_TOL)
     assert unitarity_defect(v) < MAP_TOL
 
@@ -244,7 +202,7 @@ def test_map_random_dim9():
     rng = np.random.default_rng(10)
     src = qa.random_state(1, 9, rng).amplitudes
     dst = qa.random_state(1, 9, rng).amplitudes
-    v = qa.map_vector_unitary(src, dst)
+    v = rotation(src, dst)
     assert np.linalg.norm(v @ src - dst) < MAP_TOL
     assert unitarity_defect(v) < MAP_TOL
 
@@ -253,7 +211,7 @@ def test_map_identity_off_span():
     rng = np.random.default_rng(12)
     src = qa.random_state(1, 6, rng).amplitudes
     dst = qa.random_state(1, 6, rng).amplitudes
-    v = qa.map_vector_unitary(src, dst)
+    v = rotation(src, dst)
     q = np.linalg.qr(np.column_stack([src, dst]))[0]
     probe = qa.random_state(1, 6, rng).amplitudes
     probe -= q @ (dag(q) @ probe)
@@ -264,18 +222,18 @@ def test_map_identity_off_span():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=2, max_value=6))
-def test_map_vector_unitary_properties(seed, dim):
+def test_vector_rotation_properties(seed, dim):
     rng = np.random.default_rng(seed)
     src = qa.random_state(1, dim, rng).amplitudes
     dst = qa.random_state(1, dim, rng).amplitudes
-    v = qa.map_vector_unitary(src, dst)
+    v = rotation(src, dst)
     assert np.linalg.norm(v @ src - dst) < 1e-11
     assert unitarity_defect(v) < 1e-11
 
 
 def test_map_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        qa.map_vector_unitary(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        qa.vector_rotation(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 @settings(max_examples=60, deadline=None)
