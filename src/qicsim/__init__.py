@@ -41,7 +41,7 @@ _EXPORTS = {
                    "construct_partner", "construct_qic", "correlation_state",
                    "fisher_information", "max_entangled_partner_feasible",
                    "partner_write_action", "qic_family", "random_su_generator",
-                   "random_write_operation", "retrieve_by_swap", "sld_fisher_matrix"),
+                   "random_write_operation", "retrieve_by_swap"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "linalg", "svg_plot"}

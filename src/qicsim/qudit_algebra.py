@@ -262,16 +262,16 @@ class BranchRotation:
 
 
 class Conjugator:
-    """Register unitary C = F_k ... F_1, a product of factors.
+    """Register unitary C = F_k ... F_1 on dim basis states, a product of factors.
 
     Conjugator(matrix) gates a dense register matrix for unitarity once and
-    keeps it as F_1, an AxisUnitary over the whole register.  Later factors
-    (AxisUnitary, BranchRotation) are unitary by construction, so then()
-    gates nothing.  Nothing dense is cached: dense() applies the later
-    factors to F_1's matrix on every call.
+    keeps it as F_1, an AxisUnitary over the whole register (the head);
+    Conjugator.identity(dim) has none.  Later factors (AxisUnitary,
+    BranchRotation) are unitary by construction, so then() gates nothing.
+    Nothing dense is cached: dense() applies the factors on every call.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("dim", "factors")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -279,15 +279,18 @@ class Conjugator:
             raise ValueError("conjugator must be a square matrix")
         gate(unitarity_defect(matrix), UNITARY_TOL, UnphysicalInputError,
              "conjugator unitarity defect")
-        self.factors = (AxisUnitary(matrix),)
+        self.dim, self.factors = matrix.shape[0], (AxisUnitary(matrix),)
 
-    @property
-    def dim(self) -> int:
-        return self.factors[0].matrix.shape[0]
+    @classmethod
+    def identity(cls, dim: int) -> "Conjugator":
+        """The identity on a dim-dimensional register: no factors, nothing dense, no gate."""
+        out = object.__new__(cls)
+        out.dim, out.factors = dim, ()
+        return out
 
     def then(self, *factors) -> "Conjugator":
         """This conjugator followed by more factors; nothing is gated again."""
-        out = object.__new__(Conjugator)
+        out = Conjugator.identity(self.dim)
         out.factors = self.factors + factors
         return out
 
@@ -302,9 +305,13 @@ class Conjugator:
         return x
 
     def dense(self) -> np.ndarray:
-        """The D x D matrix, rebuilt per call; F_1's own matrix when nothing follows it."""
-        m = self.factors[0].matrix
-        for factor in self.factors[1:]:
+        """The D x D matrix, rebuilt per call; a head's own matrix when nothing follows it."""
+        factors = self.factors
+        if factors and isinstance(factors[0], AxisUnitary) and len(factors[0].matrix) == self.dim:
+            m, factors = factors[0].matrix, factors[1:]
+        else:
+            m = np.eye(self.dim, dtype=complex)
+        for factor in factors:
             m = factor.apply(m)
         return m
 

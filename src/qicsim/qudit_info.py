@@ -11,12 +11,14 @@ information capsules for a write operation exp(-i theta T) that confine the
 written parameter to a single virtual qudit, the SWAP channel that moves a
 capsule onto an external register (kept as its D x d joint block, as the
 register residual has rank d), and the (multi-parameter) Fisher information
-available to readout.
+available to readout, every number of it a d x d trace against a correlation
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -102,6 +104,37 @@ class _SiteConjugated:
             raise ValueError(f"state and {type(self).__name__} live on different registers")
         return self.conjugation.apply(state.amplitudes).reshape(self.d, -1)
 
+    def fisher_matrix(self, state: PureState, local_generators) -> np.ndarray:
+        """Fisher matrix 4 Re <dT_i dT_j> of commuting T_i = C' (t_i x I) C, at d x d.
+
+        local_generators are the d x d seeds t_i.  On the correlation state
+        rho = x x' of the slot view x, <T_i> = Tr(t_i rho) and Re <T_i T_j> =
+        Re Tr(t_i t_j rho).  The T_i must commute, or the symmetric logarithmic
+        derivatives do not reduce to this covariance; [T_i, T_j] =
+        C' ([t_i, t_j] x I) C is gated exactly.
+        """
+        ts = np.array(local_generators, dtype=complex)
+        if ts.ndim != 3 or ts.shape[1:] != (self.d, self.d):
+            raise ValueError(f"need a list of {self.d} x {self.d} site generators")
+        x = self.slots(state)
+        # Finite generators can still overflow a difference or a product: refuse
+        # that as one error rather than numpy's warnings, as linalg.scaled does.
+        # An overflowed defect or commutator is inf or NaN, which fails its gate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            require_finite(ts, UnphysicalInputError, "generator")
+            gate(max_abs(ts - ts.conj().transpose(0, 2, 1)), HERMITIAN_TOL,
+                 UnphysicalInputError, "generator hermiticity defect")
+            products = ts[:, None] @ ts   # [i, j] = t_i t_j
+            for i, j in combinations(range(len(ts)), 2):
+                gate(max_abs(products[i, j] - products[j, i]), COMMUTE_TOL,
+                     UnphysicalInputError, f"commutator of generators {i} and {j}")
+            rho = x @ dag(x)
+            means = np.einsum("iab,ba->i", ts, rho).real
+            f = 4.0 * (np.einsum("ijab,ba->ij", products, rho).real - np.outer(means, means))
+        if not np.isfinite(f).all():
+            raise UnphysicalInputError("generators overflow the Fisher matrix")
+        return (f + f.T) / 2.0
+
 
 # ---- Virtual qudits and their states ----
 
@@ -177,7 +210,7 @@ class CorrelationState:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def correlation_state(qudit: VirtualQudit, state: PureState) -> CorrelationState:
+def correlation_state(qudit: _SiteConjugated, state: PureState) -> CorrelationState:
     """Correlation state (1/d) sum_mu <T_mu> t_mu of a virtual qudit.
 
     <T_mu> = Tr(t_mu x x') for the conjugated state x as a d x D/d matrix, and
@@ -226,7 +259,7 @@ class WriteOperation(_SiteConjugated):
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
         """Write with a trivial conjugator, acting on site 1 directly."""
         d = np.asarray(local_generator).shape[0]
-        return cls(local_generator, np.eye(d ** num_sites, dtype=complex))
+        return cls(local_generator, Conjugator.identity(d ** num_sites))
 
     @property
     def d(self) -> int:
@@ -248,12 +281,6 @@ class WriteOperation(_SiteConjugated):
         psi = conjugated_action(self.local_unitary(theta), self.conjugation,
                                 state.amplitudes)
         return PureState(state.num_sites, self.d, psi)
-
-    def apply_generator(self, vec: np.ndarray) -> np.ndarray:
-        return conjugated_action(self.local_generator, self.conjugation, vec)
-
-    def expectation(self, vec: np.ndarray) -> float:
-        return np.vdot(vec, self.apply_generator(vec)).real
 
     def virtual_qudit(self) -> VirtualQudit:
         """The virtual qudit whose first generator family contains T."""
@@ -512,52 +539,7 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
 
 def fisher_information(write: WriteOperation, state: PureState) -> float:
     """Quantum Fisher information 4 (<T^2> - <T>^2) of the write parameter."""
-    y = write.apply_generator(state.amplitudes)
-    mean = np.vdot(state.amplitudes, y).real
-    return 4.0 * (np.vdot(y, y).real - mean * mean)
-
-
-def sld_fisher_matrix(generators, state: PureState) -> np.ndarray:
-    """Fisher matrix 4 Re <dC_i dC_j> for commuting full-register generators.
-
-    generators are plain D x D arrays on the full register (lift a site
-    generator such as build_su_basis(d).diagonal_generators()[i] with
-    np.kron first); they must pairwise commute, otherwise the symmetric
-    logarithmic derivatives do not reduce to this covariance form.
-    """
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    k = len(mats)
-    if k == 0:
-        raise ValueError("need at least one generator")
-    # Finite generators can still overflow a difference or a product: refuse
-    # that as one error rather than numpy's warnings, as linalg.scaled does.
-    # An overflowed hermiticity defect is inf, which fails its gate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in mats:
-            if m.shape != (state.dim, state.dim):
-                raise ValueError("generators must act on the full register")
-            require_finite(m, UnphysicalInputError, "generator")
-            gate(max_abs(m - dag(m)), HERMITIAN_TOL, UnphysicalInputError,
-                 "generator hermiticity defect")
-        for i in range(k):
-            for j in range(i + 1, k):
-                commutator = mats[i] @ mats[j] - mats[j] @ mats[i]
-                if not np.isfinite(commutator).all():
-                    raise UnphysicalInputError(
-                        f"generators {i} and {j} overflow their commutator")
-                gate(max_abs(commutator), COMMUTE_TOL,
-                     UnphysicalInputError, f"commutator of generators {i} and {j}")
-        psi = state.amplitudes
-        ys = [m @ psi for m in mats]
-        means = [np.vdot(psi, y).real for y in ys]
-        f = np.zeros((k, k))
-        for i in range(k):
-            for j in range(k):
-                f[i, j] = 4.0 * (np.vdot(ys[i], ys[j]).real - means[i] * means[j])
-        f = (f + f.T) / 2.0
-    if not np.isfinite(f).all():
-        raise UnphysicalInputError("generators overflow the Fisher matrix")
-    return f
+    return float(write.fisher_matrix(state, [write.local_generator])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -570,7 +552,8 @@ class FeasibilityReport:
 
 def max_entangled_partner_feasible(write: WriteOperation,
                                    state: PureState) -> FeasibilityReport:
-    """Feasibility gate <T> = 0 for a maximally entangled partner pair."""
-    expectation = write.expectation(state.amplitudes)
+    """Feasibility gate <T> = 0 for a maximally entangled partner pair, <T> = Re Tr(t rho)."""
+    rho = correlation_state(write, state).matrix
+    expectation = float(np.trace(write.local_generator @ rho).real)
     return FeasibilityReport(feasible=abs(expectation) < 1e-10,
                              expectation=expectation)

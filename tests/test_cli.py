@@ -5,6 +5,7 @@ same way a shell user would hit them.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qicsim import checks, cli, gaussian_cv, lattice_field, qudit_algebra
+from qicsim import checks, cli, gaussian_cv, lattice_field, qudit_algebra, qudit_info
 from qicsim.errors import InternalConsistencyError, StateFileError, UnphysicalInputError
 
 ROUNDTRIP_TOL = 0.0          # 17 significant digits must round-trip exactly
@@ -174,7 +175,9 @@ def test_qudit_suite_report(tmp_path):
     assert lines[0] == "# qic qudit-suite d=2 n=2 trials=5 seed=7 prng=PCG64"
     assert lines[1] == "module,invariant,residual,tolerance,status"
     body = [ln.split(",") for ln in lines[2:]]
-    assert body, "report should contain at least one invariant row"
+    # The benchmark's cli-paper check reads exactly these six rows.
+    assert [(row[0], row[1]) for row in body] == [("qudit_info", name)
+                                                  for name in checks.SWEEP_TOLERANCES]
     for row in body:
         assert row[-1] == "pass"
         assert float(row[2]) <= float(row[3])
@@ -435,6 +438,7 @@ VERIFY_ROWS = [
     ("qudit_info", "partner purity"),
     ("qudit_info", "partner locality"),
     ("qudit_info", "partner write action"),
+    ("qudit_info", "capsule holds the full Fisher information"),
     ("qudit_info", "equivalent-set spectrum invariance"),
     ("qudit_info", "fisher write-angle invariance"),
     ("gaussian_cv", "pure-state covariance relation"),
@@ -469,6 +473,23 @@ def test_frame_rotation_row_fails_on_a_perturbed_kernel(monkeypatch):
     monkeypatch.setattr(qudit_algebra, "frame_rotation", perturbed)
     row = checks.qudit_algebra_checks()[-1]
     assert row.invariant == "frame rotation" and row.passed is False
+
+
+def test_capsule_fisher_row_fails_on_a_perturbed_capsule(monkeypatch):
+    """Negative control: a capsule vector off by a factor 1 + 1e-6 fails the row."""
+    exact = qudit_info.construct_qic
+
+    def perturbed(write, state):
+        construction = exact(write, state)
+        return dataclasses.replace(construction, phi=construction.phi * (1.0 + 1e-6))
+
+    def fisher_row():
+        return next(row for row in checks.qudit_info_checks()
+                    if row.invariant == "capsule holds the full Fisher information")
+
+    assert fisher_row().passed
+    monkeypatch.setattr(qudit_info, "construct_qic", perturbed)
+    assert fisher_row().passed is False
 
 
 @pytest.mark.parametrize("argv, report", [

@@ -1,7 +1,8 @@
 """Factored conjugators against the dense constructions they replace.
 
 The capsule, its deformations and the purification partner keep their
-conjugators as a gated dense first factor followed by structural factors.
+conjugators as a gated dense head, or none for a local write, followed by
+structural factors.
 The references below rebuild each conjugator the dense way, with Kronecker
 products and D x D matrix products, and the factored result must match them.
 """
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qicsim import linalg
+from qicsim import checks, linalg
 from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
 from qicsim.errors import UnphysicalInputError
@@ -121,8 +122,9 @@ def make_inputs(d, n, seed, state_kind, degenerate, scramble):
                                   for _ in range(n)])
     else:
         state = qa.random_state(n, d, rng)
-    conj = haar_unitary(d ** n, rng) if scramble else np.eye(d ** n, dtype=complex)
-    return qi.WriteOperation(t, conj), state
+    if not scramble:
+        return qi.WriteOperation.local(t, n), state
+    return qi.WriteOperation(t, haar_unitary(d ** n, rng)), state
 
 
 def assert_factors_unitary(conjugator):
@@ -241,6 +243,45 @@ def test_partner_applies_the_head_once(head_calls):
     head_calls.clear()
     qi.partner_write_action(pair, write, 0.7, state)
     assert [c[2] for c in head_calls if c[0] is head and c[1] == "apply_adjoint"] == [True]
+
+
+# ---- the head-free identity ----
+
+
+@pytest.mark.parametrize("dim", [1, 4, 27])
+def test_identity_conjugator_is_head_free(dim):
+    eye = qa.Conjugator.identity(dim)
+    assert eye.dim == dim and eye.factors == ()
+    assert np.array_equal(eye.dense(), np.eye(dim))
+    x = np.arange(2 * dim, dtype=complex).reshape(dim, 2)
+    assert eye.apply(x) is x and eye.apply_adjoint(x) is x
+
+
+def test_local_write_round_at_d_2_16_stays_small(gate_calls):
+    """A full local-write round at D = 2^16 gates nothing and builds no D x D matrix.
+
+    One dense register matrix there would be 68 GB; the round needs a few
+    D x d blocks, about 17 MB.
+    """
+    rng = np.random.default_rng(46)
+    n = 16
+    state = qa.random_state(n, 2, rng)
+    tracemalloc.start()
+    try:
+        write = qi.WriteOperation.local(qi.random_su_generator(2, rng), n)
+        qi.construct_qic(write, state)
+        pair = qi.construct_partner(write.virtual_qudit(), state)
+        qi.partner_write_action(pair, write, 0.7, state)
+        residuals = checks.capsule_residuals(write, state)
+        fisher = qi.fisher_information(write, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gate_calls == []
+    tolerances = {**checks.SWEEP_TOLERANCES, **checks.VERIFY_SWEEP_TOLERANCES}
+    assert all(value <= tolerances[name] for name, value in residuals.items()), residuals
+    assert 0.0 < fisher <= 4.0
+    assert peak < 64e6
 
 
 # ---- the partner of a rank-deficient state ----

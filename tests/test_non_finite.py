@@ -10,7 +10,7 @@ a_k b_k = 1/4, and the chain's mode frequencies must be positive.
 Scalar parameters (a write angle, a family deformation, generator
 coefficients, an evolution time) refuse non-finite values with ValueError,
 and finite values whose phase or shift overflows with UnphysicalInputError,
-unwarned.  Finite sld_fisher_matrix generators whose hermiticity defect,
+unwarned.  Finite d x d fisher_matrix generators whose hermiticity defect,
 commutator or Fisher products overflow are refused the same way.
 
 The value types are also covered by construction: starting from one valid
@@ -41,6 +41,12 @@ def z_write():
     return qi.WriteOperation(SIGMA_Z, I4)
 
 
+def qubit_fisher(generators):
+    """fisher_matrix of d x d seeds on a random two-qubit state, head-free conjugator."""
+    qudit = qi.VirtualQudit(qa.build_su_basis(2), qa.Conjugator.identity(4))
+    return qudit.fisher_matrix(qa.random_state(2, 2, np.random.default_rng(0)), generators)
+
+
 def vacuum_drift(v2, theta2):
     """Drift of the one-mode vacuum's q-write capsule under a second write."""
     state = g.vacuum_state(1)
@@ -53,10 +59,8 @@ CASES = {
                        lambda x: qi.WriteOperation(np.diag([x, x]).astype(complex), I4)),
     "CorrelationState": (InternalConsistencyError, "correlation state must be finite",
                          lambda x: qi.CorrelationState(2, np.diag([x, x]).astype(complex))),
-    "sld_fisher_matrix": (UnphysicalInputError, "generator must be finite",
-                          lambda x: qi.sld_fisher_matrix(
-                              [np.diag([x, 0.0, 0.0, 0.0]), np.diag([1.0, -1.0, 1.0, -1.0])],
-                              qa.basis_state(2, 2))),
+    "fisher_matrix": (UnphysicalInputError, "generator must be finite",
+                      lambda x: qubit_fisher([np.diag([x, 0.0]), SIGMA_Z])),
     "SwapRetrieval.residual_state": (InternalConsistencyError,
                                      "residual register state must be finite",
                                      lambda x: qi.SwapRetrieval(
@@ -159,19 +163,15 @@ OVERFLOWS = {
                                                chain_modes())),
     "figure_experiment": (r"evolution time = 1e\+308 overflows",
                           lambda: lf.figure_experiment(lf.LatticeConfig(4, 1.0), 1, [1e308])),
-    "sld_fisher_matrix commutator": (
-        "generators 0 and 1 overflow their commutator",
-        lambda: qi.sld_fisher_matrix([np.diag([1e200, -1e200, 1e200, -1e200]),
-                                      np.diag([1e200, 1e200, -1e200, -1e200])],
-                                     qa.random_state(2, 2, np.random.default_rng(0)))),
-    "sld_fisher_matrix hermiticity": (
+    "fisher_matrix commutator": (
+        "commutator of generators 0 and 1: nan exceeds",
+        lambda: qubit_fisher([np.diag([1e200, -1e200]), np.diag([1e200, 1e200])])),
+    "fisher_matrix hermiticity": (
         "generator hermiticity defect: inf exceeds",
-        lambda: qi.sld_fisher_matrix([np.kron([[0.0, 1.7e308], [-1.7e308, 0.0]], np.eye(2))],
-                                     qa.random_state(2, 2, np.random.default_rng(0)))),
-    "sld_fisher_matrix covariance": (
+        lambda: qubit_fisher([[[0.0, 1.7e308], [-1.7e308, 0.0]]])),
+    "fisher_matrix covariance": (
         "generators overflow the Fisher matrix",
-        lambda: qi.sld_fisher_matrix([np.diag([1e200, -1e200, 1e200, -1e200])],
-                                     qa.random_state(2, 2, np.random.default_rng(0)))),
+        lambda: qubit_fisher([np.diag([1e200, -1e200])])),
 }
 
 
