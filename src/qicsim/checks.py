@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian_cv, lattice_field, qudit_algebra, qudit_info
-from .gaussian_cv import _det2, _omega
+from .gaussian_cv import _det2, _omega, _symplectic
 from .linalg import (
     dag,
     factored_trace_distance,
@@ -217,15 +217,19 @@ def qudit_info_checks() -> list:
     for _ in range(5):
         d, n = 3, 2
         state = qudit_algebra.random_state(n, d, rng)
-        write = qudit_info.random_write_operation(d, n, rng)
-        base = qudit_info.fisher_information(write, state)
-        for theta in (0.5, 1.5):
-            written = write.apply(state, theta)
-            value = qudit_info.fisher_information(write, written)
-            residual = _fold(residual, abs(value - base) / max(abs(base), 1e-12))
+        residual = _fold(residual, fisher_angle_residual(
+            qudit_info.random_write_operation(d, n, rng), state))
     results.append(_worst("qudit_info", "fisher write-angle invariance", residual, 1e-9))
 
     return results
+
+
+def fisher_angle_residual(write: qudit_info.WriteOperation,
+                          state: qudit_algebra.PureState) -> float:
+    """Write-angle change of the Fisher information F; absolute below F = 1, as Tr(t^2) = d."""
+    base = qudit_info.fisher_information(write, state)
+    return _fold(*(abs(qudit_info.fisher_information(write, write.apply(state, theta)) - base)
+                   / max(abs(base), 1) for theta in (0.5, 1.5)))
 
 
 def qudit_random_suite(d: int, n: int, trials: int, seed: int) -> list:
@@ -239,29 +243,6 @@ def qudit_random_suite(d: int, n: int, trials: int, seed: int) -> list:
 
 
 # ---- gaussian_cv ----
-
-
-def _symplectic_product(x: np.ndarray, y: np.ndarray) -> float:
-    """x' Omega y, bit-equal to the product with the dense symplectic form."""
-    return float(_omega(x, right=True) @ y)
-
-
-def perturbed_mode_dets(pair: gaussian_cv.ModePair, m: np.ndarray, q: np.ndarray,
-                        deltas: np.ndarray) -> np.ndarray:
-    """det m of the pair (v, u + delta) for each admissible row delta.
-
-    Each row is projected off the orthonormal constraint columns q and
-    normalized; rows left shorter than 1e-8 are skipped.  The four mode
-    entries are those of gaussian_cv._mode_entries, for all rows at once.
-    """
-    deltas = deltas - (deltas @ q) @ q.T
-    norms = np.linalg.norm(deltas, axis=1)
-    keep = norms >= 1e-8
-    perturbed = pair.u + deltas[keep] / norms[keep, None]
-    vm = pair.v @ m
-    um = perturbed @ m
-    cross = (perturbed @ vm + um @ pair.v) / 2.0
-    return float(vm @ pair.v) * np.einsum("ij,ij->i", um, perturbed) - cross * cross
 
 
 def gaussian_checks() -> list:
@@ -290,11 +271,17 @@ def gaussian_checks() -> list:
         det_residual = _fold(det_residual, abs(mode.det - 0.25))
         m = state.covariance
         pairing_residual = _fold(pairing_residual,
-                                 abs(_symplectic_product(pair.v, pair.u) - 1.0),
+                                 abs(_symplectic(pair.v, pair.u) - 1.0),
                                  abs(pair.v @ m @ pair.u))
-        constraints = np.column_stack([_omega(pair.v), m @ pair.v])
-        q, _ = np.linalg.qr(constraints)
-        dets = perturbed_mode_dets(pair, m, q, rng.standard_normal((20, 2 * n)))
+        # Unit perturbations of u off the constraint columns, rows shorter than
+        # 1e-8 skipped, go through one stacked mode covariance.
+        q, _ = np.linalg.qr(np.column_stack([_omega(pair.v), m @ pair.v]))
+        deltas = rng.standard_normal((20, 2 * n))
+        deltas -= (deltas @ q) @ q.T
+        norms = np.linalg.norm(deltas, axis=1)
+        keep = norms >= 1e-8
+        perturbed = pair.u + deltas[keep] / norms[keep, None]
+        dets = _det2(gaussian_cv.mode_covariance_matrix(pair.v, perturbed, m))
         min_increase = _fold(min_increase, (dets - 0.25).min(initial=np.inf), pick=min)
     results.append(_worst("gaussian_cv", "conjugate mode determinant",
                           det_residual, 1e-8))
@@ -323,9 +310,9 @@ def gaussian_checks() -> list:
         n = int(rng.integers(2, 7))
         state = gaussian_cv.random_pure_state(n, rng)
         v = rng.standard_normal(2 * n)
-        base = 4.0 * float(v @ state.covariance @ v)
+        base = gaussian_cv.shift_fisher_matrix([v], state)[0, 0]
         shifted = gaussian_cv.apply_shift_write(state, rng.standard_normal(2 * n), 0.9)
-        after = 4.0 * float(v @ shifted.covariance @ v)
+        after = gaussian_cv.shift_fisher_matrix([v], shifted)[0, 0]
         drift = _fold(drift, abs(after - base) / base)
     results.append(_worst("gaussian_cv", "fisher invariance under shifts", drift, 1e-12))
 
@@ -358,11 +345,11 @@ def lattice_checks() -> list:
     for _ in range(10):
         w1 = rng.standard_normal(2 * config.n_sites)
         w2 = rng.standard_normal(2 * config.n_sites)
-        base = _symplectic_product(w1, w2)
+        base = _symplectic(w1, w2)
         for t in times:
             w1_t, _ = lattice_field.evolve_vector(w1, t, mm)
             w2_t, _ = lattice_field.evolve_vector(w2, t, mm)
-            invariance = _fold(invariance, abs(_symplectic_product(w1_t, w2_t) - base))
+            invariance = _fold(invariance, abs(_symplectic(w1_t, w2_t) - base))
             if t == 25.0:
                 w1_back, _ = lattice_field.evolve_vector(w1_t, -25.0, mm)
                 round_trip = _fold(round_trip, max_abs(w1_back - w1))

@@ -58,9 +58,14 @@ def _omega(x: np.ndarray, right: bool = False) -> np.ndarray:
     return out
 
 
-def _det2(m) -> float:
-    """Determinant of a 2 x 2 mode covariance; the one formula the package uses."""
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _symplectic(x: np.ndarray, y: np.ndarray) -> float:
+    """x' Omega y; bit-equal to the product with the dense symplectic form."""
+    return float(_omega(x, right=True) @ y)
+
+
+def _det2(m):
+    """Determinant of a 2 x 2 mode covariance or of a 2 x 2 x k stack; the one formula."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def _add_omega(a: np.ndarray, scale) -> None:
@@ -293,7 +298,7 @@ class ModePair:
             raise ValueError("v and u must be vectors of one even length")
         require_finite([v, u], ValueError, "v and u")
         require_finite([self.q_offset, self.p_offset], ValueError, "offsets")
-        gate(abs(_omega(v, right=True) @ u - 1.0), PAIRING_TOL, ValueError,
+        gate(abs(_symplectic(v, u) - 1.0), PAIRING_TOL, ValueError,
              "pair is not canonical: |v'Omega u - 1|")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
@@ -321,7 +326,7 @@ class ModeCovariance:
 
     @property
     def det(self) -> float:
-        return _det2(self.matrix)
+        return float(_det2(self.matrix))
 
 
 def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
@@ -353,20 +358,22 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
 
 def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
                            covariance: np.ndarray | CirculantCovariance) -> np.ndarray:
-    """Raw 2x2 covariance of the pair (v' r, u' r), symmetrized.
+    """Raw 2x2 covariance of the pair (v' r, u' r), symmetrized; 2 x 2 x k for k rows u.
 
-    Two products, v' M and u' M, feed all four entries; each is O(N^2) for
-    a dense covariance and O(N log N) for a CirculantCovariance.
+    Two products, v' M and u' M, feed all four entries; each is O(N^2) per
+    row for a dense covariance and O(N log N) for a CirculantCovariance.
     """
     return _mode_entries(v, u, v @ covariance, u @ covariance)
 
 
 def _mode_entries(v: np.ndarray, u: np.ndarray, vm: np.ndarray, um: np.ndarray) -> np.ndarray:
-    """The symmetrized 2x2 covariance of (v' r, u' r) from vm = v' M and um = u' M."""
-    vv = float(vm @ v)
-    uu = float(um @ u)
-    cross = (float(vm @ u) + float(um @ v)) / 2.0
-    return np.array([[vv, cross], [cross, uu]])
+    """The mode covariance from vm = v' M and um = u' M; u and um may be k-row stacks."""
+    uu = np.vecdot(um, u)
+    out = np.empty((2, 2, *uu.shape))
+    out[0, 0] = vm @ v
+    out[0, 1] = out[1, 0] = (np.vecdot(vm, u) + np.vecdot(um, v)) / 2.0
+    out[1, 1] = uu
+    return out
 
 
 def mode_covariance(pair: ModePair, state: GaussianState) -> ModeCovariance:
@@ -429,9 +436,8 @@ def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
     if any(pair.v.shape != (2 * state.n_modes,) for pair in pairs):
         raise ValueError("write vector length does not match the state")
     vs = [pair.v for pair in pairs]
-    vs_omega = [_omega(v, right=True) for v in vs]
     vs_m = [v @ state.covariance for v in vs]
-    omega_products = np.array([[vo @ v for v in vs] for vo in vs_omega])
+    omega_products = np.array([[_symplectic(a, b) for b in vs] for a in vs])
     cov_products = np.array([[vm @ v for v in vs] for vm in vs_m])
     off = ~np.eye(len(pairs), dtype=bool)
     commuting = bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL))
@@ -439,7 +445,7 @@ def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
     pairings = None
     pairing_ok = True
     if independent:
-        pairings = np.array([[vo @ pair.u for pair in pairs] for vo in vs_omega])
+        pairings = np.array([[_symplectic(v, pair.u) for pair in pairs] for v in vs])
         pairing_ok = bool(max_abs(pairings - np.eye(len(pairs))) < 1e-9)
     return MultiparamReport(omega_products=omega_products,
                             covariance_products=cov_products,
@@ -450,20 +456,23 @@ def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
 def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:
     """Fisher matrix diag(4 v_i' M v_i) for commuting independent shift writes.
 
-    A single vector needs no pairwise conditions and reduces to the scalar
-    Fisher value 4 Var(Q); several vectors need a pure state, on which their
-    conjugate pairs are built for the conditions.
+    4 v' M v is the QFI only on a pure state.  Each vector's conjugate pair
+    is built, however many there are, so every one meets that pair's checks;
+    several must also meet the pairwise conditions.  A Fisher value that
+    overflows is refused, unwarned.
     """
-    if len(v_list) > 1:
-        report = multiparam_conditions(
-            [conjugate_qic_vector(v, state) for v in v_list], state)
+    pairs = [conjugate_qic_vector(v, state) for v in v_list]
+    if len(pairs) > 1:
+        report = multiparam_conditions(pairs, state)
         if not report.commuting or not report.independent:
             raise UnphysicalInputError(
                 "shift writes must commute and be independent for the diagonal "
                 f"Fisher form (commuting={report.commuting}, "
                 f"independent={report.independent})")
-    return np.diag([4.0 * float(np.asarray(v) @ state.covariance @ np.asarray(v))
-                    for v in v_list])
+    with np.errstate(over="ignore"):
+        f = np.diag([4.0 * float(pair.v @ state.covariance @ pair.v) for pair in pairs])
+    require_finite(f, UnphysicalInputError, "shift-write Fisher matrix")
+    return f
 
 
 @dataclass(frozen=True)
@@ -489,7 +498,7 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: fl
     variance = float(vm @ pair.v)
     gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
          f"capsule quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    drift = scaled(theta2, np.array([_omega(pair.v, right=True) @ v2, float(vm @ v2) / variance]),
+    drift = scaled(theta2, np.array([_symplectic(pair.v, v2), float(vm @ v2) / variance]),
                    "write angle theta2", "the drift")
     return WriteDrift(q_drift=float(abs(drift[0])), p_drift=float(abs(drift[1])))
 

@@ -38,7 +38,7 @@ from .gaussian_cv import (
     ModePair,
     _det2,
     _mode_entries,
-    _omega,
+    _symplectic,
     conjugate_qic_vector,
 )
 from .linalg import gate, max_abs, require_finite, scaled
@@ -164,7 +164,7 @@ def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
     rows, residue = _evolve_rows(np.stack([pair.v, pair.u]), t, mm)
     gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
          f"imaginary evolution residue at t = {t}")
-    pairing = float(_omega(rows[0], right=True) @ rows[1])
+    pairing = _symplectic(rows[0], rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
          f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
     return EvolvedPair(t=float(t), rows=rows, imag_residue=residue, pairing=pairing)
@@ -217,6 +217,6 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
             u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
             pairing=ep.pairing,
-            det_m=_det2(_mode_entries(ep.v_t, ep.u_t, vm, um)),
+            det_m=float(_det2(_mode_entries(ep.v_t, ep.u_t, vm, um))),
             imag_residue=ep.imag_residue))
     return profiles

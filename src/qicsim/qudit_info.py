@@ -107,11 +107,11 @@ class _SiteConjugated:
     def fisher_matrix(self, state: PureState, local_generators) -> np.ndarray:
         """Fisher matrix 4 Re <dT_i dT_j> of commuting T_i = C' (t_i x I) C, at d x d.
 
-        local_generators are the d x d seeds t_i.  On the correlation state
-        rho = x x' of the slot view x, <T_i> = Tr(t_i rho) and Re <T_i T_j> =
-        Re Tr(t_i t_j rho).  The T_i must commute, or the symmetric logarithmic
-        derivatives do not reduce to this covariance; [T_i, T_j] =
-        C' ([t_i, t_j] x I) C is gated exactly.
+        local_generators are the d x d seeds t_i.  On the slot view x, <T_i> =
+        m_i = Tr(t_i x x') and F_ij = 4 Re Tr(s_i' s_j) with s_i = t_i x - m_i x,
+        a Gram matrix: symmetric, with diagonal >= 0, exactly.  The T_i must
+        commute, or the symmetric logarithmic derivatives do not reduce to this
+        covariance; [T_i, T_j] = C' ([t_i, t_j] x I) C is gated exactly.
         """
         ts = np.array(local_generators, dtype=complex)
         if ts.ndim != 3 or ts.shape[1:] != (self.d, self.d):
@@ -128,12 +128,13 @@ class _SiteConjugated:
             for i, j in combinations(range(len(ts)), 2):
                 gate(max_abs(products[i, j] - products[j, i]), COMMUTE_TOL,
                      UnphysicalInputError, f"commutator of generators {i} and {j}")
-            rho = x @ dag(x)
-            means = np.einsum("iab,ba->i", ts, rho).real
-            f = 4.0 * (np.einsum("ijab,ba->ij", products, rho).real - np.outer(means, means))
+            means = np.einsum("iab,ba->i", ts, x @ dag(x)).real
+            s = (ts @ x - means[:, None, None] * x).reshape(len(ts), -1)
+            s = np.concatenate([s.real, s.imag], axis=1)
+            f = 4.0 * (s @ s.T)
         if not np.isfinite(f).all():
             raise UnphysicalInputError("generators overflow the Fisher matrix")
-        return (f + f.T) / 2.0
+        return f
 
 
 # ---- Virtual qudits and their states ----

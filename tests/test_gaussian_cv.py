@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qicsim import checks
 from qicsim import gaussian_cv as g
+from qicsim import lattice_field
 from qicsim.errors import StateFileError, UnphysicalInputError
 from qicsim.linalg import max_abs
 
@@ -299,14 +299,14 @@ def test_stacked_perturbation_draw_equals_row_by_row_draws(n):
     assert np.array_equal(stacked.standard_normal(2 * n), one_by_one.standard_normal(2 * n))
 
 
-# Rounding bound for the batched determinants: the projection and the mode
-# entries sum the same length-2n products in another order (n <= 8).
+# Rounding bound for the stacked determinants: a stack's dot products may sum
+# the same length-2n products in another order than one row's (n <= 8).
 BATCHED_DET_RTOL = 1000 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_perturbed_mode_dets_match_the_row_by_row_route(n):
-    """checks' batched minimality determinants against one delta at a time."""
+    """The minimality check's stacked _mode_entries against one partner row at a time."""
     rng = np.random.default_rng(60 + n)
     state = g.random_pure_state(n, rng)
     pair = g.conjugate_qic_vector(rng.standard_normal(2 * n), state)
@@ -314,17 +314,33 @@ def test_perturbed_mode_dets_match_the_row_by_row_route(n):
     q = np.linalg.qr(np.column_stack([g.symplectic_form(n) @ pair.v, m @ pair.v]))[0]
     deltas = rng.standard_normal((20, 2 * n))
     deltas[3] = q @ rng.standard_normal(2)       # admissible part zero: skipped
-    expected = []
-    for delta in deltas:
-        delta = delta - q @ (q.T @ delta)
-        norm = np.linalg.norm(delta)
-        if norm >= 1e-8:
-            expected.append(g._det2(g.mode_covariance_matrix(pair.v, pair.u + delta / norm,
-                                                             m)))
-    got = checks.perturbed_mode_dets(pair, m, q, deltas)
+    deltas -= (deltas @ q) @ q.T
+    norms = np.linalg.norm(deltas, axis=1)
+    stack = pair.u + deltas[norms >= 1e-8] / norms[norms >= 1e-8, None]
+    expected = [g._det2(g.mode_covariance_matrix(pair.v, u, m)) for u in stack]
+    got = g._det2(g._mode_entries(pair.v, stack, pair.v @ m, stack @ m))
     # With one mode the two constraints span the space: no row is admissible.
     assert got.shape == (len(expected),) and len(expected) == (19 if n > 1 else 0)
     np.testing.assert_allclose(got, expected, rtol=BATCHED_DET_RTOL, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_one_row_mode_entries_and_symplectic_product_keep_their_bits(n, seed, circulant):
+    """One-row mode_covariance_matrix is the four-entry formula and _symplectic is
+    x' Omega y with the dense form, bit for bit, on dense and circulant states."""
+    rng = np.random.default_rng(seed)
+    if circulant:
+        config = lattice_field.LatticeConfig(n, float(rng.uniform(0.1, 3.0)))
+        m = lattice_field.vacuum_covariance(config).covariance
+    else:
+        m = g.random_pure_state(n, rng).covariance
+    v, u = rng.standard_normal((2, 2 * n))
+    vm, um = v @ m, u @ m
+    cross = (vm @ u + um @ v) / 2.0
+    assert np.array_equal(g.mode_covariance_matrix(v, u, m), [[vm @ v, cross], [cross, um @ u]])
+    assert g._symplectic(v, u) == v @ g.symplectic_form(n) @ u
+
 
 def test_conjugate_rejects_degenerate_direction():
     with pytest.raises(UnphysicalInputError, match="variance below the floor"):
@@ -551,6 +567,17 @@ def test_shift_fisher_single_vector_is_variance():
     f = g.shift_fisher_matrix([v], state)
     assert f.shape == (1, 1)
     assert abs(f[0, 0] - 4.0 * float(v @ state.covariance @ v)) < 1e-12
+
+
+@pytest.mark.parametrize("v,state,error,message", [
+    ([1.0, 0.0, 0.0], g.vacuum_state(2), ValueError, "v length does not match the state"),
+    ([1.0, 0.0], g.GaussianState(np.zeros(2), np.eye(2)), UnphysicalInputError,
+     "state is not pure"),
+], ids=["wrong-length", "thermal"])
+def test_shift_fisher_single_vector_meets_the_conjugate_checks(v, state, error, message):
+    """One vector is refused where several are: 4 v'Mv is the QFI only on a pure state."""
+    with pytest.raises(error, match=message):
+        g.shift_fisher_matrix([v], state)
 
 
 def test_shift_fisher_rejects_unmet_conditions():

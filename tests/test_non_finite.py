@@ -5,7 +5,9 @@ comparison is False.  Each case here must raise its documented error for
 NaN, +inf and -inf, without numpy's invalid-value RuntimeWarning (the suite
 turns RuntimeWarning into an error).  The circulant covariance must also
 refuse non-positive spectra and spectra below the uncertainty bound
-a_k b_k = 1/4, and the chain's mode frequencies must be positive.
+a_k b_k = 1/4, and the chain's mode frequencies must be positive.  Every
+public function's write or weighting vector parameter has a case, keyed
+"<function>.<parameter>".
 
 Scalar parameters (a write angle, a family deformation, generator
 coefficients, an evolution time) refuse non-finite values with ValueError,
@@ -19,6 +21,7 @@ field and one entry of every array field is made non-finite in turn.
 """
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -88,9 +91,20 @@ CASES = {
                      lambda x: qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), x))),
     "Conjugator": (UnphysicalInputError, "conjugator unitarity defect",
                    lambda x: qa.Conjugator(np.full((4, 4), x))),
-    "evolve_vector": (ValueError, "weighting vector must be finite",
-                      lambda x: lf.evolve_vector(np.array([x, 1.0, 0.0, 1.0]), 2.0,
-                                                 lf.mode_matrix(lf.LatticeConfig(2, 0.4)))),
+    # Write and weighting vectors, keyed "<function>.<parameter>".
+    "conjugate_qic_vector.v": (UnphysicalInputError, "write vector v must be finite",
+                               lambda x: g.conjugate_qic_vector([x, 0.0], g.vacuum_state(1))),
+    "apply_shift_write.v": (UnphysicalInputError, "write vector v must be finite",
+                            lambda x: g.apply_shift_write(g.vacuum_state(1), [x, 0.0], 0.5)),
+    "qic_invariance_under_other_writes.v2": (UnphysicalInputError,
+                                             "write vector v2 must be finite",
+                                             lambda x: vacuum_drift([x, 0.0], 0.5)),
+    "shift_fisher_matrix.v_list": (UnphysicalInputError, "write vector v must be finite",
+                                   lambda x: g.shift_fisher_matrix([[x, 0.0]],
+                                                                   g.vacuum_state(1))),
+    "evolve_vector.w": (ValueError, "weighting vector must be finite",
+                        lambda x: lf.evolve_vector(np.array([x, 1.0, 0.0, 1.0]), 2.0,
+                                                   lf.mode_matrix(lf.LatticeConfig(2, 0.4)))),
     "ModeMatrix": (UnphysicalInputError, "mode frequencies must be finite and positive",
                    lambda x: lf.ModeMatrix(np.array([1.0, x]))),
     "LatticeConfig.eta": (UnphysicalInputError, "coupling eta",
@@ -163,6 +177,11 @@ OVERFLOWS = {
                                                chain_modes())),
     "figure_experiment": (r"evolution time = 1e\+308 overflows",
                           lambda: lf.figure_experiment(lf.LatticeConfig(4, 1.0), 1, [1e308])),
+    "shift_fisher_matrix variance": (
+        "write quadrature variance and offset must be finite",
+        lambda: g.shift_fisher_matrix([[1e200, 0.0]], g.vacuum_state(1))),
+    "shift_fisher_matrix": ("shift-write Fisher matrix must be finite",
+                            lambda: g.shift_fisher_matrix([[1.2e154, 0.0]], g.vacuum_state(1))),
     "fisher_matrix commutator": (
         "commutator of generators 0 and 1: nan exceeds",
         lambda: qubit_fisher([np.diag([1e200, -1e200]), np.diag([1e200, 1e200])])),
@@ -173,6 +192,19 @@ OVERFLOWS = {
         "generators overflow the Fisher matrix",
         lambda: qubit_fisher([np.diag([1e200, -1e200])])),
 }
+
+
+VECTOR_PARAMETERS = ("v", "v2", "v_list", "w")
+
+
+def test_every_vector_parameter_has_a_non_finite_case():
+    """Each public function's write or weighting vector parameter is a CASES entry."""
+    parameters = {f"{name}.{parameter}"
+                  for name in qicsim.__all__ if inspect.isfunction(obj := getattr(qicsim, name))
+                  for parameter in inspect.signature(obj).parameters
+                  if parameter in VECTOR_PARAMETERS}
+    assert "shift_fisher_matrix.v_list" in parameters
+    assert sorted(parameters - set(CASES)) == []
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWS))

@@ -1,5 +1,6 @@
 """Virtual qudits, capsules, partners, retrieval, and Fisher information."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -625,6 +626,39 @@ def test_fisher_invariant_under_theta():
               for theta in (0.0, 0.5, 1.5)]
     spread = max(values) - min(values)
     assert spread < 1e-9 * max(values)
+
+
+def near_eigenstate_draws(count, seed):
+    """Haar writes at (d, N) = (3, 2) with slot 1 within 1e-9 of an eigenvector of t.
+
+    On such states F is a rounding-level number, where a difference of
+    moments 4 (<T^2> - <T>^2) can round below zero.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        write = qi.random_write_operation(3, 2, rng)
+        eigvec = np.linalg.eigh(write.local_generator)[1][:, rng.integers(3)]
+        slots = np.outer(eigvec, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        slots += 1e-9 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        amplitudes = dag(write.conjugator) @ (slots / np.linalg.norm(slots)).ravel()
+        yield write, qa.PureState(2, 3, amplitudes)
+
+
+def test_fisher_is_non_negative_near_an_eigenstate():
+    for write, state in near_eigenstate_draws(300, 41):
+        assert qi.fisher_information(write, state) >= 0.0
+
+
+def test_fisher_angle_row_is_absolute_below_unit_fisher(monkeypatch):
+    """Near an eigenstate F is rounding-level, so the verify row must not divide by it:
+    the row passes these draws, also with F off by 1e-15 either way."""
+    draws = list(near_eigenstate_draws(30, 42))
+    assert max(checks.fisher_angle_residual(write, state) for write, state in draws) <= 1e-9
+    exact = qi.fisher_information
+    noise = itertools.cycle((1e-15, -1e-15))
+    monkeypatch.setattr(qi, "fisher_information",
+                        lambda write, state: exact(write, state) + next(noise))
+    assert max(checks.fisher_angle_residual(write, state) for write, state in draws) <= 1e-9
 
 
 # ---- commuting generators and the Fisher matrix ----
