@@ -138,11 +138,12 @@ def cmd_lattice_evolve(args: argparse.Namespace) -> int:
         raise _UsageError(f"--eta must be finite and positive, got {eta}")
     if not 1 <= write_site <= sites:
         raise _UsageError(f"--write-site must lie in 1..{sites}, got {write_site}")
-    labels = [f"{t:g}" for t in times]   # file stems, SVG titles, invariants rows
+    # File stems, SVG titles and invariants rows: each label parses back to its time.
+    labels = [f"{t:g}" if float(f"{t:g}") == t else repr(t) for t in times]
     counts = Counter(labels)
     clashing = ", ".join(repr(t) for t, label in zip(times, labels) if counts[label] > 1)
     if clashing:
-        raise _UsageError(f"times {clashing} share profile file names at 6 significant digits")
+        raise _UsageError(f"times {clashing} repeat and would share profile file names")
 
     config = lattice_field.LatticeConfig(n_sites=sites, eta=eta)
     profiles = lattice_field.figure_experiment(config, write_site, times)

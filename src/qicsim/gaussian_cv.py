@@ -298,7 +298,10 @@ class ModePair:
             raise ValueError("v and u must be vectors of one even length")
         require_finite([v, u], ValueError, "v and u")
         require_finite([self.q_offset, self.p_offset], ValueError, "offsets")
-        gate(abs(_symplectic(v, u) - 1.0), PAIRING_TOL, ValueError,
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, unwarned
+            pairing = _symplectic(v, u)
+        require_finite(pairing, UnphysicalInputError, "pairing v'Omega u")
+        gate(abs(pairing - 1.0), PAIRING_TOL, ValueError,
              "pair is not canonical: |v'Omega u - 1|")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
@@ -379,7 +382,9 @@ def _mode_entries(v: np.ndarray, u: np.ndarray, vm: np.ndarray, um: np.ndarray) 
 def mode_covariance(pair: ModePair, state: GaussianState) -> ModeCovariance:
     if pair.v.shape != (2 * state.n_modes,):
         raise ValueError("pair and state have different mode counts")
-    return ModeCovariance(mode_covariance_matrix(pair.v, pair.u, state.covariance))
+    with np.errstate(over="ignore", invalid="ignore"):   # ModeCovariance refuses inf
+        matrix = mode_covariance_matrix(pair.v, pair.u, state.covariance)
+    return ModeCovariance(matrix)
 
 
 def mode_entropy(mode: ModeCovariance) -> float:

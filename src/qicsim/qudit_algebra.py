@@ -28,10 +28,6 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
 NORM_TOL = 1e-12
 
-# Threshold below which two unit vectors count as collinear when building
-# the 2D rotation in vector_rotation.
-_COLLINEAR_TOL = 1e-13
-
 
 # ---- Core value types ----
 
@@ -162,11 +158,13 @@ def conjugated_action(op: np.ndarray, conjugator: Conjugator, vec: np.ndarray) -
 def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
     """Low-rank form (basis, kernel) of the unitary sending src to dst.
 
-    The unitary is I + basis kernel basis': a two-dimensional rotation in
-    span{src, dst}, identity on the complement.  When the two vectors are
-    collinear to machine precision the rotation degenerates to a phase on
-    the src ray (basis has one column), which also covers the antipodal
-    case dst = -src.
+    The unitary is I + basis kernel basis', one formula for every input:
+    with c = <src|dst>, perp = dst - c src, s = ||perp|| and w = perp / s
+    (w = 0 when s = 0), it is [[c, -s f], [s, conj(c) f]] on the basis (src, w) and the identity
+    off it, for the phase f = exp(i angle(c + s^2)).  As s -> 0 it tends to
+    the phase c on the src ray, whatever w is, so it is continuous in dst
+    everywhere except at the one real overlap c = (1 - sqrt 5)/2, where
+    c + s^2 = 0; basis, phase and antipodal inputs all stay clear of it.
     """
     src = np.asarray(src, dtype=complex)
     dst = np.asarray(dst, dtype=complex)
@@ -175,20 +173,12 @@ def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
     for name, vec in (("src", src), ("dst", dst)):
         gate(abs(np.linalg.norm(vec) - 1.0), NORM_TOL, ValueError,
              f"{name} norm deviation from 1")
-    overlap = np.vdot(src, dst)
-    perp = dst - overlap * src
-    pnorm = np.linalg.norm(perp)
-    if pnorm < _COLLINEAR_TOL:
-        phase = overlap / abs(overlap)
-        return src[:, None], np.array([[phase - 1.0]])
-    w = perp / pnorm
-    # One re-orthogonalization pass keeps <src|w> at machine precision even
-    # when dst is nearly collinear with src and the subtraction cancels.
-    w = w - np.vdot(src, w) * src
-    w /= np.linalg.norm(w)
     c = np.vdot(src, dst)
-    s = np.vdot(w, dst)
-    kernel = np.array([[c - 1.0, -np.conj(s)], [s, np.conj(c) - 1.0]])
+    perp = dst - c * src
+    s = np.linalg.norm(perp)
+    w = perp / max(s, np.finfo(float).tiny)
+    f = np.exp(1j * np.angle(c + s * s))
+    kernel = np.array([[c - 1.0, -s * f], [s, np.conj(c) * f - 1.0]])
     return np.column_stack([src, w]), kernel
 
 
@@ -232,9 +222,8 @@ class BranchRotation:
     """sum_i P_i x (I + B_i K_i B_i') on slot 1 x rest of the register.
 
     P_i projects slot 1 onto column i of eigenvectors; bases[i] = B_i and
-    kernels[i] = K_i give branch i's low-rank term, as from vector_rotation,
-    and a None basis leaves the branch alone.  Unitary whenever every
-    I + B_i K_i B_i' is.
+    kernels[i] = K_i give branch i's low-rank term, as from vector_rotation.
+    Unitary whenever every I + B_i K_i B_i' is.
     """
 
     __slots__ = ("eigenvectors", "bases", "kernels")
@@ -256,8 +245,7 @@ class BranchRotation:
         rows = (dag(e) @ x.reshape(d, -1)).reshape(d, x.shape[0] // d, -1)
         delta = np.zeros_like(rows)
         for i, (b, k) in enumerate(zip(self.bases, self.kernels)):
-            if b is not None:
-                delta[i] = b @ ((dag(k) if adjoint else k) @ (dag(b) @ rows[i]))
+            delta[i] = b @ ((dag(k) if adjoint else k) @ (dag(b) @ rows[i]))
         return x + (e @ delta.reshape(d, -1)).reshape(x.shape)
 
 

@@ -52,8 +52,8 @@ NEGATIVITY_TOL = 1e-10
 GENERATOR_NORM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 
-# Branches with smaller amplitude get an identity block in the capsule
-# conjugator; the branch carries no weight, so any unitary works there.
+# Branches with smaller amplitude count as zero weight in the capsule; the
+# branch carries no weight, so any unitary works there.
 ZERO_BRANCH_TOL = 1e-12
 
 
@@ -406,7 +406,8 @@ class QicConstruction:
     """Capsule for one write: virtual qudit, its state, and branch data.
 
     phi is the capsule's state vector (the correlation state is its
-    projector); reference is the environment vector every branch is mapped
+    projector), with the branch weights as its coefficients; reference is the
+    heaviest branch's unit environment vector, which every branch is turned
     onto; eigenvalues and eigenvectors are those of the write's local seed,
     the branches of the conjugated register state.
     """
@@ -419,50 +420,32 @@ class QicConstruction:
     eigenvectors: np.ndarray
 
 
-def _gauge_fixed(vec: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its first significant component is real positive."""
-    idx = int(np.argmax(np.abs(vec) > 1e-9))
-    phase = vec[idx] / abs(vec[idx])
-    return vec / phase
-
-
 def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     """Information capsule confining the parameter written by exp(-i theta T).
 
     Procedure: eigendecompose the local seed t, expand the conjugated state
-    over the eigenbranches, rotate every branch's environment factor onto a
-    common reference with branch unitaries, and compose with the write's
-    conjugator.  The resulting virtual qudit commutes with the write and its
-    correlation state is the pure projector onto phi = sum_i c_i phi_i.
+    over the eigenbranches, turn every branch's unit environment vector onto
+    a common reference, the heaviest one, with vector_rotation, and compose
+    with the write's conjugator.  The turns carry the branches' relative
+    phases, so the coefficients are the branch weights w_i: the resulting
+    virtual qudit commutes with the write and its correlation state is the
+    pure projector onto phi = sum_i w_i phi_i.  A branch weighing less than
+    ZERO_BRANCH_TOL gets w_i = 0 and turns the reference onto itself.
     """
     d = write.d
-    basis = build_su_basis(d)
-
     evals, evecs = write._eigh
     rows = dag(evecs) @ write.slots(state)   # rows[i] = branch i environment vector
+    weights = np.linalg.norm(rows, axis=1)
+    weights[weights < ZERO_BRANCH_TOL] = 0.0
+    heaviest = int(np.argmax(weights))
+    reference = rows[heaviest] / weights[heaviest]
 
-    coeffs = np.zeros(d, dtype=complex)
-    conditionals: list = [None] * d
-    for i in range(d):
-        weight = np.linalg.norm(rows[i])
-        if weight < ZERO_BRANCH_TOL:
-            continue
-        fixed = _gauge_fixed(rows[i] / weight)
-        # c_i carries the full branch phase so that c_i * conditional = row.
-        coeffs[i] = np.vdot(fixed, rows[i])
-        conditionals[i] = fixed
-
-    ref_index = int(np.argmax(np.abs(coeffs)))
-    reference = conditionals[ref_index]
-
-    # Branch i's environment factor is turned onto the reference by
-    # I + B_i K_i B_i'; zero-weight branches keep the identity.
-    rotations = [(None, None) if cond is None else vector_rotation(cond, reference)
-                 for cond in conditionals]
+    rotations = [vector_rotation(row / w if w else reference, reference)
+                 for row, w in zip(rows, weights)]
     v_hat = BranchRotation(evecs, *zip(*rotations))
 
-    qudit = VirtualQudit(basis, write.conjugation.then(v_hat))
-    phi = evecs @ coeffs
+    qudit = VirtualQudit(build_su_basis(d), write.conjugation.then(v_hat))
+    phi = evecs @ weights
     capsule = CorrelationState(d, np.outer(phi, phi.conj()))
     return QicConstruction(qudit=qudit, capsule_state=capsule, phi=phi,
                            reference=reference, eigenvalues=evals, eigenvectors=evecs)

@@ -323,20 +323,32 @@ def test_gaussian_conj_usage_errors(tmp_path):
     assert "usage error" in res.stderr and "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("times, named", [
-    ("25.0000001,25.0000002,1e-7,1.0000001e-7",
-     "25.0000001, 25.0000002, 1e-07, 1.0000001e-07"),
-    ("25,25", "25.0, 25.0"),
-    ("0,25.0000001,50,25.0000002", "25.0000001, 25.0000002"),
-], ids=["two clashes", "exact repeat", "clash among distinct"])
+@pytest.mark.parametrize("times, named", [("25,25", "25.0, 25.0")], ids=["exact repeat"])
 def test_lattice_evolve_refuses_clashing_time_labels(tmp_path, capsys, times, named):
-    """Times that print alike at {t:g} would overwrite each other's profiles."""
+    """Only equal times share a label, and they would overwrite each other's profiles."""
     out = tmp_path / "lat"
     assert cli.main(["lattice-evolve", "--sites", "20", "--write-site", "10",
                      "--times", times, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"usage error: times {named} share profile "
-                                       "file names at 6 significant digits\n")
+    assert capsys.readouterr().err == (f"usage error: times {named} repeat and would "
+                                       "share profile file names\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("times, stems", [
+    ("25.0000001,25.0000002,1e-7,1.0000001e-7",
+     ["25.0000001", "25.0000002", "1e-07", "1.0000001e-07"]),
+    ("0,25.0000001,50,25.0000002", ["0", "25.0000001", "50", "25.0000002"]),
+], ids=["two near pairs", "near pair among others"])
+def test_lattice_evolve_labels_keep_the_exact_time(tmp_path, times, stems):
+    """Distinct times that agree to 6 digits get distinct labels that read back exactly."""
+    out = tmp_path / "lat"
+    assert cli.main(["lattice-evolve", "--sites", "20", "--write-site", "10",
+                     "--times", times, "--formats", "csv", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"profile_t{stem}.csv" for stem in stems] + ["invariants.csv"])
+    rows = (out / "invariants.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == stems
+    assert [float(stem) for stem in stems] == [float(t) for t in times.split(",")]
 
 
 # ---- huge but finite inputs ----

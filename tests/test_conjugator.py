@@ -43,10 +43,8 @@ def dense_capsule_conjugator(write, state):
         weight = np.linalg.norm(rows[i])
         if weight < qi.ZERO_BRANCH_TOL:
             continue
-        unit = rows[i] / weight
-        lead = unit[int(np.argmax(np.abs(unit) > 1e-9))]
-        conditionals[i] = unit / (lead / abs(lead))
-        coeffs[i] = np.vdot(conditionals[i], rows[i])
+        conditionals[i] = rows[i] / weight
+        coeffs[i] = weight
     reference = conditionals[int(np.argmax(np.abs(coeffs)))]
     v_hat = np.zeros((d * rest, d * rest), dtype=complex)
     for i in range(d):
@@ -294,12 +292,26 @@ def rank_deficient_case(kind, d, n, rng):
     """A virtual qudit and a state whose conjugated Schmidt rank across slot 1 is below d.
 
     "capsule": the capsule of a Haar write, rank 1; "product": a product
-    state under a local write, rank 1; "rank 2": two Schmidt pairs behind a
-    Haar conjugator (full rank when d = 2).
+    state under a local write, rank 1; "phased product <eps>": the same with
+    the rest register eps from e^{0.7i}|0...0>; "rank 2": two Schmidt pairs
+    behind a Haar conjugator (full rank when d = 2).
     """
     if kind == "capsule":
         state = qa.random_state(n, d, rng)
         return qi.construct_qic(qi.random_write_operation(d, n, rng), state).qudit, state
+    if kind.startswith("phased product"):
+        # Sites 2..N in e^{0.7i}|0...0> + eps noise: the right Schmidt vector is
+        # nearly collinear with the partner's target, up to a phase.
+        eps = float(kind.split()[-1])
+        rest = np.zeros(d ** (n - 1), dtype=complex)
+        rest[0] = np.exp(0.7j)
+        noise = rng.standard_normal(rest.size) + 1j * rng.standard_normal(rest.size)
+        rest += eps * noise / np.linalg.norm(noise)
+        first = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        amps = np.kron(first / np.linalg.norm(first), rest / np.linalg.norm(rest))
+        state = qa.PureState(n, d, amps)
+        write = qi.WriteOperation.local(qi.random_su_generator(d, rng), n)
+        return write.virtual_qudit(), state
     if kind == "product":
         state = qa.product_state([rng.standard_normal(d) + 1j * rng.standard_normal(d)
                                   for _ in range(n)])
@@ -315,7 +327,8 @@ def rank_deficient_case(kind, d, n, rng):
 
 
 @pytest.mark.parametrize("d, n", PIN_SHAPES)
-@pytest.mark.parametrize("kind", ["capsule", "product", "rank 2"])
+@pytest.mark.parametrize("kind", ["capsule", "product", "rank 2",
+                                  "phased product 1e-9", "phased product 1e-12"])
 def test_partner_is_stable_under_rounding_level_perturbation(kind, d, n):
     """Only weighted Schmidt pairs enter the partner, so 1e-15 in moves it by ~1e-15."""
     rng = np.random.default_rng(100 * d + 10 * n + len(kind))
@@ -327,6 +340,24 @@ def test_partner_is_stable_under_rounding_level_perturbation(kind, d, n):
         moved = max_abs(qi.construct_partner(qudit, state).qudit_b.conjugator
                         - qi.construct_partner(qudit, nudged).qudit_b.conjugator)
         assert moved < 1e-8
+
+
+@pytest.mark.parametrize("phase", [0.3, 2.9])
+def test_capsule_is_stable_at_a_tiny_branch_component(phase):
+    """A branch component near 1e-9, scaled by 1 +- 3e-7, moves the capsule by ~1e-15.
+
+    Row 0 of the state (branch |0> of sigma_z) has norm 0.6, and its first
+    component is 1e-9 of that, so the scaling crosses 1e-9 of the unit row:
+    a gauge fixed on the first component above a threshold would jump there.
+    """
+    write = qi.WriteOperation.local(np.diag([1.0, -1.0]), 2)
+    conjugators = []
+    for scale in (1.0 - 3e-7, 1.0 + 3e-7):
+        amps = np.array([scale * 0.6e-9 * np.exp(1j * phase), 0.6 * np.exp(1.1j),
+                         0.48 * np.exp(0.4j), 0.64 * np.exp(2.3j)])
+        state = qa.PureState(2, 2, amps / np.linalg.norm(amps))
+        conjugators.append(qi.construct_qic(write, state).qudit.conjugator)
+    assert max_abs(conjugators[0] - conjugators[1]) < 1e-8
 
 
 def test_partner_forms_no_rest_space_matrix():

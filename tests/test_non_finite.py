@@ -13,7 +13,9 @@ Scalar parameters (a write angle, a family deformation, generator
 coefficients, an evolution time) refuse non-finite values with ValueError,
 and finite values whose phase or shift overflows with UnphysicalInputError,
 unwarned.  Finite d x d fisher_matrix generators whose hermiticity defect,
-commutator or Fisher products overflow are refused the same way.
+commutator or Fisher products overflow are refused the same way, and so are
+finite mode pairs, built or read from a pair file, whose v'Omega u or mode
+covariance overflows.
 
 The value types are also covered by construction: starting from one valid
 constructor call per public dataclass that validates itself, every float
@@ -22,7 +24,9 @@ field and one entry of every array field is made non-finite in turn.
 
 import dataclasses
 import inspect
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,14 @@ def chain_modes():
     return lf.mode_matrix(lf.LatticeConfig(2, 0.4))   # omega up to sqrt(2.6)
 
 
+def read_pair_text(text):
+    """read_pair_file on a pair file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.txt"
+        path.write_text(text, encoding="utf-8")
+        return g.read_pair_file(path)
+
+
 OVERFLOWS = {
     "conjugated_by_own_generators sum": (
         "generator coefficients overflow",
@@ -177,6 +189,14 @@ OVERFLOWS = {
                                                chain_modes())),
     "figure_experiment": (r"evolution time = 1e\+308 overflows",
                           lambda: lf.figure_experiment(lf.LatticeConfig(4, 1.0), 1, [1e308])),
+    "ModePair": ("pairing v'Omega u must be finite",
+                 lambda: g.ModePair([1e200, 0.0], [0.0, 1e200])),
+    "read_pair_file": ("pairing v'Omega u must be finite",
+                       lambda: read_pair_text("modepair N=1\nv: 1e200,0\nu: 0,1e200\n"
+                                              "offsets: 0,0\n")),
+    "mode_covariance": ("mode covariance must be finite",
+                        lambda: g.mode_covariance(g.ModePair([1e160, 0.0], [0.0, 1e-160]),
+                                                  g.vacuum_state(1))),
     "shift_fisher_matrix variance": (
         "write quadrature variance and offset must be finite",
         lambda: g.shift_fisher_matrix([[1e200, 0.0]], g.vacuum_state(1))),

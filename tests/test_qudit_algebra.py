@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qicsim import qudit_algebra as qa
@@ -231,6 +231,29 @@ def test_vector_rotation_properties(seed, dim):
     assert unitarity_defect(v) < 1e-11
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=6),
+       st.floats(min_value=-np.pi, max_value=np.pi),
+       st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]))
+def test_vector_rotation_is_continuous_near_collinear_targets(seed, dim, alpha, eps):
+    """A 1e-15 nudge of dst = e^{i alpha} src + eps noise moves the unitary by ~1e-15.
+
+    The one formula is continuous away from c + s^2 = 0, so the draw keeps
+    clear of that point; collinear and nearly collinear targets are where a
+    case split or a phase convention on w would jump.
+    """
+    rng = np.random.default_rng(seed)
+    src = qa.random_state(1, dim, rng).amplitudes
+    dst = np.exp(1j * alpha) * src + eps * qa.random_state(1, dim, rng).amplitudes
+    dst /= np.linalg.norm(dst)
+    c = np.vdot(src, dst)
+    assume(abs(c + np.linalg.norm(dst - c * src) ** 2) > 1e-6)
+    nudged = dst + 1e-15 * qa.random_state(1, dim, rng).amplitudes
+    nudged /= np.linalg.norm(nudged)
+    assert max_abs(rotation(src, dst) - rotation(src, nudged)) < 1e-12
+
+
 def test_map_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         qa.vector_rotation(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
@@ -249,7 +272,7 @@ def test_frame_rotation_properties(seed, dim, k, kind):
     if kind == "from basis":
         src = np.eye(dim, dtype=complex)[:, :k]
     elif kind == "phases":
-        # Collinear targets take vector_rotation's one-column phase branch.
+        # Collinear targets: each turn is the phase c on its own ray (s = 0).
         dst = src * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
     basis, kernel = qa.frame_rotation(src, dst)
     u = np.eye(dim) + basis @ kernel @ dag(basis)
