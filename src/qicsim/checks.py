@@ -203,8 +203,7 @@ def qudit_info_checks() -> list:
     residual = 0.0
     for d, n in ((2, 2), (3, 2)):
         state = qudit_algebra.random_state(n, d, rng)
-        qudit = qudit_info.VirtualQudit(qudit_algebra.build_su_basis(d),
-                                        haar_unitary(d ** n, rng))
+        qudit = qudit_info.VirtualQudit(d, haar_unitary(d ** n, rng))
         spectrum = qudit_info.correlation_state(qudit, state).eigenvalues()
         coeffs = rng.uniform(-1.0, 1.0, d * d - 1)
         rotated = qudit.conjugated_by_own_generators(coeffs)

@@ -1,12 +1,12 @@
 """qic: drive the constructions from the shell and emit CSV/SVG reports.
 
 Exit codes: 0 on success, 2 for usage or parse errors, 3 when a physics
-invariant or a numpy linear-algebra routine fails, 1 for I/O failures.  All
-outputs are deterministic for a fixed seed.  Every report table goes through
-one writer, _csv: floats in 17 significant digits (exact float64 round-trips),
-LF endings, UTF-8.  Each subcommand imports the modules it runs when it
-starts: importing this module loads only gaussian_cv, whose _fmt prints every
-number in the reports.
+invariant or a numpy linear-algebra routine fails, 1 for I/O failures and
+MemoryError.  All outputs are deterministic for a fixed seed.  Every report
+table goes through one writer, _csv: floats in 17 significant digits (exact
+float64 round-trips), LF endings, UTF-8.  Each subcommand imports the modules
+it runs when it starts: importing this module loads only gaussian_cv, whose
+_fmt prints every number in the reports.
 """
 
 from __future__ import annotations
@@ -239,20 +239,20 @@ def cmd_gaussian_conj(args: argparse.Namespace) -> int:
                 f"got {vec.size}")
         vectors.append(vec)
 
-    # Every pair and mode is built before --out is touched: a failing vector leaves no output.
+    # Pairs, modes and report are built before --out is touched: a failing vector writes nothing.
     pairs = [gaussian_cv.conjugate_qic_vector(vec, state) for vec in vectors]
     modes = [gaussian_cv.mode_covariance(pair, state) for pair in pairs]
     summary = _csv("index,var_q,cross,var_p,det_m,entropy",
                    ((i, mode.matrix[0, 0], mode.matrix[0, 1], mode.matrix[1, 1], mode.det,
                      gaussian_cv.mode_entropy(mode)) for i, mode in enumerate(modes)))
+    report = gaussian_cv.multiparam_conditions(pairs, state) if len(pairs) > 1 else None
 
     out.mkdir(parents=True, exist_ok=True)
     for i, pair in enumerate(pairs):
         gaussian_cv.write_pair_file(out / f"pair_{i}.txt", pair)
     _write_text(out / "summary.csv", summary)
 
-    if len(pairs) > 1:
-        report = gaussian_cv.multiparam_conditions(pairs, state)
+    if report is not None:
         upper = np.triu_indices(len(pairs), 1)   # (i, j) with i < j, row by row
         products = [report.omega_products[upper], report.covariance_products[upper]]
         flags = [np.where(np.abs(p) < gaussian_cv.CONDITION_TOL, "yes", "no") for p in products]
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     except (QicError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

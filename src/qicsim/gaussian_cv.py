@@ -441,9 +441,12 @@ def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
     if any(pair.v.shape != (2 * state.n_modes,) for pair in pairs):
         raise ValueError("write vector length does not match the state")
     vs = [pair.v for pair in pairs]
-    vs_m = [v @ state.covariance for v in vs]
-    omega_products = np.array([[_symplectic(a, b) for b in vs] for a in vs])
-    cov_products = np.array([[vm @ v for v in vs] for vm in vs_m])
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused, unwarned
+        vs_m = [v @ state.covariance for v in vs]
+        omega_products = np.array([[_symplectic(a, b) for b in vs] for a in vs])
+        cov_products = np.array([[vm @ v for v in vs] for vm in vs_m])
+    require_finite([omega_products, cov_products], UnphysicalInputError,
+                   "pairwise products v_i'Omega v_j and v_i'M v_j")
     off = ~np.eye(len(pairs), dtype=bool)
     commuting = bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL))
     independent = bool(np.all(np.abs(cov_products[off]) < CONDITION_TOL))
@@ -488,22 +491,19 @@ class WriteDrift:
     p_drift: float
 
 
-def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray, theta2: float,
-                                      state: GaussianState) -> WriteDrift:
-    """Drift of the capsule pair (Q, P) caused by a second shift write.
+def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray,
+                                      theta2: float) -> WriteDrift:
+    """Drift of the capsule pair (Q, P) = (v' r, u' r) caused by a second shift write.
 
-    Q picks up theta2 v' Omega v2 and P picks up theta2 v' M v2 / (v' M v);
-    both vanish exactly when the writes commute and are independent.
+    The write displaces r by theta2 Omega v2: Q moves by theta2 v' Omega v2 and P
+    by theta2 u' Omega v2, = -theta2 v' M v2 / (v' M v) on the pair's own state,
+    so both vanish exactly when the writes commute and are independent.
     """
     v2 = np.asarray(v2, dtype=float)
     if v2.shape != pair.v.shape:
         raise ValueError("v2 length does not match the pair")
     require_finite(v2, UnphysicalInputError, "write vector v2")
-    vm = pair.v @ state.covariance
-    variance = float(vm @ pair.v)
-    gate(VARIANCE_FLOOR - variance, 0.0, UnphysicalInputError,
-         f"capsule quadrature variance below the floor {VARIANCE_FLOOR:g} by")
-    drift = scaled(theta2, np.array([_symplectic(pair.v, v2), float(vm @ v2) / variance]),
+    drift = scaled(theta2, np.array([_symplectic(pair.v, v2), _symplectic(pair.u, v2)]),
                    "write angle theta2", "the drift")
     return WriteDrift(q_drift=float(abs(drift[0])), p_drift=float(abs(drift[1])))
 

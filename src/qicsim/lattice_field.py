@@ -58,6 +58,9 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n_sites < 1:
             raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
+        if 64 * self.n_sites > np.iinfo(np.intp).max:   # the 2 x 2N complex evolution buffer
+            raise MemoryError(f"{self.n_sites} sites need a {64 * self.n_sites}-byte evolution "
+                              f"buffer, beyond numpy's {np.iinfo(np.intp).max}-byte limit")
         if not self.eta > 0.0:
             raise UnphysicalInputError(f"coupling eta must be positive, got {self.eta}")
         if not np.isfinite(4.0 * self.eta):

@@ -1,9 +1,9 @@
 """Correlation-space information carriers on multiple-qudit registers.
 
-A virtual qudit is the operator family T_i = V' (t_i x I) V for a register
-unitary V (the conjugator) and the normalized su(d) generators t_i.  Its
-expectation values in a register state assemble a d x d density matrix, the
-correlation state of the virtual qudit, the reduced state of slot 1 of V psi.
+A virtual qudit is the operator family T_i = V' (t_i x I) V, fixed by d and a
+register unitary V (the conjugator), for the normalized su(d) generators t_i.
+Its expectation values in any register state of dimension D assemble a d x d
+density matrix, the correlation state, the reduced state of slot 1 of V psi.
 
 This module builds purification partners of a given virtual qudit (a pair's
 joint state is that of two slots of the partner's conjugated register),
@@ -38,7 +38,6 @@ from .qudit_algebra import (
     BranchRotation,
     Conjugator,
     PureState,
-    SuBasis,
     act_on_first_site,
     build_su_basis,
     conjugated_action,
@@ -142,27 +141,24 @@ class _SiteConjugated:
 
 @dataclass(frozen=True, eq=False)
 class VirtualQudit(_SiteConjugated):
-    """Operator family T_i = conjugator' (t_i x I) conjugator.
+    """Operator family T_i = conjugator' (t_i x I) conjugator, t_i = build_su_basis(d).
 
-    conjugation may be a Conjugator or a dense register matrix; a dense
-    matrix is gated for unitarity as it becomes a Conjugator
-    (UnphysicalInputError).
+    d must be an integer >= 2, and a dense conjugation matrix is gated for
+    unitarity as it becomes a Conjugator (both UnphysicalInputError).
     """
 
-    basis: SuBasis
+    d: int
     conjugation: Conjugator
 
     def __post_init__(self):
-        object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, self.basis.d))
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
+        build_su_basis(self.d)   # refuses d < 2 before the dimension is split by it
+        object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, self.d))
 
     def operators(self) -> list:
         """The d^2 - 1 generator images, full-register matrices, from one dense conjugator."""
         dense = self.conjugator
-        return [dag(dense) @ act_on_first_site(t, dense) for t in self.basis.generators]
+        return [dag(dense) @ act_on_first_site(t, dense)
+                for t in build_su_basis(self.d).generators]
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_i c_i T_i).
@@ -176,11 +172,11 @@ class VirtualQudit(_SiteConjugated):
         # Huge finite coefficients overflow the sum (then left unexponentiated)
         # or its spectrum; either leaves rot non-finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.tensordot(coeffs, np.stack(self.basis.generators), axes=(0, 0))
+            g = np.tensordot(coeffs, np.stack(build_su_basis(self.d).generators), axes=(0, 0))
             rot = expm_hermitian(g, -1.0j) if np.isfinite(g).all() else g
         if not np.isfinite(rot).all():
             raise UnphysicalInputError("generator coefficients overflow exp(-i sum_i c_i t_i)")
-        return VirtualQudit(self.basis, self.conjugation.then(AxisUnitary(rot)))
+        return VirtualQudit(self.d, self.conjugation.then(AxisUnitary(rot)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,15 +273,15 @@ class WriteOperation(_SiteConjugated):
         The d^N x d^N exponential is never formed, and the conjugator is
         unitary by construction, so nothing is gated here.
         """
-        if state.local_dim != self.d or state.dim != self.full_dim:
+        if state.dim != self.full_dim:
             raise ValueError("state and write live on different registers")
         psi = conjugated_action(self.local_unitary(theta), self.conjugation,
                                 state.amplitudes)
-        return PureState(state.num_sites, self.d, psi)
+        return PureState(state.num_sites, state.local_dim, psi)
 
     def virtual_qudit(self) -> VirtualQudit:
         """The virtual qudit whose first generator family contains T."""
-        return VirtualQudit(build_su_basis(self.d), self.conjugation)
+        return VirtualQudit(self.d, self.conjugation)
 
 
 def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,11 +344,12 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     left Schmidt basis.  In that frame B is slot 1 and A is slot 2; the pair
     is pure and commutes, which the test suite verifies rather than assumes.
     Only the r Schmidt pairs weighing more than ZERO_BRANCH_TOL enter, never
-    the SVD's arbitrary zero-weight vectors.
+    the SVD's arbitrary zero-weight vectors.  Slot 2 needs D/d >= d, whatever
+    the state's own site split (UnphysicalInputError otherwise).
     """
-    if state.num_sites < 2:
-        raise UnphysicalInputError("a partner needs at least one environment site")
     d = qudit_a.d
+    if qudit_a.rest_dim < d:
+        raise UnphysicalInputError("a partner needs at least one environment site")
     x = qudit_a.slots(state)
     left, weights, right = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(weights > ZERO_BRANCH_TOL))
@@ -371,7 +368,7 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     exchange = np.multiply.outer(phis, np.eye(d)).transpose(0, 2, 3, 1)
     exchange = AxisUnitary(exchange.reshape(d * d, d * d))
 
-    qudit_b = VirtualQudit(qudit_a.basis, qudit_a.conjugation.then(turn, exchange))
+    qudit_b = VirtualQudit(d, qudit_a.conjugation.then(turn, exchange))
     joint = _pair_state(exchange.apply(turn.apply(x.reshape(-1))), d)
     return PartnerPair(qudit_a, qudit_b, joint)
 
@@ -444,7 +441,7 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
                  for row, w in zip(rows, weights)]
     v_hat = BranchRotation(evecs, *zip(*rotations))
 
-    qudit = VirtualQudit(build_su_basis(d), write.conjugation.then(v_hat))
+    qudit = VirtualQudit(d, write.conjugation.then(v_hat))
     phi = evecs @ weights
     capsule = CorrelationState(d, np.outer(phi, phi.conj()))
     return QicConstruction(qudit=qudit, capsule_state=capsule, phi=phi,
@@ -465,7 +462,7 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
     phases = np.exp(-1.0j * scaled(r, construction.eigenvalues, "deformation r", "r t")) - 1.0
     deform = BranchRotation(construction.eigenvectors, (ref,) * d,
                             tuple(np.array([[p]]) for p in phases))
-    return VirtualQudit(construction.qudit.basis, construction.qudit.conjugation.then(deform))
+    return VirtualQudit(d, construction.qudit.conjugation.then(deform))
 
 
 # ---- Retrieval by SWAP ----

@@ -370,11 +370,14 @@ VACUUM_TEXT = "gaussian N=1\nmean: 0,0\n0.5,0\n0,0.5\n"
      "error: evolution time = 1.7e+308 overflows omega t\n"),
     (["lattice-evolve", "--eta", "1", "--times", "0,1e308"], None,
      "error: evolution time = 1e+308 overflows omega t\n"),
+    (["gaussian-conj", "--v=1.5e154,0", "--v=0,1.5e154"], VACUUM_TEXT,
+     "error: pairwise products v_i'Omega v_j and v_i'M v_j must be finite\n"),
 ], ids=["huge v", "huge eta", "huge covariance", "huge p offset", "huge time",
-        "huge time at eta 1"])
+        "huge time at eta 1", "huge pairwise product"])
 def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_text,
                                                  message):
-    """Overflow inside the arithmetic is refused like any unphysical input, unwarned."""
+    """Overflow inside the arithmetic is refused like any unphysical input, unwarned,
+    and before --out is created."""
     if state_text is not None:
         path = tmp_path / "state.txt"
         path.write_text(state_text, encoding="utf-8")
@@ -383,6 +386,29 @@ def test_huge_finite_inputs_exit_3_with_one_line(tmp_path, capsys, argv, state_t
         warnings.simplefilter("error")
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err == message
+    assert not (tmp_path / "x").exists()
+
+
+def test_site_count_beyond_numpy_arrays_exits_1_with_one_line(tmp_path, capsys):
+    """2^62 sites need a 2^68-byte evolution buffer: refused before any array exists."""
+    out = tmp_path / "x"
+    assert cli.main(["lattice-evolve", "--sites", str(2 ** 62), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {2 ** 62} sites need a {2 ** 68}-byte evolution buffer, beyond numpy's "
+        f"{np.iinfo(np.intp).max}-byte limit\n")
+    assert not out.exists()
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """An allocation that fails ends in one error line, not a traceback."""
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(lattice_field, "figure_experiment", no_memory)
+    out = tmp_path / "x"
+    assert cli.main(["lattice-evolve", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_gaussian_conj_failing_later_vector_writes_nothing(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_factored_conjugators_match_dense(shape, seed, state_kind, degenerate, s
     reference_b = dense_partner_conjugator(pair.qudit_a, state)
     assert max_abs(pair.qudit_b.conjugator - reference_b) < MATCH_TOL
     assert_factors_unitary(pair.qudit_b.conjugation)
-    joint = dense_joint_state(write.conjugator, reference_b, pair.qudit_a.basis,
+    joint = dense_joint_state(write.conjugator, reference_b, qa.build_su_basis(d),
                               state.amplitudes)
     assert max_abs(pair.joint_state - joint) < MATCH_TOL
 
@@ -182,15 +182,15 @@ def test_factored_apply_matches_dense_matrix(d, n):
 
 def test_own_generator_rotation_matches_kron():
     rng = np.random.default_rng(41)
-    vq = qi.VirtualQudit(qa.build_su_basis(3), haar_unitary(9, rng))
+    vq = qi.VirtualQudit(3, haar_unitary(9, rng))
     coeffs = rng.standard_normal(8)
-    g = np.tensordot(coeffs, np.stack(vq.basis.generators), axes=(0, 0))
+    g = np.tensordot(coeffs, np.stack(qa.build_su_basis(3).generators), axes=(0, 0))
     expected = np.kron(expm_hermitian(g, -1.0j), np.eye(3)) @ vq.conjugator
     assert max_abs(vq.conjugated_by_own_generators(coeffs).conjugator - expected) < MATCH_TOL
 
 
 def test_own_generator_rotation_takes_one_coefficient_per_generator():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="one coefficient per generator"):
         vq.conjugated_by_own_generators(np.zeros(4))   # d^2 values: identity included
 
@@ -203,7 +203,7 @@ def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):
     conj_b = pair.qudit_b.conjugator
     rest = np.eye(d ** (n - 2))
     ops = [np.eye(d ** n)] + pair.qudit_a.operators()
-    for mu, t in enumerate(pair.qudit_a.basis.generators, 1):
+    for mu, t in enumerate(qa.build_su_basis(d).generators, 1):
         lifted = dag(conj_b) @ np.kron(np.kron(np.eye(d), t), rest) @ conj_b
         assert max_abs(lifted - ops[mu]) < MATCH_TOL
 
@@ -322,7 +322,7 @@ def rank_deficient_case(kind, d, n, rng):
     weights = rng.uniform(0.2, 1.0, 2)
     conjugated = ((left * weights / np.linalg.norm(weights)) @ right.T).reshape(-1)
     head = haar_unitary(d ** n, rng)
-    return (qi.VirtualQudit(qa.build_su_basis(d), head),
+    return (qi.VirtualQudit(d, head),
             qa.PureState(n, d, dag(head) @ conjugated))
 
 
@@ -427,7 +427,7 @@ def test_capsule_round_gates_each_write_once(gate_calls):
 
 def test_raw_qudit_head_is_gated_once(gate_calls):
     rng = np.random.default_rng(43)
-    qudit = qi.VirtualQudit(qa.build_su_basis(2), haar_unitary(4, rng))
+    qudit = qi.VirtualQudit(2, haar_unitary(4, rng))
     state = qa.random_state(2, 2, rng)
     assert gate_calls == [(4, 4)]
     for _ in range(2):
@@ -440,7 +440,7 @@ BROKEN_HEADS = {"0.9I": 0.9 * np.eye(4), "nan": np.full((4, 4), np.nan),
                 "inf": np.full((4, 4), np.inf), "-inf": np.full((4, 4), -np.inf)}
 HEAD_OWNERS = {
     "Conjugator": qa.Conjugator,
-    "VirtualQudit": lambda m: qi.VirtualQudit(qa.build_su_basis(2), m),
+    "VirtualQudit": lambda m: qi.VirtualQudit(2, m),
     "WriteOperation": lambda m: qi.WriteOperation(np.diag([1.0, -1.0]), m),
 }
 

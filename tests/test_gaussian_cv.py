@@ -602,14 +602,27 @@ def test_invariance_drift_report():
     v1 = np.array([1.0, 0, 0, 0])
     v2 = np.array([0, 0, 1.0, 0])
     pair = g.conjugate_qic_vector(v1, state)
-    drift = g.qic_invariance_under_other_writes(pair, v2, 1.9, state)
+    drift = g.qic_invariance_under_other_writes(pair, v2, 1.9)
     assert drift.q_drift < 1e-10 and drift.p_drift < 1e-10
     # writing along v1 itself drifts P by exactly theta
-    drift_self = g.qic_invariance_under_other_writes(pair, v1, 1.9, state)
+    drift_self = g.qic_invariance_under_other_writes(pair, v1, 1.9)
     assert drift_self.q_drift < 1e-12
     assert abs(drift_self.p_drift - 1.9) < 1e-12
-    none = g.qic_invariance_under_other_writes(pair, v2, 0.0, state)
+    none = g.qic_invariance_under_other_writes(pair, v2, 0.0)
     assert none.q_drift == 0.0 and none.p_drift == 0.0
+
+
+@pytest.mark.parametrize("v2", [[0, 0, 1.0, 0], [0.3, -1.2, 0.7, 2.0]])
+def test_drift_is_the_move_of_q_and_p(v2):
+    # A pair conjugated on the vacuum, a second write on a squeezed state: the
+    # drift is what the displacement theta2 Omega v2 does to (Q, P) = (v'r, u'r),
+    # and P does not move under a write on the other mode, whatever the state.
+    sq = g.two_mode_squeezed(0.8)
+    pair = g.conjugate_qic_vector([1.0, 0, 0, 0], g.vacuum_state(2))
+    moved = g.apply_shift_write(sq, v2, 0.5).mean - sq.mean
+    drift = g.qic_invariance_under_other_writes(pair, v2, 0.5)
+    np.testing.assert_allclose([drift.q_drift, drift.p_drift],
+                               [abs(pair.v @ moved), abs(pair.u @ moved)], atol=1e-15)
 
 
 # ---- serialization ----

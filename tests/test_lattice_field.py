@@ -83,6 +83,12 @@ def test_config_validation():
         lf.LatticeConfig(10, 0.0)
     with pytest.raises(UnphysicalInputError, match="coupling eta must be positive"):
         lf.LatticeConfig(10, -1.0)
+    # The 64 N-byte evolution buffer must be an array numpy can describe; the
+    # check is arithmetic on N, so neither call allocates.
+    largest = np.iinfo(np.intp).max // 64
+    assert lf.LatticeConfig(largest, 0.4).n_sites == largest
+    with pytest.raises(MemoryError, match="evolution buffer"):
+        lf.LatticeConfig(largest + 1, 0.4)
 
 
 # ---- normal modes and the FFT flow ----
@@ -218,7 +224,7 @@ def test_structured_vacuum_products_match_dense(n, eta, k, seed):
 
 def _gaussian_api_outputs(state, v1, v2):
     pair = gaussian_cv.conjugate_qic_vector(v1, state)
-    drift = gaussian_cv.qic_invariance_under_other_writes(pair, v2, 0.3, state)
+    drift = gaussian_cv.qic_invariance_under_other_writes(pair, v2, 0.3)
     shifted = gaussian_cv.apply_shift_write(state, v2, 0.3)
     return [pair.u,
             gaussian_cv.mode_covariance(pair, state).matrix,

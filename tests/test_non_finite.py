@@ -50,15 +50,14 @@ def z_write():
 
 def qubit_fisher(generators):
     """fisher_matrix of d x d seeds on a random two-qubit state, head-free conjugator."""
-    qudit = qi.VirtualQudit(qa.build_su_basis(2), qa.Conjugator.identity(4))
+    qudit = qi.VirtualQudit(2, qa.Conjugator.identity(4))
     return qudit.fisher_matrix(qa.random_state(2, 2, np.random.default_rng(0)), generators)
 
 
 def vacuum_drift(v2, theta2):
     """Drift of the one-mode vacuum's q-write capsule under a second write."""
-    state = g.vacuum_state(1)
-    return g.qic_invariance_under_other_writes(g.conjugate_qic_vector([1.0, 0.0], state),
-                                               v2, theta2, state)
+    return g.qic_invariance_under_other_writes(
+        g.conjugate_qic_vector([1.0, 0.0], g.vacuum_state(1)), v2, theta2)
 
 
 CASES = {
@@ -92,7 +91,7 @@ CASES = {
                                   lambda x: qi.WriteOperation(np.diag([1.0, -1.0]),
                                                               np.full((4, 4), x))),
     "VirtualQudit": (UnphysicalInputError, "conjugator unitarity defect",
-                     lambda x: qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), x))),
+                     lambda x: qi.VirtualQudit(2, np.full((4, 4), x))),
     "Conjugator": (UnphysicalInputError, "conjugator unitarity defect",
                    lambda x: qa.Conjugator(np.full((4, 4), x))),
     # Write and weighting vectors, keyed "<function>.<parameter>".
@@ -116,7 +115,7 @@ CASES = {
     # Scalar parameters of the unitary-by-construction factors and writes.
     "VirtualQudit.conjugated_by_own_generators": (
         ValueError, "generator coefficients must be finite",
-        lambda x: qi.VirtualQudit(qa.build_su_basis(2), I4).conjugated_by_own_generators(
+        lambda x: qi.VirtualQudit(2, I4).conjugated_by_own_generators(
             [x, 0.0, 0.0])),
     "qic_family": (ValueError, "deformation r must be finite",
                    lambda x: qi.qic_family(qi.construct_qic(z_write(), qa.basis_state(2, 2)), x)),
@@ -160,14 +159,18 @@ def read_pair_text(text):
         return g.read_pair_file(path)
 
 
+# Two vectors with finite conjugate pairs on the one-mode vacuum whose v_1'Omega v_2
+# = 2.25e308 overflows.
+OVERFLOWING_PAIR = ([1.5e154, 0.0], [0.0, 1.5e154])
+
 OVERFLOWS = {
     "conjugated_by_own_generators sum": (
         "generator coefficients overflow",
-        lambda: qi.VirtualQudit(qa.build_su_basis(3), np.eye(9, dtype=complex))
+        lambda: qi.VirtualQudit(3, np.eye(9, dtype=complex))
         .conjugated_by_own_generators(np.full(8, 1.7e308))),
     "conjugated_by_own_generators spectrum": (
         "generator coefficients overflow",
-        lambda: qi.VirtualQudit(qa.build_su_basis(2), I4)
+        lambda: qi.VirtualQudit(2, I4)
         .conjugated_by_own_generators([1.5e308, 0.0, 1.5e308])),
     "qic_family": (r"deformation r = 1.7e\+308 overflows",
                    lambda: qi.qic_family(qi.construct_qic(qutrit_write(), qa.basis_state(2, 3)),
@@ -202,6 +205,14 @@ OVERFLOWS = {
         lambda: g.shift_fisher_matrix([[1e200, 0.0]], g.vacuum_state(1))),
     "shift_fisher_matrix": ("shift-write Fisher matrix must be finite",
                             lambda: g.shift_fisher_matrix([[1.2e154, 0.0]], g.vacuum_state(1))),
+    "shift_fisher_matrix products": (
+        "pairwise products v_i'Omega v_j and v_i'M v_j must be finite",
+        lambda: g.shift_fisher_matrix(OVERFLOWING_PAIR, g.vacuum_state(1))),
+    "multiparam_conditions": (
+        "pairwise products v_i'Omega v_j and v_i'M v_j must be finite",
+        lambda: g.multiparam_conditions(
+            [g.conjugate_qic_vector(v, g.vacuum_state(1)) for v in OVERFLOWING_PAIR],
+            g.vacuum_state(1))),
     "fisher_matrix commutator": (
         "commutator of generators 0 and 1: nan exceeds",
         lambda: qubit_fisher([np.diag([1e200, -1e200]), np.diag([1e200, 1e200])])),
@@ -264,7 +275,7 @@ VALID = {
     "LatticeConfig": dict(n_sites=4, eta=0.4),
     "ModeMatrix": dict(omegas=np.array([1.0, 1.5])),
     "PureState": dict(num_sites=2, local_dim=2, amplitudes=np.eye(4, dtype=complex)[0]),
-    "VirtualQudit": dict(basis=qa.build_su_basis(2), conjugation=np.eye(4, dtype=complex)),
+    "VirtualQudit": dict(d=2, conjugation=np.eye(4, dtype=complex)),
     "CorrelationState": dict(d=2, matrix=np.eye(2, dtype=complex) / 2.0),
     "WriteOperation": dict(local_generator=np.diag([1.0, -1.0]).astype(complex),
                            conjugation=np.eye(4, dtype=complex)),

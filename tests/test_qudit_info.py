@@ -57,7 +57,7 @@ def partial_trace_rest(vec, d):
 def test_virtual_operator_trace_orthonormality():
     rng = np.random.default_rng(21)
     d, n = 2, 2
-    vq = qi.VirtualQudit(qa.build_su_basis(d), haar_unitary(d ** n, rng))
+    vq = qi.VirtualQudit(d, haar_unitary(d ** n, rng))
     ops = vq.operators()
     full = d ** n
     for i, a in enumerate(ops):
@@ -71,13 +71,13 @@ def test_virtual_operator_trace_orthonormality():
 def test_correlation_state_product():
     phi = np.array([0.6, 0.8j], dtype=complex)
     state = qa.product_state([phi, [1, 0]])
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     rho = qi.correlation_state(vq, state)
     np.testing.assert_allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-12)
 
 
 def test_correlation_state_bell_is_maximally_mixed():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     rho = qi.correlation_state(vq, bell_state())
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
@@ -88,17 +88,26 @@ def test_correlation_state_equals_partial_trace(d, n):
     rng = np.random.default_rng(100 + d * 10 + n)
     state = qa.random_state(n, d, rng)
     conj = haar_unitary(d ** n, rng)
-    vq = qi.VirtualQudit(qa.build_su_basis(d), conj)
+    vq = qi.VirtualQudit(d, conj)
     rho = qi.correlation_state(vq, state)
     expected = partial_trace_rest(conj @ state.amplitudes, d)
     assert max_abs(rho.matrix - expected) < 1e-10
     assert rho.eigenvalues().min() > -1e-10
 
 
+@pytest.mark.parametrize("d", [1, 0, 2.0, qa.build_su_basis(2)],
+                         ids=["1", "0", "float", "SuBasis"])
+def test_virtual_qudit_refuses_a_non_dimension(d):
+    # d is checked before the register dimension is split by it: splitting 4
+    # into powers of 1 would never end.
+    with pytest.raises(UnphysicalInputError, match="d >= 2"):
+        qi.VirtualQudit(d, np.eye(4, dtype=complex))
+
+
 def test_correlation_state_detects_broken_conjugator():
     # A broken conjugator never reaches correlation_state: the qudit refuses it.
     with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
-        qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
+        qi.VirtualQudit(2, 0.9 * np.eye(4, dtype=complex))
 
 
 def test_correlation_state_rejects_bad_matrix():
@@ -125,13 +134,17 @@ def test_write_rejects_nan_conjugator():
         qi.WriteOperation(PAULI_Z, np.full((4, 4), np.nan, dtype=complex))
 
 
-def test_write_apply_matches_dense_exponential():
-    # structured three-step application vs a dense matrix exponential oracle
+@pytest.mark.parametrize("num_sites, local_dim", [(2, 2), (1, 4)])
+def test_write_apply_matches_dense_exponential(num_sites, local_dim):
+    # structured three-step application vs a dense matrix exponential oracle;
+    # a qubit write acts on any register of dimension 4, one ququart included,
+    # and the written state keeps the register's own split
     rng = np.random.default_rng(22)
     write = qi.random_write_operation(2, 2, rng)
-    state = qa.random_state(2, 2, rng)
+    state = qa.random_state(num_sites, local_dim, rng)
     theta = 1.1
     out = write.apply(state, theta)
+    assert (out.num_sites, out.local_dim) == (num_sites, local_dim)
     dense = expm_hermitian(dense_generator(write), -1j * theta)
     np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
 
@@ -338,13 +351,13 @@ def test_retrieval_residual_state_purity():
 
 def test_retrieval_rejects_broken_qudit():
     with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
-        vq = qi.VirtualQudit(qa.build_su_basis(2), 0.9 * np.eye(4, dtype=complex))
+        vq = qi.VirtualQudit(2, 0.9 * np.eye(4, dtype=complex))
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
 
 
 def test_retrieval_rejects_nan_conjugator():
     with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
-        vq = qi.VirtualQudit(qa.build_su_basis(2), np.full((4, 4), np.nan, dtype=complex))
+        vq = qi.VirtualQudit(2, np.full((4, 4), np.nan, dtype=complex))
         qi.retrieve_by_swap(vq, qa.basis_state(2, 2))
 
 
@@ -382,7 +395,7 @@ def dense_swap_retrieval(qudit, state):
     """Reference: assemble (1/d) sum_mu T_mu x t_mu and apply it to state x |0>."""
     d = qudit.d
     ops = [np.eye(qudit.full_dim)] + qudit.operators()
-    u_swap = sum(np.kron(op, t) for op, t in zip(ops, qudit.basis.extended)) / d
+    u_swap = sum(np.kron(op, t) for op, t in zip(ops, qa.build_su_basis(d).extended)) / d
     fiducial = np.zeros(d)
     fiducial[0] = 1.0
     j = (u_swap @ np.kron(state.amplitudes, fiducial)).reshape(qudit.full_dim, d)
@@ -398,7 +411,7 @@ def test_retrieval_matches_dense_swap(d, n, kind):
     if kind == "capsule":
         qudit = qi.construct_qic(write, state).qudit
     else:
-        qudit = qi.VirtualQudit(qa.build_su_basis(d), haar_unitary(d ** n, rng))
+        qudit = qi.VirtualQudit(d, haar_unitary(d ** n, rng))
     written = write.apply(state, 0.9)
     ret = qi.retrieve_by_swap(qudit, written)
     residual, extracted = dense_swap_retrieval(qudit, written)
@@ -457,7 +470,7 @@ def test_retrieval_forms_no_register_matrix():
 
 def test_partner_product_state_is_pure_product():
     state = qa.product_state([[0.6, 0.8], [1, 0]])
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     pair = qi.construct_partner(vq, state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
     # rank-1 Schmidt: both marginals pure
@@ -466,7 +479,7 @@ def test_partner_product_state_is_pure_product():
 
 
 def test_partner_bell_marginals_maximally_mixed():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(4, dtype=complex))
+    vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     pair = qi.construct_partner(vq, bell_state())
     assert abs(pair.purity() - 1.0) < PURITY_TOL
     np.testing.assert_allclose(pair.marginal_a(), np.eye(2) / 2, atol=1e-10)
@@ -476,7 +489,7 @@ def test_partner_bell_marginals_maximally_mixed():
 def test_partner_random_qutrits():
     rng = np.random.default_rng(29)
     state = qa.random_state(2, 3, rng)
-    vq = qi.VirtualQudit(qa.build_su_basis(3), haar_unitary(9, rng))
+    vq = qi.VirtualQudit(3, haar_unitary(9, rng))
     pair = qi.construct_partner(vq, state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
     ops_a = pair.qudit_a.operators()
@@ -488,10 +501,30 @@ def test_partner_random_qutrits():
     assert max_abs(pair.marginal_a() - rho_a.matrix) < 1e-10
 
 
-def test_partner_requires_environment():
-    vq = qi.VirtualQudit(qa.build_su_basis(2), np.eye(2, dtype=complex))
+@pytest.mark.parametrize("d, sites, local_dim", [(2, 1, 2), (4, 2, 2)])
+def test_partner_requires_environment(d, sites, local_dim):
+    # The room for slot 2 is the qudit's own D/d >= d, not the state's site
+    # count: a ququart qudit on two qubits has none.
+    vq = qi.VirtualQudit(d, np.eye(local_dim ** sites, dtype=complex))
     with pytest.raises(UnphysicalInputError, match="environment site"):
-        qi.construct_partner(vq, qa.basis_state(1, 2))
+        qi.construct_partner(vq, qa.basis_state(sites, local_dim))
+
+
+def test_partner_of_a_qubit_write_on_one_ququart():
+    # A d = 2 write splits a single ququart as C^2 x C^2: the partner exists.
+    rng = np.random.default_rng(40)
+    write = qi.random_write_operation(2, 2, rng)
+    state = qa.random_state(1, 4, rng)
+    pair = qi.construct_partner(write.virtual_qudit(), state)
+    assert abs(pair.purity() - 1.0) < PURITY_TOL
+    worst = max(max_abs(a @ b - b @ a)
+                for a in pair.qudit_a.operators() for b in pair.qudit_b.operators())
+    assert worst < LOCALITY_TOL
+    theta = 0.8
+    lifted = np.kron(write.local_unitary(theta), np.eye(2))
+    expected = lifted @ pair.joint_state @ dag(lifted)
+    recomputed = qi.partner_write_action(pair, write, theta, state)
+    assert max_abs(recomputed - expected) < THEOREM_TOL
 
 
 def test_partner_write_action_theorem_bell():
@@ -556,12 +589,12 @@ def test_partner_write_action_rejects_mismatch():
     rng = np.random.default_rng(33)
     state = qa.random_state(2, 2, rng)
     write = qi.random_write_operation(2, 2, rng)
-    other = qi.VirtualQudit(qa.build_su_basis(2), haar_unitary(4, rng))
+    other = qi.VirtualQudit(2, haar_unitary(4, rng))
     pair = qi.construct_partner(other, state)
     with pytest.raises(UnphysicalInputError, match="conjugator mismatch"):
         qi.partner_write_action(pair, write, 0.5, state)
     # The same matrix in a separate Conjugator is not the write's own qudit.
-    copy = qi.VirtualQudit(qa.build_su_basis(2), write.conjugator)
+    copy = qi.VirtualQudit(2, write.conjugator)
     pair = qi.construct_partner(copy, state)
     with pytest.raises(UnphysicalInputError, match="conjugator mismatch"):
         qi.partner_write_action(pair, write, 0.5, state)
@@ -582,7 +615,7 @@ def test_partner_write_action_rejects_register_mismatch():
 def test_equivalence_rotation_preserves_spectrum():
     rng = np.random.default_rng(34)
     state = qa.random_state(2, 2, rng)
-    vq = qi.VirtualQudit(qa.build_su_basis(2), haar_unitary(4, rng))
+    vq = qi.VirtualQudit(2, haar_unitary(4, rng))
     rho = qi.correlation_state(vq, state)
     coeffs = rng.standard_normal(3)
     rotated = vq.conjugated_by_own_generators(coeffs)
@@ -682,7 +715,7 @@ def test_commuting_generators_properties(d):
 
 
 def local_qudit(d, n):
-    return qi.VirtualQudit(qa.build_su_basis(d), qa.Conjugator.identity(d ** n))
+    return qi.VirtualQudit(d, qa.Conjugator.identity(d ** n))
 
 
 def test_fisher_matrix_zero_for_simultaneous_eigenstate():
