@@ -332,9 +332,10 @@ def lattice_checks() -> list:
     stationarity = 0.0
     for _ in range(20):
         v = rng.standard_normal(2 * config.n_sites)
-        pair = gaussian_cv.conjugate_qic_vector(v, state)
+        spectrum = lattice_field.pair_spectrum(
+            gaussian_cv.conjugate_qic_vector(v, state), state.covariance, mm)
         for t in times:
-            ep = lattice_field.evolve_pair(pair, t, mm)
+            ep = lattice_field.evolve_pair(spectrum, t)
             pairing = _fold(pairing, abs(ep.pairing - 1.0))
             stationarity = _fold(stationarity,
                                  abs(_det2(gaussian_cv.mode_covariance_matrix(

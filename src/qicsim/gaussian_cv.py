@@ -140,6 +140,11 @@ class CirculantCovariance:
         dense[1::2, 1::2] = columns[dist, 1]
         return dense if dtype is None else dense.astype(dtype)
 
+    def fft_spectra(self) -> np.ndarray:
+        """The 2 x N eigenvalues (a_k, b_k) on plane wave k, in FFT order k = 0 .. N - 1."""
+        k = np.arange(self.n_sites)
+        return self._spectra[:, :, 0].T[:, np.minimum(k, self.n_sites - k)]
+
     def uncertainty_deficit(self) -> float:
         """-min eig(M + i Omega/2), exactly, from each mode's [[a_k, i/2], [-i/2, b_k]]."""
         a, b = self.q_spectrum, self.p_spectrum
@@ -370,11 +375,18 @@ def mode_covariance_matrix(v: np.ndarray, u: np.ndarray,
 
 
 def _mode_entries(v: np.ndarray, u: np.ndarray, vm: np.ndarray, um: np.ndarray) -> np.ndarray:
-    """The mode covariance from vm = v' M and um = u' M; u and um may be k-row stacks."""
-    uu = np.vecdot(um, u)
+    """The mode covariance from vm = v' M and um = u' M; u and um may be k-row stacks.
+
+    Each dot conjugates its first factor, so the same entries come from FFT
+    coefficients: for a CirculantCovariance with spectrum m_k, x' M y =
+    (1/N) sum_k conj(x^_k) m_k y^_k (Parseval), so v^, u^ and the weighted
+    m v^ / N, m u^ / N stand for v, u, vm and um.  On real rows the dots are
+    the plain products, bit for bit.
+    """
+    uu = np.vecdot(um, u).real
     out = np.empty((2, 2, *uu.shape))
-    out[0, 0] = vm @ v
-    out[0, 1] = out[1, 0] = (np.vecdot(vm, u) + np.vecdot(um, v)) / 2.0
+    out[0, 0] = np.vecdot(vm, v).real
+    out[0, 1] = out[1, 0] = (np.vecdot(vm, u) + np.vecdot(um, v)).real / 2.0
     out[1, 1] = uu
     return out
 
@@ -503,8 +515,10 @@ def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray,
     if v2.shape != pair.v.shape:
         raise ValueError("v2 length does not match the pair")
     require_finite(v2, UnphysicalInputError, "write vector v2")
-    drift = scaled(theta2, np.array([_symplectic(pair.v, v2), _symplectic(pair.u, v2)]),
-                   "write angle theta2", "the drift")
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused, unwarned
+        products = np.array([_symplectic(pair.v, v2), _symplectic(pair.u, v2)])
+    require_finite(products, UnphysicalInputError, "products v'Omega v2 and u'Omega v2")
+    drift = scaled(theta2, products, "write angle theta2", "the drift")
     return WriteDrift(q_drift=float(abs(drift[0])), p_drift=float(abs(drift[1])))
 
 

@@ -14,11 +14,14 @@ the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 
 The vacuum is translation invariant, so its covariance is kept as the
 per-mode spectra of a CirculantCovariance: it is validated in O(N), and
-each product with it is one FFT pair, O(N log N).  Free evolution turns a
-stack of weighting rows at once: one FFT of their q and p parts, the turn
-w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p by the angle
-omega_k t on each mode, and one inverse FFT whose imaginary residue is
-returned and gated.  No step of figure_experiment forms an N x N matrix,
+each product with it is one FFT pair, O(N log N).  Free evolution acts in
+mode space: the FFT of a row's q and p parts is turned by the angle
+omega_k t on each mode, w_q <- cos w_q + omega sin w_p,
+w_p <- -sin/omega w_q + cos w_p, and one inverse FFT gives the row at time
+t, with an imaginary residue that is returned and gated.  A capsule pair's
+FFT is taken once, by pair_spectrum; evolve_pair turns it out of place at
+each time and reads the pair's mode covariance there, by Parseval, before
+its one inverse FFT.  No step of figure_experiment forms an N x N matrix,
 so it costs O(N log N) per time.  The flow is the standard Heisenberg flow
 run for -t, and the sign is intended: with U = exp(-i H t), w(t)' r =
 U (w' r) U^dagger is where the capsule written on w' r sits at time t in the
@@ -41,7 +44,7 @@ from .gaussian_cv import (
     _symplectic,
     conjugate_qic_vector,
 )
-from .linalg import gate, max_abs, require_finite, scaled
+from .linalg import gate, require_finite, scaled
 
 IMAG_RESIDUE_TOL = 1e-9
 EVOLVED_PAIRING_TOL = 1e-9
@@ -117,22 +120,38 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 # ---- Free evolution of weighting vectors ----
 
 
-def _evolve_rows(rows: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
-    """Free evolution of a row or a k x 2N stack; returns (rows(t), imaginary residue)."""
+def _forward(rows: np.ndarray) -> np.ndarray:
+    """FFT over sites of the q and p parts of a row or a k x 2N stack: k x 2 x N, complex."""
+    modes = rows.reshape(-1, rows.shape[-1] // 2, 2).swapaxes(1, 2).astype(complex, order="C")
+    return np.fft.fft(modes, out=modes)
+
+
+def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
+    """The k x 2 x N coefficients turned by omega_k t, out of place; t = 0 returns modes itself."""
     omegas = mm._fft_omegas
     phase = scaled(t, omegas, "evolution time", "omega t")
     if t == 0.0:
-        return rows.copy(), 0.0
-    cos, sin = np.cos(phase), np.sin(phase)
-    # One complex buffer holds the q and p parts of every row through both
-    # transforms; the turn is written into it a row at a time.
-    modes = rows.reshape(-1, mm.n_sites, 2).swapaxes(1, 2).astype(complex)
-    np.fft.fft(modes, out=modes)
-    for wq, wp in modes:
-        wq[:], wp[:] = cos * wq + omegas * sin * wp, -sin / omegas * wq + cos * wp
+        return modes
+    sin = np.sin(phase)
+    cos = np.cos(phase, out=phase)   # into the phase buffer, which is done with
+    wq, wp = modes[:, 0], modes[:, 1]
+    # w_q <- cos w_q + omega sin w_p and w_p <- -sin/omega w_q + cos w_p, for
+    # every row at once, each written into its slot and then added to.
+    out = np.empty_like(modes)
+    np.multiply(cos, wq, out=out[:, 0])
+    out[:, 0] += omegas * sin * wp
+    np.multiply(cos, wp, out=out[:, 1])
+    out[:, 1] += -sin / omegas * wq
+    return out
+
+
+def _inverse(modes: np.ndarray) -> tuple:
+    """Inverse FFT of k x 2 x N coefficients in place; returns (k x 2N rows, imaginary residue)."""
     np.fft.ifft(modes, out=modes)
-    residue = max_abs(modes.imag)
-    return modes.real.swapaxes(1, 2).reshape(rows.shape).copy(), residue
+    # max |imag| from the two extremes, without an |imag| temporary.
+    residue = float(max(abs(modes.imag.max()), abs(modes.imag.min())))
+    # modes is C-ordered, so the reshape copies its real part into interleaved rows.
+    return modes.real.swapaxes(1, 2).reshape(len(modes), -1), residue
 
 
 def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
@@ -141,36 +160,97 @@ def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     if w.shape != (2 * mm.n_sites,):
         raise ValueError("weighting vector length does not match the chain")
     require_finite(w, ValueError, "weighting vector")
-    return _evolve_rows(w, t, mm)
+    if t == 0.0:
+        return w.copy(), 0.0
+    rows, residue = _inverse(_turn(_forward(w), t, mm))
+    return rows[0], residue
+
+
+@dataclass(frozen=True, eq=False)
+class PairSpectrum:
+    """A capsule pair's FFT over sites, taken once, and the chain it evolves on.
+
+    modes is the 2 x 2 x N stack of coefficients (v, u) x (q, p) x k in FFT
+    order; weights is the 2 x N stack of the covariance's plane-wave
+    eigenvalues (a_k, b_k) divided by N, so that modes * weights stands for
+    (v' M, u' M) in _mode_entries.
+    """
+
+    pair: ModePair
+    modes: np.ndarray
+    weights: np.ndarray
+    mm: ModeMatrix
+
+
+def pair_spectrum(pair: ModePair, covariance: CirculantCovariance,
+                  mm: ModeMatrix) -> PairSpectrum:
+    """The one forward FFT of a capsule pair, for evolve_pair at any number of times.
+
+    The mode covariance is read against covariance, which plane waves must
+    diagonalize: a CirculantCovariance such as the chain vacuum's.
+    """
+    if not isinstance(covariance, CirculantCovariance):
+        raise TypeError("mode-space evolution needs a CirculantCovariance")
+    if not pair.n_modes == covariance.n_sites == mm.n_sites:
+        raise ValueError("pair, covariance and chain have different sizes")
+    return PairSpectrum(pair=pair, modes=_forward(np.stack([pair.v, pair.u])),
+                        weights=covariance.fft_spectra() / mm.n_sites, mm=mm)
 
 
 @dataclass(frozen=True, eq=False)
 class EvolvedPair:
     """A capsule pair's weighting vectors after free evolution for time t.
 
-    rows is the 2 x 2N stack (v(t), u(t)); imag_residue is the FFT's largest
-    imaginary part and pairing is v(t)'Omega u(t), both gated in evolve_pair.
+    rows is the 2 x 2N stack (v(t), u(t)); imag_residue is the inverse FFT's
+    largest imaginary part and pairing is v(t)'Omega u(t), both gated in
+    evolve_pair; det_m is the determinant of the evolved pair's mode
+    covariance under the spectrum's covariance.
     """
 
     t: float
     rows: np.ndarray
     imag_residue: float
     pairing: float
+    det_m: float
     v_t = property(lambda self: self.rows[0])
     u_t = property(lambda self: self.rows[1])
 
 
-def evolve_pair(pair: ModePair, t: float, mm: ModeMatrix) -> EvolvedPair:
-    """Evolve a capsule pair as one stack of two rows, with residue and pairing gates."""
-    if pair.n_modes != mm.n_sites:
-        raise ValueError("pair and chain have different sizes")
-    rows, residue = _evolve_rows(np.stack([pair.v, pair.u]), t, mm)
+def _spectral_mode_covariance(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2 x 2 mode covariance of the pair with 2 x 2 x N coefficients modes, by Parseval.
+
+    M is block diagonal on plane waves, so the q and p coefficients add their
+    entries separately; one product buffer holds each part's weighted rows.
+    """
+    weighted = np.empty_like(modes[:, 0])
+    m = np.zeros((2, 2))
+    for part in range(2):
+        np.multiply(modes[:, part], weights[part], out=weighted)
+        m += _mode_entries(modes[0, part], modes[1, part], weighted[0], weighted[1])
+    return m
+
+
+def evolve_pair(spectrum: PairSpectrum, t: float) -> EvolvedPair:
+    """Evolve a capsule pair from its spectrum, with residue and pairing gates.
+
+    The turned coefficients give the mode covariance by Parseval before one
+    inverse FFT gives the rows; t = 0 reads the cached spectrum and the
+    pair's own rows, and makes no transform.
+    """
+    modes = _turn(spectrum.modes, t, spectrum.mm)
+    det_m = float(_det2(_spectral_mode_covariance(modes, spectrum.weights)))
+    if t == 0.0:
+        rows, residue = np.stack([spectrum.pair.v, spectrum.pair.u]), 0.0
+    else:
+        rows, residue = _inverse(modes)
+    del modes   # the turned buffer goes before the pairing's temporaries come
     gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
          f"imaginary evolution residue at t = {t}")
     pairing = _symplectic(rows[0], rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
          f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
-    return EvolvedPair(t=float(t), rows=rows, imag_residue=residue, pairing=pairing)
+    return EvolvedPair(t=float(t), rows=rows, imag_residue=residue, pairing=pairing,
+                       det_m=det_m)
 
 
 # ---- The delocalization experiment ----
@@ -210,16 +290,13 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     mm = mode_matrix(config)
     v = np.zeros(2 * config.n_sites)
     v[2 * (write_site - 1)] = 1.0
-    pair = conjugate_qic_vector(v, state)
+    spectrum = pair_spectrum(conjugate_qic_vector(v, state), state.covariance, mm)
     profiles = []
     for t in times:
-        ep = evolve_pair(pair, float(t), mm)
-        vm, um = ep.rows @ state.covariance
+        ep = evolve_pair(spectrum, float(t))
         profiles.append(SiteProfiles(
             t=ep.t,
             v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
             u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
-            pairing=ep.pairing,
-            det_m=float(_det2(_mode_entries(ep.v_t, ep.u_t, vm, um))),
-            imag_residue=ep.imag_residue))
+            pairing=ep.pairing, det_m=ep.det_m, imag_residue=ep.imag_residue))
     return profiles

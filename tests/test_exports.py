@@ -78,7 +78,8 @@ def _gaussian_values():
     config = lattice_field.LatticeConfig(n_sites=4, eta=0.4)
     mm = lattice_field.mode_matrix(config)
     vacuum = lattice_field.vacuum_covariance(config)
-    chain_pair = gaussian_cv.conjugate_qic_vector(np.eye(8)[0], vacuum)
+    chain_spectrum = lattice_field.pair_spectrum(
+        gaussian_cv.conjugate_qic_vector(np.eye(8)[0], vacuum), vacuum.covariance, mm)
     return {
         "GaussianState": state,
         "ModePair": pair,
@@ -88,7 +89,8 @@ def _gaussian_values():
              for v in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])], state),
         "CirculantCovariance": vacuum.covariance,
         "ModeMatrix": mm,
-        "EvolvedPair": lattice_field.evolve_pair(chain_pair, 1.0, mm),
+        "PairSpectrum": chain_spectrum,
+        "EvolvedPair": lattice_field.evolve_pair(chain_spectrum, 1.0),
         "SiteProfiles": lattice_field.figure_experiment(config, 1, (0.5,))[0],
     }
 

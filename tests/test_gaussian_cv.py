@@ -342,6 +342,18 @@ def test_one_row_mode_entries_and_symplectic_product_keep_their_bits(n, seed, ci
     assert g._symplectic(v, u) == v @ g.symplectic_form(n) @ u
 
 
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("n", [2, 3, 10, 257, 4096, 10 ** 5])
+def test_conjugating_mode_entries_are_the_real_products_bit_for_bit(n, strided):
+    """On real rows the conjugating dots of _mode_entries are the products vm @ v."""
+    rows = np.random.default_rng(n).standard_normal((4, 2 * n))
+    v, u, vm, um = rows[:, ::2] if strided else rows[:, :n]
+    cross = (vm @ u + um @ v) / 2.0
+    got = g._mode_entries(v, u, vm, um)
+    assert got.dtype == float
+    assert np.array_equal(got, [[vm @ v, cross], [cross, um @ u]])
+
+
 def test_conjugate_rejects_degenerate_direction():
     with pytest.raises(UnphysicalInputError, match="variance below the floor"):
         g.conjugate_qic_vector(np.zeros(2), g.vacuum_state(1))

@@ -178,8 +178,9 @@ def test_evolve_rejects_non_finite_time():
         with pytest.raises(ValueError):
             lf.evolve_vector(np.ones(8), t, lf.mode_matrix(config))
         with pytest.raises(ValueError, match="evolution time must be finite"):
-            lf.evolve_pair(gaussian_cv.ModePair(np.eye(8)[0], np.eye(8)[1]), t,
-                           lf.mode_matrix(config))
+            lf.evolve_pair(lf.pair_spectrum(gaussian_cv.ModePair(np.eye(8)[0], np.eye(8)[1]),
+                                            lf.vacuum_covariance(config).covariance,
+                                            lf.mode_matrix(config)), t)
 
 
 def test_chain_never_builds_the_dense_symplectic_form(monkeypatch):
@@ -301,47 +302,51 @@ def _figure_pair():
     return config, state, pair
 
 
+def _figure_spectrum():
+    config, state, pair = _figure_pair()
+    return lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(config))
+
+
 def test_evolve_time_zero_is_identity():
-    config, _, pair = _figure_pair()
-    mm = lf.mode_matrix(config)
-    evolved = lf.evolve_pair(pair, 0.0, mm)
-    assert np.array_equal(evolved.v_t, pair.v)
-    assert np.array_equal(evolved.u_t, pair.u)
+    spectrum = _figure_spectrum()
+    evolved = lf.evolve_pair(spectrum, 0.0)
+    assert np.array_equal(evolved.v_t, spectrum.pair.v)
+    assert np.array_equal(evolved.u_t, spectrum.pair.u)
     assert evolved.imag_residue == 0.0
 
 
 def test_evolve_preserves_symplectic_pairing():
-    config, _, pair = _figure_pair()
-    mm = lf.mode_matrix(config)
+    spectrum = _figure_spectrum()
     om = gaussian_cv.symplectic_form(N_SITES)
     for t in (1.0, 5.0, 25.0, 50.0):
-        evolved = lf.evolve_pair(pair, t, mm)
+        evolved = lf.evolve_pair(spectrum, t)
         assert abs(evolved.v_t @ om @ evolved.u_t - 1.0) < 1e-9
         assert evolved.pairing == float(evolved.v_t @ om @ evolved.u_t)
         assert evolved.imag_residue < 1e-9
 
 
 def test_evolve_round_trip():
-    config, _, pair = _figure_pair()
+    config, state, pair = _figure_pair()
     mm = lf.mode_matrix(config)
-    forward = lf.evolve_pair(pair, 17.0, mm)
-    back = lf.evolve_pair(
-        gaussian_cv.ModePair(forward.v_t, forward.u_t,
-                             pair.q_offset, pair.p_offset), -17.0, mm)
+    forward = lf.evolve_pair(lf.pair_spectrum(pair, state.covariance, mm), 17.0)
+    back = lf.evolve_pair(lf.pair_spectrum(
+        gaussian_cv.ModePair(forward.v_t, forward.u_t, pair.q_offset, pair.p_offset),
+        state.covariance, mm), -17.0)
     assert max_abs(back.v_t - pair.v) < 1e-9
     assert max_abs(back.u_t - pair.u) < 1e-9
 
 
 def test_evolved_mode_determinant_is_stationary():
     config, state, pair = _figure_pair()
-    mm = lf.mode_matrix(config)
+    spectrum = lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(config))
     m = state.covariance
     for t in (1.0, 5.0, 25.0, 50.0):
-        ev = lf.evolve_pair(pair, t, mm)
+        ev = lf.evolve_pair(spectrum, t)
         var_q = float(ev.v_t @ m @ ev.v_t)
         var_p = float(ev.u_t @ m @ ev.u_t)
         cross = float(ev.v_t @ m @ ev.u_t)
         assert abs(var_q * var_p - cross * cross - 0.25) < 1e-8
+        assert abs(ev.det_m - 0.25) < 1e-8
 
 
 def test_evolution_preserves_symplectic_products():
@@ -362,12 +367,12 @@ def test_evolution_preserves_symplectic_products():
 def test_evolve_detects_corrupted_matrix():
     # A spectrum with omega_1 != omega_{N-1} breaks the pairing of conjugate
     # Fourier coefficients, so the evolved row picks up an imaginary part.
-    config, _, pair = _figure_pair()
+    config, state, pair = _figure_pair()
     omegas = lf.mode_matrix(config).omegas.copy()
     omegas[0] += 0.05
-    broken = lf.ModeMatrix(omegas)
+    broken = lf.pair_spectrum(pair, state.covariance, lf.ModeMatrix(omegas))
     with pytest.raises(InternalConsistencyError, match="imaginary evolution residue"):
-        lf.evolve_pair(pair, 3.0, broken)
+        lf.evolve_pair(broken, 3.0)
 
 
 # ---- figure experiment ----
@@ -472,19 +477,56 @@ def _per_vector_profiles(config, write_site, times):
     return rows
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 400])
-def test_figure_experiment_matches_per_vector_route_bit_for_bit(n):
-    config = lf.LatticeConfig(n, ETA)
-    times = (0.0, 2.5, -7.0, 40.0, -150.0)
-    site = (n + 1) // 2
+def _assert_matches_per_vector_route(config, site, times):
     profiles = lf.figure_experiment(config, site, times)
     for prof, (v_t, u_t, pairing, det_m, residue) in zip(
-            profiles, _per_vector_profiles(config, site, times)):
+            profiles, _per_vector_profiles(config, site, times), strict=True):
         assert np.array_equal(prof.v_q, v_t[0::2]) and np.array_equal(prof.v_p, v_t[1::2])
         assert np.array_equal(prof.u_q, u_t[0::2]) and np.array_equal(prof.u_p, u_t[1::2])
         assert abs(prof.pairing - pairing) <= 1e-15
         assert abs(prof.det_m - det_m) <= 1e-15
         assert abs(prof.imag_residue - residue) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 400])
+def test_figure_experiment_matches_per_vector_route_bit_for_bit(n):
+    _assert_matches_per_vector_route(lf.LatticeConfig(n, ETA), (n + 1) // 2,
+                                     (0.0, 2.5, -7.0, 40.0, -150.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.floats(0.05, 5.0), st.data())
+def test_figure_experiment_matches_per_vector_route_at_random_sizes(n, eta, data):
+    # The spectrum is taken once and read at t = 0, so 0 is always among the times.
+    site = data.draw(st.integers(1, n), label="write site")
+    times = [0.0, data.draw(st.floats(-200.0, 0.0, exclude_max=True), label="past"),
+             *data.draw(st.lists(st.floats(-200.0, 200.0), max_size=3), label="times")]
+    _assert_matches_per_vector_route(lf.LatticeConfig(n, eta), site, times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.floats(0.01, 5.0), st.integers(0, 2 ** 32 - 1))
+def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
+    # Parseval: x'My = (1/N) sum_k conj(x^_k) m_k y^_k for the plane-wave
+    # spectrum m_k of each block; unit rows keep every entry below 2.5.
+    cov = lf.vacuum_covariance(lf.LatticeConfig(n, eta)).covariance
+    dense = np.asarray(cov)
+    assert max_abs(cov.fft_spectra() - [np.fft.fft(dense[0::2, 0]).real,
+                                        np.fft.fft(dense[1::2, 1]).real]) < 1e-13
+    rows = np.random.default_rng(seed).standard_normal((2, 2 * n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    spectral = lf._spectral_mode_covariance(lf._forward(rows), cov.fft_spectra() / n)
+    real = gaussian_cv.mode_covariance_matrix(rows[0], rows[1], cov)
+    assert max_abs(spectral - real) <= 1e-15
+
+
+def test_pair_spectrum_refuses_a_dense_covariance_or_another_size():
+    config, state, pair = _figure_pair()
+    mm = lf.mode_matrix(config)
+    with pytest.raises(TypeError, match="needs a CirculantCovariance"):
+        lf.pair_spectrum(pair, np.asarray(state.covariance), mm)
+    with pytest.raises(ValueError, match="different sizes"):
+        lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(lf.LatticeConfig(8, ETA)))
 
 
 def _count_fft_calls(monkeypatch):
@@ -500,26 +542,29 @@ def _count_fft_calls(monkeypatch):
     return calls
 
 
-def test_figure_experiment_makes_one_transform_pair_per_stack(monkeypatch):
-    # Per nonzero time: one fft and one ifft for the evolved pair, and one
-    # rfft and one irfft for its mode covariance; t = 0 skips the evolution.
-    # The capsule pair itself takes one more rfft/irfft: 2 + 7 * 2 + 8 * 2.
+def test_figure_experiment_makes_one_forward_fft_per_pair(monkeypatch):
+    # The capsule partner u = -Omega M v / v'M v takes one rfft/irfft, the
+    # pair's spectrum one fft, and each nonzero time one ifft; t = 0 and every
+    # mode covariance read the spectrum itself: 2 + 1 + 7.
     config = lf.LatticeConfig(400, ETA)
-    pair = gaussian_cv.conjugate_qic_vector(np.eye(800)[398],
-                                            lf.vacuum_covariance(config))
-    mm = lf.mode_matrix(config)
+    state = lf.vacuum_covariance(config)
+    spectrum = lf.pair_spectrum(gaussian_cv.conjugate_qic_vector(np.eye(800)[398], state),
+                                state.covariance, lf.mode_matrix(config))
     calls = _count_fft_calls(monkeypatch)
     lf.figure_experiment(config, 200, range(0, 160, 20))
-    assert len(calls) == 32
-    assert calls.count("fft") == calls.count("ifft") == 7
+    assert len(calls) == 10
+    assert calls.count("fft") == 1 and calls.count("ifft") == 7
     calls.clear()
-    lf.evolve_pair(pair, 20.0, mm)
-    assert calls == ["fft", "ifft"]
+    lf.evolve_pair(spectrum, 20.0)
+    assert calls == ["ifft"]
+    calls.clear()
+    lf.evolve_pair(spectrum, 0.0)
+    assert calls == []
 
 
 def test_figure_experiment_memory_stays_lean():
-    # Turning a pair in its own transform buffer, a row at a time, peaks near
-    # 22 MB here; a route that turns the whole stack out of place does not fit.
+    # Turning the cached spectrum out of place, and weighting one quadrature
+    # at a time for the mode covariance, peaks near 22.7 MB here.
     config = lf.LatticeConfig(2 ** 16, ETA)
     tracemalloc.start()
     try:

@@ -187,6 +187,11 @@ OVERFLOWS = {
                                     [1.0, 0.0], 1e308)),
     "qic_invariance_under_other_writes": (r"write angle theta2 = 1e\+308 overflows",
                                           lambda: vacuum_drift([2.0, 0.0], 1e308)),
+    # u = (0, 1000) for this write, so u'Omega v2 overflows before theta2 scales it.
+    "qic_invariance_under_other_writes products": (
+        "products v'Omega v2 and u'Omega v2 must be finite",
+        lambda: g.qic_invariance_under_other_writes(
+            g.conjugate_qic_vector([1e-3, 0.0], g.vacuum_state(1)), [1e306, 0.0], 0.3)),
     "evolve_vector": (r"evolution time = 1.7e\+308 overflows",
                       lambda: lf.evolve_vector(np.array([1.0, 0.0, 0.0, 1.0]), 1.7e308,
                                                chain_modes())),
