@@ -31,10 +31,9 @@ _EXPORTS = {
                     "shift_fisher_matrix", "single_mode_squeezed", "symplectic_form",
                     "two_mode_squeezed", "vacuum_state", "write_pair_file",
                     "write_state_file"),
-    "lattice_field": ("EvolvedPair", "LatticeConfig", "ModeMatrix", "PairSpectrum",
-                      "SiteProfiles", "dispersion", "evolve_pair", "evolve_vector",
-                      "figure_experiment", "mode_matrix", "pair_spectrum",
-                      "vacuum_covariance"),
+    "lattice_field": ("LatticeConfig", "ModeMatrix", "PairSpectrum", "SiteProfiles",
+                      "dispersion", "evolve_pair", "evolve_vector", "figure_experiment",
+                      "mode_matrix", "pair_spectrum", "vacuum_covariance"),
     "qudit_algebra": ("PureState", "SuBasis", "basis_state", "build_su_basis",
                       "product_state", "random_state", "swap_operator"),
     "qudit_info": ("CorrelationState", "FeasibilityReport", "PartnerPair",

@@ -332,14 +332,13 @@ def lattice_checks() -> list:
     stationarity = 0.0
     for _ in range(20):
         v = rng.standard_normal(2 * config.n_sites)
-        spectrum = lattice_field.pair_spectrum(
-            gaussian_cv.conjugate_qic_vector(v, state), state.covariance, mm)
+        spectrum = lattice_field.pair_spectrum(gaussian_cv.conjugate_qic_vector(v, state), mm)
         for t in times:
-            ep = lattice_field.evolve_pair(spectrum, t)
-            pairing = _fold(pairing, abs(ep.pairing - 1.0))
+            prof = lattice_field.evolve_pair(spectrum, t)
+            pairing = _fold(pairing, abs(prof.pairing - 1.0))
             stationarity = _fold(stationarity,
                                  abs(_det2(gaussian_cv.mode_covariance_matrix(
-                                     ep.v_t, ep.u_t, state.covariance)) - 0.25))
+                                     prof.v_t, prof.u_t, state.covariance)) - 0.25))
 
     invariance = round_trip = 0.0
     for _ in range(10):

@@ -140,11 +140,6 @@ class CirculantCovariance:
         dense[1::2, 1::2] = columns[dist, 1]
         return dense if dtype is None else dense.astype(dtype)
 
-    def fft_spectra(self) -> np.ndarray:
-        """The 2 x N eigenvalues (a_k, b_k) on plane wave k, in FFT order k = 0 .. N - 1."""
-        k = np.arange(self.n_sites)
-        return self._spectra[:, :, 0].T[:, np.minimum(k, self.n_sites - k)]
-
     def uncertainty_deficit(self) -> float:
         """-min eig(M + i Omega/2), exactly, from each mode's [[a_k, i/2], [-i/2, b_k]]."""
         a, b = self.q_spectrum, self.p_spectrum

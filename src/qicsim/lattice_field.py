@@ -13,19 +13,20 @@ Sites are 1-based in every public interface.  The canonical vector follows
 the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 
 The vacuum is translation invariant, so its covariance is kept as the
-per-mode spectra of a CirculantCovariance: it is validated in O(N), and
-each product with it is one FFT pair, O(N log N).  Free evolution acts in
-mode space: the FFT of a row's q and p parts is turned by the angle
-omega_k t on each mode, w_q <- cos w_q + omega sin w_p,
+per-mode spectra (1/(2 omega_k), omega_k/2) of a CirculantCovariance: it is
+validated in O(N), and each product with it is one FFT pair, O(N log N).
+Free evolution acts in mode space: the FFT of a row's q and p parts is
+turned by the angle omega_k t on each mode, w_q <- cos w_q + omega sin w_p,
 w_p <- -sin/omega w_q + cos w_p, and one inverse FFT gives the row at time
 t, with an imaginary residue that is returned and gated.  A capsule pair's
 FFT is taken once, by pair_spectrum; evolve_pair turns it out of place at
-each time and reads the pair's mode covariance there, by Parseval, before
-its one inverse FFT.  No step of figure_experiment forms an N x N matrix,
-so it costs O(N log N) per time.  The flow is the standard Heisenberg flow
-run for -t, and the sign is intended: with U = exp(-i H t), w(t)' r =
-U (w' r) U^dagger is where the capsule written on w' r sits at time t in the
-Schroedinger picture.
+each time, reads the pair's mode covariance in the vacuum there by
+Parseval, with weights from the same omega_k, and returns the pair's
+SiteProfiles after one inverse FFT.  No step of figure_experiment forms an
+N x N matrix, so it costs O(N log N) per time.  The flow is the standard
+Heisenberg flow run for -t, and the sign is intended: with U = exp(-i H t),
+w(t)' r = U (w' r) U^dagger is where the capsule written on w' r sits at
+time t in the Schroedinger picture.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ EVOLVED_PAIRING_TOL = 1e-9
 VACUUM_PURITY_TOL = 1e-8
 
 
+def _require_integer(value, what: str) -> None:
+    # bool is an int subclass, but True sites or a True write site is a slip.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UnphysicalInputError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Chain size and coupling; N = 1 is the single-oscillator limit."""
@@ -59,6 +66,8 @@ class LatticeConfig:
     eta: float
 
     def __post_init__(self):
+        _require_integer(self.n_sites, "number of sites")
+        object.__setattr__(self, "n_sites", int(self.n_sites))   # so 64 N below cannot wrap
         if self.n_sites < 1:
             raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
         if 64 * self.n_sites > np.iinfo(np.intp).max:   # the 2 x 2N complex evolution buffer
@@ -86,6 +95,9 @@ class ModeMatrix:
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
+        if omegas.ndim != 1 or omegas.size == 0:
+            raise ValueError(f"mode frequencies must be a non-empty 1-D array, "
+                             f"got shape {omegas.shape}")
         if not (np.isfinite(omegas) & (omegas > 0.0)).all():
             raise UnphysicalInputError("mode frequencies must be finite and positive")
         object.__setattr__(self, "omegas", omegas)
@@ -101,6 +113,11 @@ def mode_matrix(config: LatticeConfig) -> ModeMatrix:
     return ModeMatrix(omegas=dispersion(config))
 
 
+def _vacuum_spectra(omegas: np.ndarray) -> tuple:
+    """The vacuum's <q q> and <p p> eigenvalues (1/(2 omega), omega/2) on the given modes."""
+    return 0.5 / omegas, 0.5 * omegas
+
+
 def vacuum_covariance(config: LatticeConfig) -> GaussianState:
     """Ground-state moments: zero mean, circulant q-q and p-p blocks.
 
@@ -111,7 +128,7 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
     n = config.n_sites
     omegas = np.roll(dispersion(config), 1)[: n // 2 + 1]   # FFT order, k = 0 .. N//2
     state = GaussianState(np.zeros(2 * n),
-                          CirculantCovariance(n, 0.5 / omegas, 0.5 * omegas))
+                          CirculantCovariance(n, *_vacuum_spectra(omegas)))
     gate(state.purity_residual(), VACUUM_PURITY_TOL, InternalConsistencyError,
          "vacuum covariance purity residual")
     return state
@@ -171,9 +188,9 @@ class PairSpectrum:
     """A capsule pair's FFT over sites, taken once, and the chain it evolves on.
 
     modes is the 2 x 2 x N stack of coefficients (v, u) x (q, p) x k in FFT
-    order; weights is the 2 x N stack of the covariance's plane-wave
-    eigenvalues (a_k, b_k) divided by N, so that modes * weights stands for
-    (v' M, u' M) in _mode_entries.
+    order; weights is the 2 x N stack of the vacuum's plane-wave eigenvalues
+    (1/(2 omega_k), omega_k/2) divided by N, so that modes * weights stands
+    for (v' M, u' M) in _mode_entries.
     """
 
     pair: ModePair
@@ -182,38 +199,17 @@ class PairSpectrum:
     mm: ModeMatrix
 
 
-def pair_spectrum(pair: ModePair, covariance: CirculantCovariance,
-                  mm: ModeMatrix) -> PairSpectrum:
+def pair_spectrum(pair: ModePair, mm: ModeMatrix) -> PairSpectrum:
     """The one forward FFT of a capsule pair, for evolve_pair at any number of times.
 
-    The mode covariance is read against covariance, which plane waves must
-    diagonalize: a CirculantCovariance such as the chain vacuum's.
+    The mode covariance is read against the chain vacuum, whose spectra come
+    from the same frequencies the turn uses.
     """
-    if not isinstance(covariance, CirculantCovariance):
-        raise TypeError("mode-space evolution needs a CirculantCovariance")
-    if not pair.n_modes == covariance.n_sites == mm.n_sites:
-        raise ValueError("pair, covariance and chain have different sizes")
+    if pair.n_modes != mm.n_sites:
+        raise ValueError("pair and chain have different sizes")
     return PairSpectrum(pair=pair, modes=_forward(np.stack([pair.v, pair.u])),
-                        weights=covariance.fft_spectra() / mm.n_sites, mm=mm)
-
-
-@dataclass(frozen=True, eq=False)
-class EvolvedPair:
-    """A capsule pair's weighting vectors after free evolution for time t.
-
-    rows is the 2 x 2N stack (v(t), u(t)); imag_residue is the inverse FFT's
-    largest imaginary part and pairing is v(t)'Omega u(t), both gated in
-    evolve_pair; det_m is the determinant of the evolved pair's mode
-    covariance under the spectrum's covariance.
-    """
-
-    t: float
-    rows: np.ndarray
-    imag_residue: float
-    pairing: float
-    det_m: float
-    v_t = property(lambda self: self.rows[0])
-    u_t = property(lambda self: self.rows[1])
+                        weights=np.stack(_vacuum_spectra(mm._fft_omegas)) / mm.n_sites,
+                        mm=mm)
 
 
 def _spectral_mode_covariance(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -230,7 +226,34 @@ def _spectral_mode_covariance(modes: np.ndarray, weights: np.ndarray) -> np.ndar
     return m
 
 
-def evolve_pair(spectrum: PairSpectrum, t: float) -> EvolvedPair:
+@dataclass(frozen=True, eq=False)
+class SiteProfiles:
+    """A capsule pair's site-resolved weighting profiles after free evolution for time t.
+
+    v_q, v_p, u_q and u_p are the q and p parts of v(t) and u(t), which v_t
+    and u_t interleave; imag_residue is the inverse FFT's largest imaginary
+    part and pairing is v(t)'Omega u(t), both gated in evolve_pair; det_m is
+    the determinant of the evolved pair's mode covariance in the vacuum.
+    """
+
+    t: float
+    v_q: np.ndarray
+    v_p: np.ndarray
+    u_q: np.ndarray
+    u_p: np.ndarray
+    pairing: float
+    det_m: float
+    imag_residue: float
+    v_t = property(lambda self: np.column_stack((self.v_q, self.v_p)).ravel())
+    u_t = property(lambda self: np.column_stack((self.u_q, self.u_p)).ravel())
+
+    def support(self, threshold: float = 1e-3) -> int:
+        """Number of sites where the partner weighting exceeds the threshold."""
+        weight = np.maximum(np.abs(self.u_q), np.abs(self.u_p))
+        return int(np.sum(weight > threshold))
+
+
+def evolve_pair(spectrum: PairSpectrum, t: float) -> SiteProfiles:
     """Evolve a capsule pair from its spectrum, with residue and pairing gates.
 
     The turned coefficients give the mode covariance by Parseval before one
@@ -249,30 +272,12 @@ def evolve_pair(spectrum: PairSpectrum, t: float) -> EvolvedPair:
     pairing = _symplectic(rows[0], rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
          f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
-    return EvolvedPair(t=float(t), rows=rows, imag_residue=residue, pairing=pairing,
-                       det_m=det_m)
+    return SiteProfiles(t=float(t), v_q=rows[0, 0::2], v_p=rows[0, 1::2],
+                        u_q=rows[1, 0::2], u_p=rows[1, 1::2],
+                        pairing=pairing, det_m=det_m, imag_residue=residue)
 
 
 # ---- The delocalization experiment ----
-
-
-@dataclass(frozen=True, eq=False)
-class SiteProfiles:
-    """Site-resolved weighting profiles of the evolved capsule pair at one time."""
-
-    t: float
-    v_q: np.ndarray
-    v_p: np.ndarray
-    u_q: np.ndarray
-    u_p: np.ndarray
-    pairing: float
-    det_m: float
-    imag_residue: float
-
-    def support(self, threshold: float = 1e-3) -> int:
-        """Number of sites where the partner weighting exceeds the threshold."""
-        weight = np.maximum(np.abs(self.u_q), np.abs(self.u_p))
-        return int(np.sum(weight > threshold))
 
 
 def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
@@ -283,6 +288,7 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     with the canonical pairing, the mode determinant against the stationary
     vacuum, and the truncation residue.
     """
+    _require_integer(write_site, "write site")
     if not 1 <= write_site <= config.n_sites:
         raise UnphysicalInputError(
             f"write site {write_site} outside 1..{config.n_sites}")
@@ -290,13 +296,5 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     mm = mode_matrix(config)
     v = np.zeros(2 * config.n_sites)
     v[2 * (write_site - 1)] = 1.0
-    spectrum = pair_spectrum(conjugate_qic_vector(v, state), state.covariance, mm)
-    profiles = []
-    for t in times:
-        ep = evolve_pair(spectrum, float(t))
-        profiles.append(SiteProfiles(
-            t=ep.t,
-            v_q=ep.v_t[0::2], v_p=ep.v_t[1::2],
-            u_q=ep.u_t[0::2], u_p=ep.u_t[1::2],
-            pairing=ep.pairing, det_m=ep.det_m, imag_residue=ep.imag_residue))
-    return profiles
+    spectrum = pair_spectrum(conjugate_qic_vector(v, state), mm)
+    return [evolve_pair(spectrum, float(t)) for t in times]

@@ -79,7 +79,7 @@ def _gaussian_values():
     mm = lattice_field.mode_matrix(config)
     vacuum = lattice_field.vacuum_covariance(config)
     chain_spectrum = lattice_field.pair_spectrum(
-        gaussian_cv.conjugate_qic_vector(np.eye(8)[0], vacuum), vacuum.covariance, mm)
+        gaussian_cv.conjugate_qic_vector(np.eye(8)[0], vacuum), mm)
     return {
         "GaussianState": state,
         "ModePair": pair,
@@ -90,7 +90,6 @@ def _gaussian_values():
         "CirculantCovariance": vacuum.covariance,
         "ModeMatrix": mm,
         "PairSpectrum": chain_spectrum,
-        "EvolvedPair": lattice_field.evolve_pair(chain_spectrum, 1.0),
         "SiteProfiles": lattice_field.figure_experiment(config, 1, (0.5,))[0],
     }
 

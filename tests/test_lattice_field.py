@@ -79,6 +79,11 @@ def test_dispersion_reflection_symmetry():
 def test_config_validation():
     with pytest.raises(UnphysicalInputError, match="at least one site"):
         lf.LatticeConfig(0, 0.4)
+    for n_sites in (2.5, 4.0, True, "4", None):
+        with pytest.raises(UnphysicalInputError, match="number of sites must be an integer"):
+            lf.LatticeConfig(n_sites, 0.4)
+    config = lf.LatticeConfig(np.int64(4), 0.4)
+    assert config.n_sites == 4 and type(config.n_sites) is int
     with pytest.raises(UnphysicalInputError, match="coupling eta must be positive"):
         lf.LatticeConfig(10, 0.0)
     with pytest.raises(UnphysicalInputError, match="coupling eta must be positive"):
@@ -89,9 +94,19 @@ def test_config_validation():
     assert lf.LatticeConfig(largest, 0.4).n_sites == largest
     with pytest.raises(MemoryError, match="evolution buffer"):
         lf.LatticeConfig(largest + 1, 0.4)
+    # A numpy integer is held as an int, so 64 N does not wrap to 0 here.
+    with pytest.raises(MemoryError, match="evolution buffer"):
+        lf.LatticeConfig(np.int64(2 ** 61), 0.4)
 
 
 # ---- normal modes and the FFT flow ----
+
+
+@pytest.mark.parametrize("omegas", [np.array([]), np.ones((2, 2)), 1.0],
+                         ids=["empty", "2-D", "scalar"])
+def test_mode_matrix_refuses_malformed_frequencies(omegas):
+    with pytest.raises(ValueError, match="non-empty 1-D array"):
+        lf.ModeMatrix(omegas)
 
 
 def test_mode_matrix_matches_reference_table():
@@ -179,7 +194,6 @@ def test_evolve_rejects_non_finite_time():
             lf.evolve_vector(np.ones(8), t, lf.mode_matrix(config))
         with pytest.raises(ValueError, match="evolution time must be finite"):
             lf.evolve_pair(lf.pair_spectrum(gaussian_cv.ModePair(np.eye(8)[0], np.eye(8)[1]),
-                                            lf.vacuum_covariance(config).covariance,
                                             lf.mode_matrix(config)), t)
 
 
@@ -303,8 +317,8 @@ def _figure_pair():
 
 
 def _figure_spectrum():
-    config, state, pair = _figure_pair()
-    return lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(config))
+    config, _, pair = _figure_pair()
+    return lf.pair_spectrum(pair, lf.mode_matrix(config))
 
 
 def test_evolve_time_zero_is_identity():
@@ -326,19 +340,18 @@ def test_evolve_preserves_symplectic_pairing():
 
 
 def test_evolve_round_trip():
-    config, state, pair = _figure_pair()
+    config, _, pair = _figure_pair()
     mm = lf.mode_matrix(config)
-    forward = lf.evolve_pair(lf.pair_spectrum(pair, state.covariance, mm), 17.0)
+    forward = lf.evolve_pair(lf.pair_spectrum(pair, mm), 17.0)
     back = lf.evolve_pair(lf.pair_spectrum(
-        gaussian_cv.ModePair(forward.v_t, forward.u_t, pair.q_offset, pair.p_offset),
-        state.covariance, mm), -17.0)
+        gaussian_cv.ModePair(forward.v_t, forward.u_t, pair.q_offset, pair.p_offset), mm), -17.0)
     assert max_abs(back.v_t - pair.v) < 1e-9
     assert max_abs(back.u_t - pair.u) < 1e-9
 
 
 def test_evolved_mode_determinant_is_stationary():
     config, state, pair = _figure_pair()
-    spectrum = lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(config))
+    spectrum = lf.pair_spectrum(pair, lf.mode_matrix(config))
     m = state.covariance
     for t in (1.0, 5.0, 25.0, 50.0):
         ev = lf.evolve_pair(spectrum, t)
@@ -367,10 +380,10 @@ def test_evolution_preserves_symplectic_products():
 def test_evolve_detects_corrupted_matrix():
     # A spectrum with omega_1 != omega_{N-1} breaks the pairing of conjugate
     # Fourier coefficients, so the evolved row picks up an imaginary part.
-    config, state, pair = _figure_pair()
+    config, _, pair = _figure_pair()
     omegas = lf.mode_matrix(config).omegas.copy()
     omegas[0] += 0.05
-    broken = lf.pair_spectrum(pair, state.covariance, lf.ModeMatrix(omegas))
+    broken = lf.pair_spectrum(pair, lf.ModeMatrix(omegas))
     with pytest.raises(InternalConsistencyError, match="imaginary evolution residue"):
         lf.evolve_pair(broken, 3.0)
 
@@ -450,6 +463,11 @@ def test_figure_experiment_forms_no_dense_matrix():
 
 def test_figure_rejects_out_of_range_site():
     config = lf.LatticeConfig(N_SITES, ETA)
+    for site in (2.0, True, "2", None):
+        with pytest.raises(UnphysicalInputError, match="write site must be an integer"):
+            lf.figure_experiment(config, site, [0.0])
+    prof = lf.figure_experiment(config, np.int64(2), [0.0])[0]
+    assert np.array_equal(prof.v_q, np.eye(N_SITES)[1])
     with pytest.raises(UnphysicalInputError, match="write site 0 outside"):
         lf.figure_experiment(config, 0, [0.0])
     with pytest.raises(UnphysicalInputError, match="write site 31 outside"):
@@ -483,6 +501,7 @@ def _assert_matches_per_vector_route(config, site, times):
             profiles, _per_vector_profiles(config, site, times), strict=True):
         assert np.array_equal(prof.v_q, v_t[0::2]) and np.array_equal(prof.v_p, v_t[1::2])
         assert np.array_equal(prof.u_q, u_t[0::2]) and np.array_equal(prof.u_p, u_t[1::2])
+        assert np.array_equal(prof.v_t, v_t) and np.array_equal(prof.u_t, u_t)
         assert abs(prof.pairing - pairing) <= 1e-15
         assert abs(prof.det_m - det_m) <= 1e-15
         assert abs(prof.imag_residue - residue) <= 1e-15
@@ -509,24 +528,29 @@ def test_figure_experiment_matches_per_vector_route_at_random_sizes(n, eta, data
 def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
     # Parseval: x'My = (1/N) sum_k conj(x^_k) m_k y^_k for the plane-wave
     # spectrum m_k of each block; unit rows keep every entry below 2.5.
-    cov = lf.vacuum_covariance(lf.LatticeConfig(n, eta)).covariance
+    # The weights pair_spectrum reads from the chain's frequencies are the
+    # vacuum's own spectra, bit for bit, in FFT order k = 0 .. N - 1.
+    config = lf.LatticeConfig(n, eta)
+    cov = lf.vacuum_covariance(config).covariance
     dense = np.asarray(cov)
-    assert max_abs(cov.fft_spectra() - [np.fft.fft(dense[0::2, 0]).real,
-                                        np.fft.fft(dense[1::2, 1]).real]) < 1e-13
     rows = np.random.default_rng(seed).standard_normal((2, 2 * n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    spectral = lf._spectral_mode_covariance(lf._forward(rows), cov.fft_spectra() / n)
+    site_pair = gaussian_cv.ModePair(np.eye(2 * n)[0], np.eye(2 * n)[1])
+    weights = lf.pair_spectrum(site_pair, lf.mode_matrix(config)).weights
+    assert max_abs(n * weights - [np.fft.fft(dense[0::2, 0]).real,
+                                  np.fft.fft(dense[1::2, 1]).real]) < 1e-13
+    k = np.arange(n)
+    own = np.stack([cov.q_spectrum, cov.p_spectrum])[:, np.minimum(k, n - k)] / n
+    assert np.array_equal(weights, own)
+    spectral = lf._spectral_mode_covariance(lf._forward(rows), weights)
     real = gaussian_cv.mode_covariance_matrix(rows[0], rows[1], cov)
     assert max_abs(spectral - real) <= 1e-15
 
 
-def test_pair_spectrum_refuses_a_dense_covariance_or_another_size():
-    config, state, pair = _figure_pair()
-    mm = lf.mode_matrix(config)
-    with pytest.raises(TypeError, match="needs a CirculantCovariance"):
-        lf.pair_spectrum(pair, np.asarray(state.covariance), mm)
+def test_pair_spectrum_refuses_another_size():
+    _, _, pair = _figure_pair()
     with pytest.raises(ValueError, match="different sizes"):
-        lf.pair_spectrum(pair, state.covariance, lf.mode_matrix(lf.LatticeConfig(8, ETA)))
+        lf.pair_spectrum(pair, lf.mode_matrix(lf.LatticeConfig(8, ETA)))
 
 
 def _count_fft_calls(monkeypatch):
@@ -549,7 +573,7 @@ def test_figure_experiment_makes_one_forward_fft_per_pair(monkeypatch):
     config = lf.LatticeConfig(400, ETA)
     state = lf.vacuum_covariance(config)
     spectrum = lf.pair_spectrum(gaussian_cv.conjugate_qic_vector(np.eye(800)[398], state),
-                                state.covariance, lf.mode_matrix(config))
+                                lf.mode_matrix(config))
     calls = _count_fft_calls(monkeypatch)
     lf.figure_experiment(config, 200, range(0, 160, 20))
     assert len(calls) == 10
