@@ -7,8 +7,9 @@ Conventions used throughout the package:
   Tr(t_i t_j) = d delta_ij.  Together with t_0 = I they form an orthogonal
   basis of all Hermitian d x d matrices with Tr(t_mu t_nu) = d delta_munu
   over the extended index mu = 0 .. d^2 - 1.
-* A register of N qudits lives on the d^N-dimensional tensor product with
-  site 1 stored as the leftmost (slowest-varying) factor.
+* A register is C^D and nothing more: a d-level slot splits it as
+  C^d x C^(D/d) whenever d divides D, with slot 1 stored as the leftmost
+  (slowest-varying) factor.
 
 All objects here are immutable values; functions return new arrays and never
 mutate their inputs.
@@ -60,28 +61,21 @@ class SuBasis:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector of an N-site register of d-level systems."""
+    """Normalized state vector of a register of dimension D = amplitudes.size >= 2."""
 
-    num_sites: int
-    local_dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_sites < 1:
-            raise UnphysicalInputError(f"need at least one site, got {self.num_sites}")
-        if self.local_dim < 2:
-            raise UnphysicalInputError(f"need local dimension >= 2, got {self.local_dim}")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        dim = self.local_dim ** self.num_sites
-        if amps.shape != (dim,):
-            raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+        if amps.ndim != 1 or amps.size < 2:
+            raise ValueError(f"need a vector of at least 2 amplitudes, got shape {amps.shape}")
         gate(abs(np.linalg.norm(amps) - 1.0), NORM_TOL, ValueError,
              "state vector norm deviation from 1")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
-        return self.local_dim ** self.num_sites
+        return self.amplitudes.size
 
 
 # ---- Basis and swap construction ----
@@ -148,11 +142,6 @@ def swap_operator(d: int) -> np.ndarray:
 def act_on_first_site(op: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(op x I) m for a register vector or matrix m, without forming op x I."""
     return (op @ m.reshape(op.shape[0], -1)).reshape(m.shape)
-
-
-def conjugated_action(op: np.ndarray, conjugator: Conjugator, vec: np.ndarray) -> np.ndarray:
-    """conjugator' (op x I) conjugator applied to vec, as two applications and a site action."""
-    return conjugator.apply_adjoint(act_on_first_site(op, conjugator.apply(vec)))
 
 
 def vector_rotation(src: np.ndarray, dst: np.ndarray) -> tuple:
@@ -308,24 +297,27 @@ class Conjugator:
 
 
 def basis_state(num_sites: int, local_dim: int, index: int = 0) -> PureState:
-    amps = np.zeros(local_dim ** num_sites, dtype=complex)
+    dim = local_dim ** num_sites
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} is outside 0..{dim - 1}")
+    amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return PureState(num_sites, local_dim, amps)
+    return PureState(amps)
 
 
 def product_state(site_vectors) -> PureState:
-    """PureState from a list of per-site vectors (normalized afterwards)."""
+    """PureState from a list of per-site vectors of any lengths (normalized afterwards)."""
     vecs = [np.asarray(v, dtype=complex) for v in site_vectors]
-    d = vecs[0].shape[0]
-    amps = np.array([1.0], dtype=complex)
-    for v in vecs:
-        if v.shape != (d,):
-            raise ValueError("all site vectors must share one dimension")
-        amps = np.kron(amps, v)
-    amps = amps / np.linalg.norm(amps)
-    return PureState(len(vecs), d, amps)
+    if not vecs or any(v.ndim != 1 for v in vecs):
+        raise ValueError("need a non-empty list of 1-D site vectors")
+    # A norm that overflows or vanishes is refused as one error, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = functools.reduce(np.kron, vecs, np.ones(1, dtype=complex))
+        norm = np.linalg.norm(amps)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise UnphysicalInputError(f"product state norm {norm:.3e} is not finite and positive")
+    return PureState(amps / norm)
 
 
 def random_state(num_sites: int, local_dim: int, rng: np.random.Generator) -> PureState:
-    return PureState(num_sites, local_dim,
-                     random_unit_vector(local_dim ** num_sites, rng))
+    return PureState(random_unit_vector(local_dim ** num_sites, rng))

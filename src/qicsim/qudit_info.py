@@ -40,7 +40,6 @@ from .qudit_algebra import (
     PureState,
     act_on_first_site,
     build_su_basis,
-    conjugated_action,
     frame_rotation,
     vector_rotation,
 )
@@ -56,22 +55,13 @@ COMMUTE_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 
 
-def _sites_for_dim(dim: int, d: int) -> int:
-    n = 1
-    total = d
-    while total < dim:
-        total *= d
-        n += 1
-    if total != dim:
-        raise ValueError(f"dimension {dim} is not a power of the local dimension {d}")
-    return n
-
-
 def _as_conjugator(conjugator, d: int) -> Conjugator:
-    """A Conjugator from a Conjugator or a dense register matrix of local dimension d."""
+    """A Conjugator from a Conjugator or a dense register matrix, split as C^d x C^(D/d)."""
     if not isinstance(conjugator, Conjugator):
         conjugator = Conjugator(conjugator)
-    _sites_for_dim(conjugator.dim, d)
+    if conjugator.dim < d or conjugator.dim % d:
+        raise ValueError(f"register dimension {conjugator.dim} is not a multiple of "
+                         f"the local dimension {d}")
     return conjugator
 
 
@@ -80,7 +70,7 @@ class _SiteConjugated:
 
     Shared by virtual qudits and write operations, which provide the
     conjugation field (a qudit_algebra.Conjugator) and the local dimension
-    d; the operators act through qudit_algebra.conjugated_action, and
+    d; every operator acts on the slot view slots(state), and
     VirtualQudit.operators() forms them densely for small registers.
     """
 
@@ -236,8 +226,8 @@ class WriteOperation(_SiteConjugated):
 
     def __post_init__(self):
         t = np.array(self.local_generator, dtype=complex)   # a copy: frozen below
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("local generator must be a square matrix")
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
+            raise ValueError("local generator must be a square matrix of size >= 2")
         d = t.shape[0]
         require_finite(t, ValueError, "local generator")
         gate(max_abs(t - dag(t)), HERMITIAN_TOL, ValueError,
@@ -268,16 +258,13 @@ class WriteOperation(_SiteConjugated):
         return (v * np.exp(-1.0j * scaled(theta, w, "write angle theta", "theta t"))) @ dag(v)
 
     def apply(self, state: PureState, theta: float) -> PureState:
-        """The written state, computed as matvec + local rotation + matvec.
+        """The written state C' (exp(-i theta t) x I) C psi, a rotation of the slot view.
 
-        The d^N x d^N exponential is never formed, and the conjugator is
+        The D x D exponential is never formed, and the conjugator is
         unitary by construction, so nothing is gated here.
         """
-        if state.dim != self.full_dim:
-            raise ValueError("state and write live on different registers")
-        psi = conjugated_action(self.local_unitary(theta), self.conjugation,
-                                state.amplitudes)
-        return PureState(state.num_sites, state.local_dim, psi)
+        rotated = self.local_unitary(theta) @ self.slots(state)
+        return PureState(self.conjugation.apply_adjoint(rotated.reshape(-1)))
 
     def virtual_qudit(self) -> VirtualQudit:
         """The virtual qudit whose first generator family contains T."""
@@ -344,12 +331,12 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     left Schmidt basis.  In that frame B is slot 1 and A is slot 2; the pair
     is pure and commutes, which the test suite verifies rather than assumes.
     Only the r Schmidt pairs weighing more than ZERO_BRANCH_TOL enter, never
-    the SVD's arbitrary zero-weight vectors.  Slot 2 needs D/d >= d, whatever
-    the state's own site split (UnphysicalInputError otherwise).
+    the SVD's arbitrary zero-weight vectors.  Slot 2 is a d-level split of
+    the rest C^(D/d), so d must divide D/d (UnphysicalInputError otherwise).
     """
     d = qudit_a.d
-    if qudit_a.rest_dim < d:
-        raise UnphysicalInputError("a partner needs at least one environment site")
+    if qudit_a.rest_dim % d:
+        raise UnphysicalInputError(f"a partner needs d = {d} to divide D/d = {qudit_a.rest_dim}")
     x = qudit_a.slots(state)
     left, weights, right = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(weights > ZERO_BRANCH_TOL))

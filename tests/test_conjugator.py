@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qicsim import checks, linalg
@@ -25,6 +25,10 @@ MATCH_TOL = 1e-12
 UNITARY_FACTOR_TOL = 1e-12
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
+# (d, site dimensions) with site 1 a qudit: the powers of d above, and registers
+# that d divides but does not power; a partner exists only where d divides D/d.
+SPLIT_SHAPES = tuple((d, (d,) * n) for d, n in SHAPES) + (
+    (2, (2, 3)), (3, (3, 2)), (2, (2, 2, 3)), (3, (3, 2, 2)))
 
 
 # ---- dense references ----
@@ -104,7 +108,9 @@ def degenerate_generator(d, rng):
     return u @ t @ dag(u)
 
 
-def make_inputs(d, n, seed, state_kind, degenerate, scramble):
+def make_inputs(d, sites, seed, state_kind, degenerate, scramble):
+    """A write and a state on sites of the given dimensions, site 1 a d-level qudit."""
+    dim = int(np.prod(sites))
     rng = np.random.default_rng(seed)
     t = degenerate_generator(d, rng) if degenerate and d > 2 \
         else qi.random_su_generator(d, rng)
@@ -113,16 +119,16 @@ def make_inputs(d, n, seed, state_kind, degenerate, scramble):
         # other branch carries zero weight.
         scramble = False
         first = np.linalg.eigh(t)[1][:, 0]
-        state = qa.product_state([first] + [rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                                            for _ in range(n - 1)])
+        state = qa.product_state([first] + [rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                                            for k in sites[1:]])
     elif state_kind == "product":
-        state = qa.product_state([rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                                  for _ in range(n)])
+        state = qa.product_state([rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                                  for k in sites])
     else:
-        state = qa.random_state(n, d, rng)
+        state = qa.random_state(1, dim, rng)
     if not scramble:
-        return qi.WriteOperation.local(t, n), state
-    return qi.WriteOperation(t, haar_unitary(d ** n, rng)), state
+        return qi.WriteOperation(t, qa.Conjugator.identity(dim)), state
+    return qi.WriteOperation(t, haar_unitary(dim, rng)), state
 
 
 def assert_factors_unitary(conjugator):
@@ -137,11 +143,15 @@ def assert_factors_unitary(conjugator):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SHAPES), st.integers(0, 2 ** 32 - 1),
+@given(st.sampled_from(SPLIT_SHAPES), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["random", "product", "branch"]), st.booleans(), st.booleans())
+@example((2, (2, 3)), 1, "random", False, True)
+@example((3, (3, 2)), 2, "branch", True, False)
+@example((2, (2, 2, 3)), 3, "random", False, True)
+@example((3, (3, 2, 2)), 4, "product", True, True)
 def test_factored_conjugators_match_dense(shape, seed, state_kind, degenerate, scramble):
-    d, n = shape
-    write, state = make_inputs(d, n, seed, state_kind, degenerate, scramble)
+    d, sites = shape
+    write, state = make_inputs(d, sites, seed, state_kind, degenerate, scramble)
 
     con = qi.construct_qic(write, state)
     assert max_abs(con.qudit.conjugator - dense_capsule_conjugator(write, state)) < MATCH_TOL
@@ -154,6 +164,10 @@ def test_factored_conjugators_match_dense(shape, seed, state_kind, degenerate, s
     assert max_abs(family.conjugator - deform @ con.qudit.conjugator) < MATCH_TOL
     assert_factors_unitary(family.conjugation)
 
+    if write.rest_dim % d:
+        with pytest.raises(UnphysicalInputError, match="a partner needs d"):
+            qi.construct_partner(write.virtual_qudit(), state)
+        return
     pair = qi.construct_partner(write.virtual_qudit(), state)
     reference_b = dense_partner_conjugator(pair.qudit_a, state)
     assert max_abs(pair.qudit_b.conjugator - reference_b) < MATCH_TOL
@@ -166,7 +180,7 @@ def test_factored_conjugators_match_dense(shape, seed, state_kind, degenerate, s
 @pytest.mark.parametrize("d, n", SHAPES)
 def test_factored_apply_matches_dense_matrix(d, n):
     rng = np.random.default_rng(d * 10 + n)
-    write, state = make_inputs(d, n, 7, "random", False, True)
+    write, state = make_inputs(d, (d,) * n, 7, "random", False, True)
     con = qi.construct_qic(write, state)
     rotated = con.qudit.conjugated_by_own_generators(rng.standard_normal(d * d - 1))
     pair = qi.construct_partner(rotated, state)
@@ -198,7 +212,7 @@ def test_own_generator_rotation_takes_one_coefficient_per_generator():
 @pytest.mark.parametrize("state_kind", ["random", "branch"])
 @pytest.mark.parametrize("d, n", SHAPES)
 def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):
-    write, state = make_inputs(d, n, 11, state_kind, False, True)
+    write, state = make_inputs(d, (d,) * n, 11, state_kind, False, True)
     pair = qi.construct_partner(write.virtual_qudit(), state)
     conj_b = pair.qudit_b.conjugator
     rest = np.eye(d ** (n - 2))
@@ -309,7 +323,7 @@ def rank_deficient_case(kind, d, n, rng):
         rest += eps * noise / np.linalg.norm(noise)
         first = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         amps = np.kron(first / np.linalg.norm(first), rest / np.linalg.norm(rest))
-        state = qa.PureState(n, d, amps)
+        state = qa.PureState(amps)
         write = qi.WriteOperation.local(qi.random_su_generator(d, rng), n)
         return write.virtual_qudit(), state
     if kind == "product":
@@ -323,7 +337,7 @@ def rank_deficient_case(kind, d, n, rng):
     conjugated = ((left * weights / np.linalg.norm(weights)) @ right.T).reshape(-1)
     head = haar_unitary(d ** n, rng)
     return (qi.VirtualQudit(d, head),
-            qa.PureState(n, d, dag(head) @ conjugated))
+            qa.PureState(dag(head) @ conjugated))
 
 
 @pytest.mark.parametrize("d, n", PIN_SHAPES)
@@ -336,7 +350,7 @@ def test_partner_is_stable_under_rounding_level_perturbation(kind, d, n):
         qudit, state = rank_deficient_case(kind, d, n, rng)
         noise = rng.standard_normal(state.dim) + 1j * rng.standard_normal(state.dim)
         nudged = state.amplitudes + 1e-15 * noise / np.linalg.norm(noise)
-        nudged = qa.PureState(n, d, nudged / np.linalg.norm(nudged))
+        nudged = qa.PureState(nudged / np.linalg.norm(nudged))
         moved = max_abs(qi.construct_partner(qudit, state).qudit_b.conjugator
                         - qi.construct_partner(qudit, nudged).qudit_b.conjugator)
         assert moved < 1e-8
@@ -355,7 +369,7 @@ def test_capsule_is_stable_at_a_tiny_branch_component(phase):
     for scale in (1.0 - 3e-7, 1.0 + 3e-7):
         amps = np.array([scale * 0.6e-9 * np.exp(1j * phase), 0.6 * np.exp(1.1j),
                          0.48 * np.exp(0.4j), 0.64 * np.exp(2.3j)])
-        state = qa.PureState(2, 2, amps / np.linalg.norm(amps))
+        state = qa.PureState(amps / np.linalg.norm(amps))
         conjugators.append(qi.construct_qic(write, state).qudit.conjugator)
     assert max_abs(conjugators[0] - conjugators[1]) < 1e-8
 

@@ -74,7 +74,7 @@ CASES = {
     "vector_rotation": (ValueError, "src norm deviation from 1",
                         lambda x: qa.vector_rotation(np.array([x, 0.0]), np.array([1.0, 0.0]))),
     "PureState": (ValueError, "state vector norm deviation from 1",
-                  lambda x: qa.PureState(1, 2, np.array([x, 0.0]))),
+                  lambda x: qa.PureState(np.array([x, 0.0]))),
     "GaussianState": (UnphysicalInputError, "covariance must be finite",
                       lambda x: g.GaussianState(np.zeros(2), np.diag([x, 0.5]))),
     "CirculantCovariance.q_spectrum": (
@@ -227,6 +227,8 @@ OVERFLOWS = {
     "fisher_matrix covariance": (
         "generators overflow the Fisher matrix",
         lambda: qubit_fisher([np.diag([1e200, -1e200])])),
+    "product_state": ("product state norm inf is not finite",
+                      lambda: qa.product_state([[1e200, 0.0], [1e200, 0.0]])),
 }
 
 
@@ -279,7 +281,7 @@ VALID = {
     "ModeCovariance": dict(matrix=np.eye(2) / 2.0),
     "LatticeConfig": dict(n_sites=4, eta=0.4),
     "ModeMatrix": dict(omegas=np.array([1.0, 1.5])),
-    "PureState": dict(num_sites=2, local_dim=2, amplitudes=np.eye(4, dtype=complex)[0]),
+    "PureState": dict(amplitudes=np.eye(4, dtype=complex)[0]),
     "VirtualQudit": dict(d=2, conjugation=np.eye(4, dtype=complex)),
     "CorrelationState": dict(d=2, matrix=np.eye(2, dtype=complex) / 2.0),
     "WriteOperation": dict(local_generator=np.diag([1.0, -1.0]).astype(complex),

@@ -1,11 +1,14 @@
 """Generator algebra, SWAP identity, vector and frame rotations, and linalg helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qicsim import qudit_algebra as qa
+from qicsim import qudit_info as qi
 from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import (
     dag,
@@ -132,11 +135,15 @@ def test_swap_unitary_and_involutive(d):
 # ---- conjugated site action ----
 
 
+def conjugated(op, conjugator, vec):
+    """conjugator' (op x I) conjugator vec, composed from the factored pieces."""
+    return conjugator.apply_adjoint(qa.act_on_first_site(op, conjugator.apply(vec)))
+
+
 def test_structured_identity_leaves_state():
     rng = np.random.default_rng(7)
     state = qa.random_state(2, 3, rng)
-    out = qa.conjugated_action(np.eye(3, dtype=complex), qa.Conjugator(np.eye(9)),
-                               state.amplitudes)
+    out = conjugated(np.eye(3, dtype=complex), qa.Conjugator(np.eye(9)), state.amplitudes)
     np.testing.assert_allclose(out, state.amplitudes, atol=EXACT)
 
 
@@ -144,9 +151,8 @@ def test_structured_bell_phases():
     # e^{-i theta sigma_z} on the first qubit of a Bell pair puts opposite
     # phases on the two branches.
     theta = 0.37
-    bell = qa.PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    u = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
-    out = qa.conjugated_action(u, qa.Conjugator(np.eye(4)), bell.amplitudes)
+    bell = qa.PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    out = qi.WriteOperation(PAULI_Z, np.eye(4)).apply(bell, theta).amplitudes
     expected = np.array([np.exp(-1j * theta), 0, 0, np.exp(1j * theta)]) / np.sqrt(2)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -161,7 +167,7 @@ def test_structured_preserves_norm_with_conjugator():
     state = qa.random_state(2, 3, rng)
     u_first = haar_unitary(3, rng)
     global_u = haar_unitary(9, rng)
-    out = qa.conjugated_action(u_first, qa.Conjugator(global_u), state.amplitudes)
+    out = conjugated(u_first, qa.Conjugator(global_u), state.amplitudes)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     # structural application agrees with the dense product
     dense = dag(global_u) @ np.kron(u_first, np.eye(3)) @ global_u
@@ -297,17 +303,19 @@ def test_frame_rotation_of_one_column_is_vector_rotation():
 
 def test_pure_state_rejects_bad_norm():
     with pytest.raises(ValueError):
-        qa.PureState(1, 2, np.array([1.0, 1.0], dtype=complex))
+        qa.PureState(np.array([1.0, 1.0], dtype=complex))
 
 
 def test_pure_state_rejects_nan_amplitudes():
     with pytest.raises(ValueError):
-        qa.PureState(1, 2, np.array([np.nan, 0.0], dtype=complex))
+        qa.PureState(np.array([np.nan, 0.0], dtype=complex))
 
 
-def test_pure_state_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        qa.PureState(2, 2, np.array([1.0, 0.0], dtype=complex))
+@pytest.mark.parametrize("amps", [np.array(1.0), np.array([[1.0, 0.0]]), np.array([1.0])],
+                         ids=["0-D", "2-D", "one amplitude"])
+def test_pure_state_rejects_bad_shape(amps):
+    with pytest.raises(ValueError, match="need a vector of at least 2 amplitudes"):
+        qa.PureState(amps)
 
 
 def test_basis_state_and_product_state():
@@ -316,6 +324,26 @@ def test_basis_state_and_product_state():
     prod = qa.product_state([[1, 1], [1, -1]])
     np.testing.assert_allclose(prod.amplitudes,
                                np.array([1, -1, 1, -1]) / 2.0, atol=1e-12)
+    # Sites of different dimensions: a qubit and a qutrit make D = 6.
+    mixed = qa.product_state([[0, 2], [0, 0, 1j]])
+    assert np.array_equal(mixed.amplitudes, 1j * np.eye(6)[5])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: qa.basis_state(2, 2, -1), ValueError, r"basis index -1 is outside 0\.\.3"),
+    (lambda: qa.basis_state(2, 2, 4), ValueError, r"basis index 4 is outside 0\.\.3"),
+    (lambda: qa.basis_state(2, 2, 7), ValueError, r"basis index 7 is outside 0\.\.3"),
+    (lambda: qa.product_state([]), ValueError, "non-empty list of 1-D site vectors"),
+    (lambda: qa.product_state([[0, 0], [1, 0]]), UnphysicalInputError,
+     r"product state norm 0\.000e\+00 is not finite and positive"),
+    (lambda: qa.product_state([[np.nan, 0], [1, 0]]), UnphysicalInputError,
+     "product state norm nan is not finite"),
+], ids=["basis -1", "basis D", "basis 7", "product of none", "product zero", "product nan"])
+def test_state_constructors_refuse_bad_input_unwarned(build, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            build()
 
 
 # ---- linalg helpers ----

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qicsim import checks
@@ -32,7 +32,7 @@ FD_STEP = 1e-4
 
 
 def bell_state():
-    return qa.PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    return qa.PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
 def sigma_z_write(num_sites=2):
@@ -98,8 +98,8 @@ def test_correlation_state_equals_partial_trace(d, n):
 @pytest.mark.parametrize("d", [1, 0, 2.0, qa.build_su_basis(2)],
                          ids=["1", "0", "float", "SuBasis"])
 def test_virtual_qudit_refuses_a_non_dimension(d):
-    # d is checked before the register dimension is split by it: splitting 4
-    # into powers of 1 would never end.
+    # d is checked before the register dimension is split by it: a split by
+    # d = 0 would divide by zero.
     with pytest.raises(UnphysicalInputError, match="d >= 2"):
         qi.VirtualQudit(d, np.eye(4, dtype=complex))
 
@@ -127,6 +127,21 @@ def test_write_validation():
         qi.WriteOperation(np.diag([1.5, 0.5]).astype(complex), np.eye(4, dtype=complex))
     with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
         qi.WriteOperation(PAULI_Z, 0.5 * np.eye(4, dtype=complex))
+    for empty in (np.zeros((0, 0)), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="square matrix of size >= 2"):
+            qi.WriteOperation(empty, np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("d, dim", [(2, 3), (3, 8), (4, 6), (3, 2)])
+def test_register_must_split_by_d(d, dim):
+    """A d-level qudit needs C^dim = C^d x C^(dim/d): d divides dim, so dim >= d."""
+    seed = qa.build_su_basis(d).diagonal_generators()[0]
+    for conjugation in (np.eye(dim, dtype=complex), qa.Conjugator.identity(dim)):
+        with pytest.raises(ValueError, match=f"register dimension {dim} is not a multiple "
+                                             f"of the local dimension {d}"):
+            qi.VirtualQudit(d, conjugation)
+        with pytest.raises(ValueError, match="is not a multiple"):
+            qi.WriteOperation(seed, conjugation)
 
 
 def test_write_rejects_nan_conjugator():
@@ -134,34 +149,34 @@ def test_write_rejects_nan_conjugator():
         qi.WriteOperation(PAULI_Z, np.full((4, 4), np.nan, dtype=complex))
 
 
-@pytest.mark.parametrize("num_sites, local_dim", [(2, 2), (1, 4)])
-def test_write_apply_matches_dense_exponential(num_sites, local_dim):
+@pytest.mark.parametrize("d, dim", [(2, 4), (2, 6), (3, 6)])
+def test_write_apply_matches_dense_exponential(d, dim):
     # structured three-step application vs a dense matrix exponential oracle;
-    # a qubit write acts on any register of dimension 4, one ququart included,
-    # and the written state keeps the register's own split
+    # a write acts on any register that d divides, D = 6 included
     rng = np.random.default_rng(22)
-    write = qi.random_write_operation(2, 2, rng)
-    state = qa.random_state(num_sites, local_dim, rng)
+    write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
+    state = qa.random_state(1, dim, rng)
     theta = 1.1
     out = write.apply(state, theta)
-    assert (out.num_sites, out.local_dim) == (num_sites, local_dim)
     dense = expm_hermitian(dense_generator(write), -1j * theta)
     np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
 
 
-def test_write_apply_matches_gated_path_and_checks_register():
+@pytest.mark.parametrize("d, dim", [(3, 9), (2, 6), (3, 6)])
+def test_write_apply_matches_gated_path_and_checks_register(d, dim):
     rng = np.random.default_rng(24)
-    write = qi.random_write_operation(3, 2, rng)
-    state = qa.random_state(2, 3, rng)
-    # The same action through a Conjugator freshly gated from the dense matrix.
-    gated = qa.conjugated_action(write.local_unitary(0.7), qa.Conjugator(write.conjugator),
-                                 state.amplitudes)
-    assert np.array_equal(write.apply(state, 0.7).amplitudes, gated)
+    write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
+    state = qa.random_state(1, dim, rng)
+    # The same action composed through a Conjugator freshly gated from the dense matrix.
     u = write.conjugator
-    dense = dag(u) @ np.kron(write.local_unitary(0.7), np.eye(3)) @ u
+    fresh = qa.Conjugator(u)
+    gated = fresh.apply_adjoint(qa.act_on_first_site(write.local_unitary(0.7),
+                                                     fresh.apply(state.amplitudes)))
+    assert np.array_equal(write.apply(state, 0.7).amplitudes, gated)
+    dense = dag(u) @ np.kron(write.local_unitary(0.7), np.eye(dim // d)) @ u
     np.testing.assert_allclose(gated, dense @ state.amplitudes, atol=1e-12)
-    with pytest.raises(ValueError):
-        write.apply(qa.random_state(3, 3, rng), 0.7)
+    with pytest.raises(ValueError, match="state and WriteOperation live on different registers"):
+        write.apply(qa.random_state(1, 2 * dim, rng), 0.7)
 
 
 def test_write_expectation_matches_generator():
@@ -384,7 +399,7 @@ def test_capsule_invariants_hold_for_faint_branches(shape, seed, log_weight, deg
     weights[faint] = 10.0 ** log_weight
     conjugated = (np.linalg.eigh(t)[1] @ (weights[:, None] * rows)).reshape(-1)
     amps = dag(conj) @ conjugated
-    state = qa.PureState(n, d, amps / np.linalg.norm(amps))
+    state = qa.PureState(amps / np.linalg.norm(amps))
     residuals = checks.capsule_residuals(qi.WriteOperation(t, conj), state)
     tolerances = {**checks.SWEEP_TOLERANCES, **checks.VERIFY_SWEEP_TOLERANCES}
     for name, value in residuals.items():
@@ -403,15 +418,15 @@ def dense_swap_retrieval(qudit, state):
 
 
 @pytest.mark.parametrize("kind", ["capsule", "haar"])
-@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
-def test_retrieval_matches_dense_swap(d, n, kind):
-    rng = np.random.default_rng(40 + 10 * d + n)
-    state = qa.random_state(n, d, rng)
-    write = qi.random_write_operation(d, n, rng)
+@pytest.mark.parametrize("d, dim", [(2, 4), (3, 9), (2, 8), (2, 6), (3, 6), (2, 12), (3, 12)])
+def test_retrieval_matches_dense_swap(d, dim, kind):
+    rng = np.random.default_rng(40 + 10 * d + dim)
+    state = qa.random_state(1, dim, rng)
+    write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
     if kind == "capsule":
         qudit = qi.construct_qic(write, state).qudit
     else:
-        qudit = qi.VirtualQudit(d, haar_unitary(d ** n, rng))
+        qudit = qi.VirtualQudit(d, haar_unitary(dim, rng))
     written = write.apply(state, 0.9)
     ret = qi.retrieve_by_swap(qudit, written)
     residual, extracted = dense_swap_retrieval(qudit, written)
@@ -419,17 +434,24 @@ def test_retrieval_matches_dense_swap(d, n, kind):
     assert max_abs(ret.extracted - extracted) < 1e-12
 
 
+# (d, D) up to D = 64: powers of d, and registers that d divides but does not power.
+SPLIT_SHAPES = ((2, 4), (2, 8), (2, 16), (2, 64), (3, 9), (3, 27), (4, 16), (4, 64),
+                (8, 64), (2, 6), (3, 6), (2, 12), (3, 12))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(((2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3),
-                        (8, 2))),
-       st.integers(0, 2 ** 32 - 1), st.floats(-np.pi, np.pi))
+@given(st.sampled_from(SPLIT_SHAPES), st.integers(0, 2 ** 32 - 1), st.floats(-np.pi, np.pi))
+@example((2, 6), 1, 0.9)
+@example((3, 6), 2, -1.3)
+@example((2, 12), 3, 2.1)
+@example((3, 12), 4, 0.4)
 def test_factored_residual_matches_dense(shape, seed, theta):
     # Capsule retrievals at D <= 64: every factored quantity against the
     # dense residual j j' it stands for.
-    d, n = shape
+    d, dim = shape
     rng = np.random.default_rng(seed)
-    state = qa.random_state(n, d, rng)
-    write = qi.random_write_operation(d, n, rng)
+    state = qa.random_state(1, dim, rng)
+    write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
     qudit = qi.construct_qic(write, state).qudit
     rets = [qi.retrieve_by_swap(qudit, write.apply(state, t)) for t in (0.0, theta)]
     for ret in rets:
@@ -501,27 +523,30 @@ def test_partner_random_qutrits():
     assert max_abs(pair.marginal_a() - rho_a.matrix) < 1e-10
 
 
-@pytest.mark.parametrize("d, sites, local_dim", [(2, 1, 2), (4, 2, 2)])
-def test_partner_requires_environment(d, sites, local_dim):
-    # The room for slot 2 is the qudit's own D/d >= d, not the state's site
-    # count: a ququart qudit on two qubits has none.
-    vq = qi.VirtualQudit(d, np.eye(local_dim ** sites, dtype=complex))
-    with pytest.raises(UnphysicalInputError, match="environment site"):
-        qi.construct_partner(vq, qa.basis_state(sites, local_dim))
+@pytest.mark.parametrize("d, dim", [(2, 2), (4, 4), (2, 6), (3, 12), (4, 8)])
+def test_partner_requires_environment(d, dim):
+    # Slot 2 is a d-level split of the rest C^(D/d), so d must divide D/d:
+    # D = d leaves no rest, and a qubit rest of 3 or a qutrit rest of 4 has no slot.
+    vq = qi.VirtualQudit(d, np.eye(dim, dtype=complex))
+    with pytest.raises(UnphysicalInputError,
+                       match=f"a partner needs d = {d} to divide D/d = {dim // d}"):
+        qi.construct_partner(vq, qa.basis_state(1, dim))
 
 
-def test_partner_of_a_qubit_write_on_one_ququart():
-    # A d = 2 write splits a single ququart as C^2 x C^2: the partner exists.
+@pytest.mark.parametrize("d, dim", [(2, 4), (2, 12), (3, 18)])
+def test_partner_wherever_d_divides_the_rest(d, dim):
+    # A d = 2 write splits a single ququart as C^2 x C^2, and D = 12 as
+    # C^2 x C^2 x C^3: the partner exists wherever d divides D/d.
     rng = np.random.default_rng(40)
-    write = qi.random_write_operation(2, 2, rng)
-    state = qa.random_state(1, 4, rng)
+    write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
+    state = qa.random_state(1, dim, rng)
     pair = qi.construct_partner(write.virtual_qudit(), state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
     worst = max(max_abs(a @ b - b @ a)
                 for a in pair.qudit_a.operators() for b in pair.qudit_b.operators())
     assert worst < LOCALITY_TOL
     theta = 0.8
-    lifted = np.kron(write.local_unitary(theta), np.eye(2))
+    lifted = np.kron(write.local_unitary(theta), np.eye(d))
     expected = lifted @ pair.joint_state @ dag(lifted)
     recomputed = qi.partner_write_action(pair, write, theta, state)
     assert max_abs(recomputed - expected) < THEOREM_TOL
@@ -674,7 +699,7 @@ def near_eigenstate_draws(count, seed):
         slots = np.outer(eigvec, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         slots += 1e-9 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         amplitudes = dag(write.conjugator) @ (slots / np.linalg.norm(slots)).ravel()
-        yield write, qa.PureState(2, 3, amplitudes)
+        yield write, qa.PureState(amplitudes)
 
 
 def test_fisher_is_non_negative_near_an_eigenstate():
@@ -727,7 +752,7 @@ def test_fisher_matrix_zero_for_simultaneous_eigenstate():
 def test_fisher_matrix_qutrit_ghz_matches_direct_expectations():
     amps = np.zeros(27, dtype=complex)
     amps[0] = amps[13] = amps[26] = 1 / np.sqrt(3)   # |000>, |111>, |222>
-    state = qa.PureState(3, 3, amps)
+    state = qa.PureState(amps)
     cartans = qa.build_su_basis(3).diagonal_generators()
     f = local_qudit(3, 3).fisher_matrix(state, cartans)
     # independent evaluation from raw expectation values of the lifted generators
@@ -776,14 +801,20 @@ def test_fisher_matrix_rejects_non_hermitian_generator():
         local_qudit(2, 2).fisher_matrix(qa.basis_state(2, 2), [np.diag([1j, 0])])
 
 
-# Register shapes up to D = 64.
-DENSE_SHAPES = ((2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3))
+# Registers up to D = 64 as (d, dimensions of the sites after slot 1): powers
+# of d, and registers that d divides but does not power.
+DENSE_SHAPES = ((2, (2,)), (2, (2, 2)), (2, (2,) * 5), (3, (3,)), (3, (3, 3)), (4, (4,)),
+                (4, (4, 4)), (2, (3,)), (3, (2,)), (2, (2, 3)), (3, (2, 2)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DENSE_SHAPES), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["haar", "local", "capsule"]),
        st.sampled_from(["random", "product", "single-branch"]), st.booleans())
+@example((2, (3,)), 1, "haar", "random", False)
+@example((3, (2,)), 2, "capsule", "single-branch", True)
+@example((2, (2, 3)), 3, "capsule", "random", False)
+@example((3, (2, 2)), 4, "local", "product", False)
 def test_fisher_matches_dense_reference(shape, seed, owner, state_kind, degenerate):
     """fisher_matrix and fisher_information against 4 Re <dT_i dT_j> with D x D T_i.
 
@@ -792,30 +823,31 @@ def test_fisher_matches_dense_reference(shape, seed, owner, state_kind, degenera
     leaves the rest of the register entangled.  The generators are t and the
     diagonal generators turned into t's eigenbasis, which all commute.
     """
-    d, n = shape
+    d, sites = shape
+    dim = d * int(np.prod(sites))
     rng = np.random.default_rng(seed)
     t = qi.random_su_generator(d, rng)
     if degenerate:
         u = haar_unitary(d, rng)
         t = u @ qa.build_su_basis(d).generators[-1] @ dag(u)
-    write = (qi.WriteOperation.local(t, n) if owner == "local"
-             else qi.WriteOperation(t, haar_unitary(d ** n, rng)))
+    write = qi.WriteOperation(t, qa.Conjugator.identity(dim) if owner == "local"
+                              else haar_unitary(dim, rng))
     evecs = np.linalg.eigh(t)[1]
     if state_kind == "random":
-        state = qa.random_state(n, d, rng)
+        state = qa.random_state(1, dim, rng)
     else:
-        rest = (qa.product_state([rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                                  for _ in range(n - 1)]) if state_kind == "product"
-                else qa.random_state(n - 1, d, rng))
+        rest = (qa.product_state([rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                                  for k in sites]) if state_kind == "product"
+                else qa.random_state(1, dim // d, rng))
         framed = np.kron(evecs[:, rng.integers(d)], rest.amplitudes)
-        state = qa.PureState(n, d, write.conjugation.apply_adjoint(framed))
+        state = qa.PureState(write.conjugation.apply_adjoint(framed))
     qudit = (qi.construct_qic(write, state).qudit if owner == "capsule"
              else write.virtual_qudit())
     gens = [t] + [evecs @ g @ dag(evecs) for g in qa.build_su_basis(d).diagonal_generators()]
 
     def dense_fisher(conjugator, seeds):
         psi = state.amplitudes
-        ys = [dag(conjugator) @ np.kron(g, np.eye(d ** (n - 1))) @ conjugator @ psi
+        ys = [dag(conjugator) @ np.kron(g, np.eye(dim // d)) @ conjugator @ psi
               for g in seeds]
         means = [np.vdot(psi, y).real for y in ys]
         return 4.0 * np.array([[np.vdot(a, b).real - ma * mb for b, mb in zip(ys, means)]
