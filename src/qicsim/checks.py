@@ -165,12 +165,8 @@ def partner_trial_residuals(d: int, n: int, rng: np.random.Generator) -> dict:
     state = qudit_algebra.random_state(n, d, rng)
     write = qudit_info.random_write_operation(d, n, rng)
     pair = qudit_info.construct_partner(write.virtual_qudit(), state)
-    residuals = {"partner purity": abs(pair.purity() - 1.0)}
-
-    # Every [T^A_i, T^B_j] at once per A operator, against the stack of B's.
-    ops_b = np.stack(pair.qudit_b.operators())
-    residuals["partner locality"] = _fold(*(max_abs(ta @ ops_b - ops_b @ ta)
-                                            for ta in pair.qudit_a.operators()))
+    residuals = {"partner purity": abs(pair.purity() - 1.0),
+                 "partner locality": pair.locality_residual()}
 
     recomputed = qudit_info.partner_write_action(pair, write, PARTNER_THETA, state)
     local = np.kron(write.local_unitary(PARTNER_THETA), np.eye(d))

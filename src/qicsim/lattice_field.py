@@ -125,8 +125,13 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
     omega_k/2, and symmetrized q-p correlations vanish; the state keeps only
     these spectra, so building and validating it is O(N).
     """
-    n = config.n_sites
-    omegas = np.roll(dispersion(config), 1)[: n // 2 + 1]   # FFT order, k = 0 .. N//2
+    return _vacuum(mode_matrix(config))
+
+
+def _vacuum(mm: ModeMatrix) -> GaussianState:
+    """vacuum_covariance with the spectra read from the chain's mode frequencies."""
+    n = mm.n_sites
+    omegas = mm._fft_omegas[: n // 2 + 1]   # k = 0 .. N//2
     state = GaussianState(np.zeros(2 * n),
                           CirculantCovariance(n, *_vacuum_spectra(omegas)))
     gate(state.purity_residual(), VACUUM_PURITY_TOL, InternalConsistencyError,
@@ -292,8 +297,8 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     if not 1 <= write_site <= config.n_sites:
         raise UnphysicalInputError(
             f"write site {write_site} outside 1..{config.n_sites}")
-    state = vacuum_covariance(config)
     mm = mode_matrix(config)
+    state = _vacuum(mm)
     v = np.zeros(2 * config.n_sites)
     v[2 * (write_site - 1)] = 1.0
     spectrum = pair_spectrum(conjugate_qic_vector(v, state), mm)

@@ -296,8 +296,17 @@ class Conjugator:
 # ---- Convenience constructors ----
 
 
+def _register_dim(num_sites: int, local_dim: int) -> int:
+    """local_dim ** num_sites; ValueError unless they are integers >= 1 and >= 2."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+               for v, least in ((num_sites, 1), (local_dim, 2))):
+        raise ValueError(f"need an integer site count >= 1 and local dimension >= 2, "
+                         f"got {num_sites!r} and {local_dim!r}")
+    return int(local_dim) ** int(num_sites)
+
+
 def basis_state(num_sites: int, local_dim: int, index: int = 0) -> PureState:
-    dim = local_dim ** num_sites
+    dim = _register_dim(num_sites, local_dim)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} is outside 0..{dim - 1}")
     amps = np.zeros(dim, dtype=complex)
@@ -320,4 +329,4 @@ def product_state(site_vectors) -> PureState:
 
 
 def random_state(num_sites: int, local_dim: int, rng: np.random.Generator) -> PureState:
-    return PureState(random_unit_vector(local_dim ** num_sites, rng))
+    return PureState(random_unit_vector(_register_dim(num_sites, local_dim), rng))

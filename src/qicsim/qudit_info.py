@@ -38,7 +38,7 @@ from .qudit_algebra import (
     BranchRotation,
     Conjugator,
     PureState,
-    act_on_first_site,
+    _register_dim,
     build_su_basis,
     frame_rotation,
     vector_rotation,
@@ -70,8 +70,7 @@ class _SiteConjugated:
 
     Shared by virtual qudits and write operations, which provide the
     conjugation field (a qudit_algebra.Conjugator) and the local dimension
-    d; every operator acts on the slot view slots(state), and
-    VirtualQudit.operators() forms them densely for small registers.
+    d; every operator acts on the slot view slots(state).
     """
 
     @property
@@ -143,12 +142,6 @@ class VirtualQudit(_SiteConjugated):
     def __post_init__(self):
         build_su_basis(self.d)   # refuses d < 2 before the dimension is split by it
         object.__setattr__(self, "conjugation", _as_conjugator(self.conjugation, self.d))
-
-    def operators(self) -> list:
-        """The d^2 - 1 generator images, full-register matrices, from one dense conjugator."""
-        dense = self.conjugator
-        return [dag(dense) @ act_on_first_site(t, dense)
-                for t in build_su_basis(self.d).generators]
 
     def conjugated_by_own_generators(self, coeffs) -> "VirtualQudit":
         """Equivalent virtual qudit with T_i rotated by exp(-i sum_i c_i T_i).
@@ -246,7 +239,7 @@ class WriteOperation(_SiteConjugated):
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
         """Write with a trivial conjugator, acting on site 1 directly."""
         d = np.asarray(local_generator).shape[0]
-        return cls(local_generator, Conjugator.identity(d ** num_sites))
+        return cls(local_generator, Conjugator.identity(_register_dim(num_sites, d)))
 
     @property
     def d(self) -> int:
@@ -282,8 +275,8 @@ def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_write_operation(d: int, num_sites: int,
                            rng: np.random.Generator) -> WriteOperation:
     """Random write with a Haar-scrambled conjugator."""
-    t = random_su_generator(d, rng)
-    return WriteOperation(t, haar_unitary(d ** num_sites, rng))
+    dim = _register_dim(num_sites, d)   # refused before any draw
+    return WriteOperation(random_su_generator(d, rng), haar_unitary(dim, rng))
 
 
 # ---- Purification partners ----
@@ -315,6 +308,27 @@ class PartnerPair:
     def marginal_b(self) -> np.ndarray:
         d = self.d
         return np.einsum("abac->bc", self.joint_state.reshape(d, d, d, d))
+
+    def locality_residual(self) -> float:
+        """Largest Frobenius norm of [E (t_i x I) E', t_j x I]; inf off construct_partner's layout.
+
+        There qudit_b's factors are qudit_a's own objects, a turn I x R and a d^2 x d^2 exchange
+        E, so [T^A_i, T^B_j] = C_b' ([E (t_i x I) E', t_j x I] x I) C_b, whose norm this bounds.
+        """
+        a, b, d = self.qudit_a, self.qudit_b, self.d
+        own, factors = a.conjugation.factors, b.conjugation.factors
+        turn, exchange = factors[-2:] if len(factors) == len(own) + 2 else (None, None)
+        if not (b.d == d and b.full_dim == a.full_dim and all(x is y for x, y in zip(own, factors))
+                and isinstance(turn, BranchRotation) and isinstance(exchange, AxisUnitary)
+                and np.array_equal(turn.eigenvectors, np.eye(d)) and len(turn.bases) == d
+                and len(turn.kernels) == d and exchange.matrix.shape == (d * d, d * d)
+                and len(set(map(id, turn.bases))) == len(set(map(id, turn.kernels))) == 1):
+            return np.inf
+        lifted = np.kron(build_su_basis(d).generators, np.eye(d))   # the stack of t_i x I
+        moved = exchange.matrix @ lifted @ dag(exchange.matrix)   # Hermitian, like lifted
+        products = np.tensordot(moved, lifted, axes=(2, 1))   # [i, r, j, c]: moved_i lifted_j
+        commutators = products - products.conj().transpose(0, 3, 2, 1)   # - lifted_j moved_i
+        return float(np.linalg.norm(commutators, axis=(1, 3)).max())
 
 
 def _pair_state(framed: np.ndarray, d: int) -> np.ndarray:

@@ -21,6 +21,8 @@ from qicsim import qudit_info as qi
 from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import dag, expm_hermitian, haar_unitary, max_abs, unitarity_defect
 
+from dense_reference import generator_images
+
 MATCH_TOL = 1e-12
 UNITARY_FACTOR_TOL = 1e-12
 
@@ -216,7 +218,7 @@ def test_partner_frame_holds_a_in_slot_2(d, n, state_kind):
     pair = qi.construct_partner(write.virtual_qudit(), state)
     conj_b = pair.qudit_b.conjugator
     rest = np.eye(d ** (n - 2))
-    ops = [np.eye(d ** n)] + pair.qudit_a.operators()
+    ops = [np.eye(d ** n)] + generator_images(pair.qudit_a)
     for mu, t in enumerate(qa.build_su_basis(d).generators, 1):
         lifted = dag(conj_b) @ np.kron(np.kron(np.eye(d), t), rest) @ conj_b
         assert max_abs(lifted - ops[mu]) < MATCH_TOL

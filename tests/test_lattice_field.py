@@ -461,6 +461,19 @@ def test_figure_experiment_forms_no_dense_matrix():
     assert peak < 16e6
 
 
+def test_figure_experiment_computes_the_dispersion_once(monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return dispersion(config)
+
+    dispersion = lf.dispersion
+    monkeypatch.setattr(lf, "dispersion", counted)
+    lf.figure_experiment(lf.LatticeConfig(N_SITES, ETA), WRITE_SITE, [0.0, 5.0])
+    assert len(calls) == 1
+
+
 def test_figure_rejects_out_of_range_site():
     config = lf.LatticeConfig(N_SITES, ETA)
     for site in (2.0, True, "2", None):

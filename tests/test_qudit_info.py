@@ -1,5 +1,6 @@
 """Virtual qudits, capsules, partners, retrieval, and Fisher information."""
 
+import copy
 import itertools
 import tracemalloc
 
@@ -21,6 +22,8 @@ from qicsim.linalg import (
     pure_state_fidelity,
     trace_distance,
 )
+
+from dense_reference import generator_images
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -58,7 +61,7 @@ def test_virtual_operator_trace_orthonormality():
     rng = np.random.default_rng(21)
     d, n = 2, 2
     vq = qi.VirtualQudit(d, haar_unitary(d ** n, rng))
-    ops = vq.operators()
+    ops = generator_images(vq)
     full = d ** n
     for i, a in enumerate(ops):
         assert max_abs(a - dag(a)) < 1e-10
@@ -130,6 +133,22 @@ def test_write_validation():
     for empty in (np.zeros((0, 0)), np.zeros((1, 1))):
         with pytest.raises(ValueError, match="square matrix of size >= 2"):
             qi.WriteOperation(empty, np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qa.basis_state(-1, 2),
+    lambda: qa.basis_state(2, True),
+    lambda: qa.random_state(-1, 2, np.random.default_rng(0)),
+    lambda: qa.random_state(2, 2.0, np.random.default_rng(0)),
+    lambda: qi.random_write_operation(2, 1.5, np.random.default_rng(0)),
+    lambda: qi.random_write_operation(1, 2, np.random.default_rng(0)),
+    lambda: qi.WriteOperation.local(PAULI_Z, 1.5),
+    lambda: qi.WriteOperation.local(PAULI_Z, 0),
+], ids=["basis -1 sites", "basis bool d", "random -1 sites", "random float d",
+        "write 1.5 sites", "write d = 1", "local 1.5 sites", "local 0 sites"])
+def test_register_builders_refuse_bad_counts_before_the_power(build):
+    with pytest.raises(ValueError, match="need an integer site count >= 1 and local dimension >= 2"):
+        build()
 
 
 @pytest.mark.parametrize("d, dim", [(2, 3), (3, 8), (4, 6), (3, 2)])
@@ -272,7 +291,7 @@ def test_family_r_zero_keeps_operators():
     write = qi.random_write_operation(2, 2, rng)
     con = qi.construct_qic(write, state)
     deformed = qi.qic_family(con, 0.0)
-    for a, b in zip(con.qudit.operators(), deformed.operators()):
+    for a, b in zip(generator_images(con.qudit), generator_images(deformed)):
         assert max_abs(a - b) < 1e-12
 
 
@@ -283,7 +302,7 @@ def test_family_bell_r1_stays_pure():
     assert abs(rho.purity() - 1.0) < 1e-9
     # generic deformation changes at least one operator
     drift = max(max_abs(a - b) for a, b in
-                zip(con.qudit.operators(), deformed.operators()))
+                zip(generator_images(con.qudit), generator_images(deformed)))
     assert drift > 1e-6
 
 
@@ -300,7 +319,7 @@ def test_family_localized_case_matrix_identity():
     rot = expm_hermitian(PAULI_Z, 1j * r)
     proj = np.outer(psi, psi.conj())
     basis = qa.build_su_basis(2)
-    for t_i, op in zip(basis.generators, deformed.operators()):
+    for t_i, op in zip(basis.generators, generator_images(deformed)):
         correction = rot @ t_i @ dag(rot) - t_i
         expected = np.kron(t_i, np.eye(2)) + np.kron(correction, proj)
         assert max_abs(op - expected) < 1e-10
@@ -409,7 +428,7 @@ def test_capsule_invariants_hold_for_faint_branches(shape, seed, log_weight, deg
 def dense_swap_retrieval(qudit, state):
     """Reference: assemble (1/d) sum_mu T_mu x t_mu and apply it to state x |0>."""
     d = qudit.d
-    ops = [np.eye(qudit.full_dim)] + qudit.operators()
+    ops = [np.eye(qudit.full_dim)] + generator_images(qudit)
     u_swap = sum(np.kron(op, t) for op, t in zip(ops, qa.build_su_basis(d).extended)) / d
     fiducial = np.zeros(d)
     fiducial[0] = 1.0
@@ -514,8 +533,8 @@ def test_partner_random_qutrits():
     vq = qi.VirtualQudit(3, haar_unitary(9, rng))
     pair = qi.construct_partner(vq, state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
-    ops_a = pair.qudit_a.operators()
-    ops_b = pair.qudit_b.operators()
+    ops_a = generator_images(pair.qudit_a)
+    ops_b = generator_images(pair.qudit_b)
     worst = max(max_abs(a @ b - b @ a) for a in ops_a for b in ops_b)
     assert worst < LOCALITY_TOL
     # partner marginal matches the qudit's own correlation state
@@ -542,8 +561,8 @@ def test_partner_wherever_d_divides_the_rest(d, dim):
     state = qa.random_state(1, dim, rng)
     pair = qi.construct_partner(write.virtual_qudit(), state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
-    worst = max(max_abs(a @ b - b @ a)
-                for a in pair.qudit_a.operators() for b in pair.qudit_b.operators())
+    ops_b = generator_images(pair.qudit_b)
+    worst = max(max_abs(a @ b - b @ a) for a in generator_images(pair.qudit_a) for b in ops_b)
     assert worst < LOCALITY_TOL
     theta = 0.8
     lifted = np.kron(write.local_unitary(theta), np.eye(d))
@@ -587,17 +606,71 @@ def test_partner_write_action_random_trials():
 
 
 
+def kicked_exchange(pair, eps):
+    """pair with its exchange E replaced by E exp(-i eps t_1 x t_1), which mixes slots 1 and 2."""
+    d = pair.d
+    *_, turn, exchange = pair.qudit_b.conjugation.factors
+    t = qa.build_su_basis(d).generators[0]
+    kicked = qa.AxisUnitary(exchange.matrix @ expm_hermitian(np.kron(t, t), -1.0j * eps))
+    qudit_b = qi.VirtualQudit(d, pair.qudit_a.conjugation.then(turn, kicked))
+    return qi.PartnerPair(pair.qudit_a, qudit_b, pair.joint_state)
+
+
+def dense_locality(pair):
+    """Largest spectral norm and largest entry of the register commutators [T^A_i, T^B_j]."""
+    ops_b = generator_images(pair.qudit_b)
+    commutators = [a @ b - b @ a for a in generator_images(pair.qudit_a) for b in ops_b]
+    return (max(np.linalg.norm(c, 2) for c in commutators),
+            max(max_abs(c) for c in commutators))
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (4, 2)])
-def test_partner_locality_residual_equals_pairwise_commutators(d, n):
-    """checks' stacked commutators give the pairwise loop's maximum exactly."""
+def test_partner_locality_residual_bounds_the_register_commutators(d, n):
+    """residual >= max ||[T^A_i, T^B_j]||_2 >= max |entry|, the sweep row's old reading.
+
+    On a constructed pair all three are rounding noise near 1e-15, which can
+    fall in any order, so the chain is checked on a pair whose exchange is
+    kicked by 1e-4, which the residual must see; the constructed pair must
+    stay below the row's tolerance.
+    """
     residual = checks.partner_trial_residuals(d, n, np.random.default_rng(50 + d))
     rng = np.random.default_rng(50 + d)   # the same draws, in the same order
     state = qa.random_state(n, d, rng)
-    write = qi.random_write_operation(d, n, rng)
-    pair = qi.construct_partner(write.virtual_qudit(), state)
-    pairwise = max(max_abs(ta @ tb - tb @ ta)
-                   for ta in pair.qudit_a.operators() for tb in pair.qudit_b.operators())
-    assert residual["partner locality"] == pairwise
+    pair = qi.construct_partner(qi.random_write_operation(d, n, rng).virtual_qudit(), state)
+    assert residual["partner locality"] == pair.locality_residual()
+    spectral, entry = dense_locality(pair)
+    assert max(pair.locality_residual(), spectral, entry) < LOCALITY_TOL
+    kicked = kicked_exchange(pair, 1e-4)
+    spectral, entry = dense_locality(kicked)
+    assert kicked.locality_residual() >= spectral >= entry > 1e-6
+
+
+@pytest.mark.parametrize("rebuild", ["copied conjugator", "unshared turn", "factors reversed",
+                                     "b is a"])
+def test_partner_locality_is_inf_off_the_partner_layout(rebuild):
+    # The residual reads the commutators only in construct_partner's layout,
+    # which it confirms by object identity; an equal copy does not count.
+    rng = np.random.default_rng(52)
+    state = qa.random_state(2, 3, rng)
+    pair = qi.construct_partner(qi.random_write_operation(3, 2, rng).virtual_qudit(), state)
+    head, (turn, exchange) = pair.qudit_a.conjugation, pair.qudit_b.conjugation.factors[-2:]
+    unshared = qa.BranchRotation(turn.eigenvectors, tuple(map(np.copy, turn.bases)), turn.kernels)
+    conjugation = {"copied conjugator": copy.deepcopy(head).then(turn, exchange),
+                   "unshared turn": head.then(unshared, exchange),
+                   "factors reversed": head.then(exchange, turn),
+                   "b is a": head}[rebuild]
+    qudit_b = qi.VirtualQudit(3, conjugation)
+    assert qi.PartnerPair(pair.qudit_a, qudit_b, pair.joint_state).locality_residual() == np.inf
+
+
+def test_sweeps_form_no_dense_conjugator(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a sweep formed a dense conjugator")
+
+    monkeypatch.setattr(qa.Conjugator, "dense", refuse)
+    assert all(r.passed for r in checks.qudit_random_suite(3, 3, 6, 7))
+    assert all(r.passed for r in checks.qudit_info_checks())
+
 
 def test_partner_write_action_preserves_purity():
     rng = np.random.default_rng(32)
