@@ -15,14 +15,15 @@ the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 The vacuum is translation invariant, so its covariance is kept as the
 per-mode spectra (1/(2 omega_k), omega_k/2) of a CirculantCovariance: it is
 validated in O(N), and each product with it is one FFT pair, O(N log N).
-Free evolution acts in mode space: the FFT of a row's q and p parts is
-turned by the angle omega_k t on each mode, w_q <- cos w_q + omega sin w_p,
-w_p <- -sin/omega w_q + cos w_p, and one inverse FFT gives the row at time
-t, with an imaginary residue that is returned and gated.  A capsule pair's
-FFT is taken once, by pair_spectrum; evolve_pair turns it out of place at
-each time, reads the pair's mode covariance in the vacuum there by
-Parseval, with weights from the same omega_k, and returns the pair's
-SiteProfiles after one inverse FFT.  No step of figure_experiment forms an
+Free evolution acts in mode space.  Rows are real and ModeMatrix holds
+omega_k = omega_{N-k}, so the half spectrum k = 0 .. N//2 of a row's rfft
+carries all of it: each mode is turned by the angle omega_k t,
+w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p, and one
+irfft gives the real row at time t.  A capsule pair's rfft is taken once,
+by pair_spectrum; evolve_pair turns it out of place at each time, reads
+the pair's mode covariance in the vacuum there by Parseval over the half
+spectrum, with weights from the same omega_k, and returns the pair's
+SiteProfiles after one irfft.  No step of figure_experiment forms an
 N x N matrix, so it costs O(N log N) per time.  The flow is the standard
 Heisenberg flow run for -t, and the sign is intended: with U = exp(-i H t),
 w(t)' r = U (w' r) U^dagger is where the capsule written on w' r sits at
@@ -47,7 +48,7 @@ from .gaussian_cv import (
 )
 from .linalg import gate, require_finite, scaled
 
-IMAG_RESIDUE_TOL = 1e-9
+SPECTRUM_SYMMETRY_TOL = 1e-12   # relative, on |omega_k - omega_{N-k}|
 EVOLVED_PAIRING_TOL = 1e-9
 VACUUM_PURITY_TOL = 1e-8
 
@@ -70,7 +71,8 @@ class LatticeConfig:
         object.__setattr__(self, "n_sites", int(self.n_sites))   # so 64 N below cannot wrap
         if self.n_sites < 1:
             raise UnphysicalInputError(f"need at least one site, got {self.n_sites}")
-        if 64 * self.n_sites > np.iinfo(np.intp).max:   # the 2 x 2N complex evolution buffer
+        # 64 N bytes bounds the largest evolution buffer, a pair's complex half spectrum.
+        if 64 * self.n_sites > np.iinfo(np.intp).max:
             raise MemoryError(f"{self.n_sites} sites need a {64 * self.n_sites}-byte evolution "
                               f"buffer, beyond numpy's {np.iinfo(np.intp).max}-byte limit")
         if not self.eta > 0.0:
@@ -82,14 +84,14 @@ class LatticeConfig:
 def dispersion(config: LatticeConfig) -> np.ndarray:
     """Mode frequencies omega_k, k = 1 .. N; omega_N = 1 is the minimum."""
     k = np.arange(1, config.n_sites + 1)
-    # omega_k and omega_{N-k} share one angle, so the FFT flow stays real at any t.
+    # omega_k and omega_{N-k} share one angle, so the spectrum passes ModeMatrix's check.
     angle = 2.0 * np.pi * np.minimum(k, config.n_sites - k) / config.n_sites
     return np.sqrt(1.0 + 2.0 * config.eta * (1.0 - np.cos(angle)))
 
 
 @dataclass(frozen=True, eq=False)
 class ModeMatrix:
-    """Normal-mode frequencies omega_k of the chain, k = 1 .. N."""
+    """Normal-mode frequencies omega_k of the chain, k = 1 .. N, with omega_k = omega_{N-k}."""
 
     omegas: np.ndarray
 
@@ -100,8 +102,13 @@ class ModeMatrix:
                              f"got shape {omegas.shape}")
         if not (np.isfinite(omegas) & (omegas > 0.0)).all():
             raise UnphysicalInputError("mode frequencies must be finite and positive")
+        mirrored = omegas[-2::-1]   # omega_{N-k} for k = 1 .. N - 1
+        gate(float(np.max(np.abs(omegas[:-1] - mirrored) / mirrored, initial=0.0)),
+             SPECTRUM_SYMMETRY_TOL, UnphysicalInputError,
+             "mode frequencies break omega_k = omega_{N-k}, relative asymmetry")
         object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "_fft_omegas", np.roll(omegas, 1))   # index j: k = j mod N
+        # The half spectrum in rfft order k = 0 .. N//2, with k = 0 read as k = N.
+        object.__setattr__(self, "_fft_omegas", np.append(omegas[-1], omegas[: omegas.size // 2]))
 
     @property
     def n_sites(self) -> int:
@@ -130,10 +137,8 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 
 def _vacuum(mm: ModeMatrix) -> GaussianState:
     """vacuum_covariance with the spectra read from the chain's mode frequencies."""
-    n = mm.n_sites
-    omegas = mm._fft_omegas[: n // 2 + 1]   # k = 0 .. N//2
-    state = GaussianState(np.zeros(2 * n),
-                          CirculantCovariance(n, *_vacuum_spectra(omegas)))
+    state = GaussianState(np.zeros(2 * mm.n_sites),
+                          CirculantCovariance(mm.n_sites, *_vacuum_spectra(mm._fft_omegas)))
     gate(state.purity_residual(), VACUUM_PURITY_TOL, InternalConsistencyError,
          "vacuum covariance purity residual")
     return state
@@ -143,13 +148,14 @@ def _vacuum(mm: ModeMatrix) -> GaussianState:
 
 
 def _forward(rows: np.ndarray) -> np.ndarray:
-    """FFT over sites of the q and p parts of a row or a k x 2N stack: k x 2 x N, complex."""
-    modes = rows.reshape(-1, rows.shape[-1] // 2, 2).swapaxes(1, 2).astype(complex, order="C")
-    return np.fft.fft(modes, out=modes)
+    """rfft over sites of the q and p parts of a row or a k x 2N stack: k x 2 x (N//2 + 1)."""
+    sites = rows.reshape(-1, rows.shape[-1] // 2, 2).swapaxes(1, 2)
+    # C order, so _spectral_mode_covariance flattens q and p together without a copy.
+    return np.fft.rfft(np.ascontiguousarray(sites))
 
 
 def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
-    """The k x 2 x N coefficients turned by omega_k t, out of place; t = 0 returns modes itself."""
+    """k x 2 x (N//2 + 1) coefficients turned by omega_k t, out of place; t = 0 returns modes."""
     omegas = mm._fft_omegas
     phase = scaled(t, omegas, "evolution time", "omega t")
     if t == 0.0:
@@ -167,35 +173,32 @@ def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
     return out
 
 
-def _inverse(modes: np.ndarray) -> tuple:
-    """Inverse FFT of k x 2 x N coefficients in place; returns (k x 2N rows, imaginary residue)."""
-    np.fft.ifft(modes, out=modes)
-    # max |imag| from the two extremes, without an |imag| temporary.
-    residue = float(max(abs(modes.imag.max()), abs(modes.imag.min())))
-    # modes is C-ordered, so the reshape copies its real part into interleaved rows.
-    return modes.real.swapaxes(1, 2).reshape(len(modes), -1), residue
+def _inverse(modes: np.ndarray, mm: ModeMatrix) -> np.ndarray:
+    """irfft of k x 2 x (N//2 + 1) coefficients: the real k x 2N rows, interleaved."""
+    # irfft's output is C-ordered, so the reshape copies it into interleaved rows.
+    return np.fft.irfft(modes, n=mm.n_sites).swapaxes(1, 2).reshape(len(modes), -1)
 
 
 def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
-    """Free evolution of one weighting row; returns (w(t), imaginary residue)."""
+    """Free evolution of one weighting row; returns (w(t), imaginary residue 0.0)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (2 * mm.n_sites,):
         raise ValueError("weighting vector length does not match the chain")
     require_finite(w, ValueError, "weighting vector")
     if t == 0.0:
         return w.copy(), 0.0
-    rows, residue = _inverse(_turn(_forward(w), t, mm))
-    return rows[0], residue
+    return _inverse(_turn(_forward(w), t, mm), mm)[0], 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class PairSpectrum:
-    """A capsule pair's FFT over sites, taken once, and the chain it evolves on.
+    """A capsule pair's rfft over sites, taken once, and the chain it evolves on.
 
-    modes is the 2 x 2 x N stack of coefficients (v, u) x (q, p) x k in FFT
-    order; weights is the 2 x N stack of the vacuum's plane-wave eigenvalues
-    (1/(2 omega_k), omega_k/2) divided by N, so that modes * weights stands
-    for (v' M, u' M) in _mode_entries.
+    modes is the 2 x 2 x (N//2 + 1) stack of coefficients (v, u) x (q, p) x k,
+    k = 0 .. N//2; weights is the 2 x (N//2 + 1) stack of the vacuum's
+    plane-wave eigenvalues (1/(2 omega_k), omega_k/2) times the number of
+    plane waves k stands for (2 for k and N - k, 1 at k = 0 and N/2), over N,
+    so that modes * weights stands for (v' M, u' M) in _mode_entries.
     """
 
     pair: ModePair
@@ -205,30 +208,29 @@ class PairSpectrum:
 
 
 def pair_spectrum(pair: ModePair, mm: ModeMatrix) -> PairSpectrum:
-    """The one forward FFT of a capsule pair, for evolve_pair at any number of times.
+    """The one rfft of a capsule pair, for evolve_pair at any number of times.
 
     The mode covariance is read against the chain vacuum, whose spectra come
     from the same frequencies the turn uses.
     """
-    if pair.n_modes != mm.n_sites:
+    n = mm.n_sites
+    if pair.n_modes != n:
         raise ValueError("pair and chain have different sizes")
+    multiplicity = np.where(2 * np.arange(n // 2 + 1) % n == 0, 1.0, 2.0)   # k = 0, N/2: 1
     return PairSpectrum(pair=pair, modes=_forward(np.stack([pair.v, pair.u])),
-                        weights=np.stack(_vacuum_spectra(mm._fft_omegas)) / mm.n_sites,
+                        weights=multiplicity * np.stack(_vacuum_spectra(mm._fft_omegas)) / n,
                         mm=mm)
 
 
 def _spectral_mode_covariance(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The 2 x 2 mode covariance of the pair with 2 x 2 x N coefficients modes, by Parseval.
+    """The 2 x 2 mode covariance of the pair with 2 x 2 x (N//2 + 1) coefficients, by Parseval.
 
-    M is block diagonal on plane waves, so the q and p coefficients add their
-    entries separately; one product buffer holds each part's weighted rows.
+    M is block diagonal on plane waves, so the q and p coefficients of a row
+    enter as one flat vector.
     """
-    weighted = np.empty_like(modes[:, 0])
-    m = np.zeros((2, 2))
-    for part in range(2):
-        np.multiply(modes[:, part], weights[part], out=weighted)
-        m += _mode_entries(modes[0, part], modes[1, part], weighted[0], weighted[1])
-    return m
+    rows = modes.reshape(2, -1)
+    weighted = (modes * weights).reshape(2, -1)
+    return _mode_entries(rows[0], rows[1], weighted[0], weighted[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +238,9 @@ class SiteProfiles:
     """A capsule pair's site-resolved weighting profiles after free evolution for time t.
 
     v_q, v_p, u_q and u_p are the q and p parts of v(t) and u(t), which v_t
-    and u_t interleave; imag_residue is the inverse FFT's largest imaginary
-    part and pairing is v(t)'Omega u(t), both gated in evolve_pair; det_m is
-    the determinant of the evolved pair's mode covariance in the vacuum.
+    and u_t interleave; pairing is v(t)'Omega u(t), gated in evolve_pair;
+    det_m is the determinant of the evolved pair's mode covariance in the
+    vacuum; imag_residue, kept for its readers, is 0.0: irfft rows are real.
     """
 
     t: float
@@ -259,27 +261,25 @@ class SiteProfiles:
 
 
 def evolve_pair(spectrum: PairSpectrum, t: float) -> SiteProfiles:
-    """Evolve a capsule pair from its spectrum, with residue and pairing gates.
+    """Evolve a capsule pair from its spectrum, with a pairing gate.
 
     The turned coefficients give the mode covariance by Parseval before one
-    inverse FFT gives the rows; t = 0 reads the cached spectrum and the
-    pair's own rows, and makes no transform.
+    irfft gives the rows; t = 0 reads the cached spectrum and the pair's own
+    rows, and makes no transform.
     """
     modes = _turn(spectrum.modes, t, spectrum.mm)
     det_m = float(_det2(_spectral_mode_covariance(modes, spectrum.weights)))
     if t == 0.0:
-        rows, residue = np.stack([spectrum.pair.v, spectrum.pair.u]), 0.0
+        rows = np.stack([spectrum.pair.v, spectrum.pair.u])
     else:
-        rows, residue = _inverse(modes)
+        rows = _inverse(modes, spectrum.mm)
     del modes   # the turned buffer goes before the pairing's temporaries come
-    gate(residue, IMAG_RESIDUE_TOL, InternalConsistencyError,
-         f"imaginary evolution residue at t = {t}")
     pairing = _symplectic(rows[0], rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,
          f"evolved pair lost canonicality, |v(t)'Omega u(t) - 1| at t = {t}")
     return SiteProfiles(t=float(t), v_q=rows[0, 0::2], v_p=rows[0, 1::2],
                         u_q=rows[1, 0::2], u_p=rows[1, 1::2],
-                        pairing=pairing, det_m=det_m, imag_residue=residue)
+                        pairing=pairing, det_m=det_m, imag_residue=0.0)
 
 
 # ---- The delocalization experiment ----
@@ -291,7 +291,7 @@ def figure_experiment(config: LatticeConfig, write_site: int, times) -> list:
     The write targets q at write_site (1-based) in the chain vacuum.  For
     each requested time the evolved weighting profiles are returned together
     with the canonical pairing, the mode determinant against the stationary
-    vacuum, and the truncation residue.
+    vacuum, and the imaginary residue (0.0, see SiteProfiles).
     """
     _require_integer(write_site, "write site")
     if not 1 <= write_site <= config.n_sites:

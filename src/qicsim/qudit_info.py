@@ -266,6 +266,8 @@ class WriteOperation(_SiteConjugated):
 
 def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random traceless Hermitian matrix scaled to Tr(t^2) = d."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"local dimension must be an integer >= 2, got {d!r}")
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (z + dag(z)) / 2.0
     h -= (np.trace(h) / d) * np.eye(d)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicsim import gaussian_cv, lattice_field as lf
-from qicsim.errors import InternalConsistencyError, UnphysicalInputError
+from qicsim.errors import UnphysicalInputError
 from qicsim.linalg import max_abs
 
 N_SITES = 30
@@ -176,13 +176,14 @@ def test_fft_flow_matches_dense_route(n, eta, t, seed):
 
 
 def test_long_time_evolution_stays_real():
-    # omega_k == omega_{N-k} to the bit, so the residue does not grow with t
+    # omega_k == omega_{N-k} to the bit, and the irfft flow returns real rows
+    # at any t, so the reported residue is exactly 0
     config = lf.LatticeConfig(N_SITES, ETA)
     omegas = lf.dispersion(config)
     assert np.array_equal(omegas[:-1], omegas[-2::-1])
     w = np.random.default_rng(65).standard_normal(2 * N_SITES)
     for t in (1e3, 1e7, 1e9):
-        assert lf.evolve_vector(w, t, lf.mode_matrix(config))[1] < 1e-13
+        assert lf.evolve_vector(w, t, lf.mode_matrix(config))[1] == 0.0
 
 
 def test_evolve_rejects_non_finite_time():
@@ -378,14 +379,18 @@ def test_evolution_preserves_symplectic_products():
 
 
 def test_evolve_detects_corrupted_matrix():
-    # A spectrum with omega_1 != omega_{N-1} breaks the pairing of conjugate
-    # Fourier coefficients, so the evolved row picks up an imaginary part.
-    config, _, pair = _figure_pair()
+    # A spectrum with omega_1 != omega_{N-1} would turn conjugate Fourier
+    # coefficients apart, so the half-spectrum flow cannot represent it; it
+    # is refused when the ModeMatrix is built, before any time is evolved.
+    config = lf.LatticeConfig(N_SITES, ETA)
     omegas = lf.mode_matrix(config).omegas.copy()
     omegas[0] += 0.05
-    broken = lf.pair_spectrum(pair, lf.ModeMatrix(omegas))
-    with pytest.raises(InternalConsistencyError, match="imaginary evolution residue"):
-        lf.evolve_pair(broken, 3.0)
+    with pytest.raises(UnphysicalInputError, match="break omega_k"):
+        lf.ModeMatrix(omegas)
+    # Spectra symmetric to the bit pass, and so do the chains with no k, N - k pair.
+    for n in (1, 2, N_SITES, N_SITES + 1):
+        omegas = lf.dispersion(lf.LatticeConfig(n, ETA))
+        assert np.array_equal(lf.ModeMatrix(omegas).omegas, omegas)
 
 
 # ---- figure experiment ----
@@ -417,7 +422,7 @@ def test_figure_invariants_reported():
     for prof in lf.figure_experiment(config, WRITE_SITE, [0.0, 25.0, 50.0]):
         assert abs(prof.pairing - 1.0) < 1e-9
         assert abs(prof.det_m - 0.25) < 1e-8
-        assert prof.imag_residue < 1e-9
+        assert prof.imag_residue == 0.0
 
 
 def test_figure_translation_covariance():
@@ -536,25 +541,35 @@ def test_figure_experiment_matches_per_vector_route_at_random_sizes(n, eta, data
     _assert_matches_per_vector_route(lf.LatticeConfig(n, eta), site, times)
 
 
+def _vacuum_weights(config):
+    """The vacuum covariance and the weights pair_spectrum reads for it."""
+    n = config.n_sites
+    cov = lf.vacuum_covariance(config).covariance
+    site_pair = gaussian_cv.ModePair(np.eye(2 * n)[0], np.eye(2 * n)[1])
+    return cov, lf.pair_spectrum(site_pair, lf.mode_matrix(config)).weights
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 64), st.floats(0.01, 5.0), st.integers(0, 2 ** 32 - 1))
 def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
-    # Parseval: x'My = (1/N) sum_k conj(x^_k) m_k y^_k for the plane-wave
-    # spectrum m_k of each block; unit rows keep every entry below 2.5.
-    # The weights pair_spectrum reads from the chain's frequencies are the
-    # vacuum's own spectra, bit for bit, in FFT order k = 0 .. N - 1.
+    # Parseval over the half spectrum: for real rows the terms at k and N - k
+    # are conjugate, so x'My = (1/N) sum_{k <= N/2} mult_k Re(conj(x^_k) m_k y^_k)
+    # for the plane-wave spectrum m_k of each block, with mult_k the number
+    # of plane waves index k stands for.  Unit rows keep every entry below 2.5.
+    # The weights are the vacuum's own spectra times mult_k / N, bit for bit.
+    for size in (n, n + 1):   # one odd and one even chain
+        cov, weights = _vacuum_weights(lf.LatticeConfig(size, eta))
+        own = np.stack([cov.q_spectrum, cov.p_spectrum])
+        multiplicity = np.rint(size * weights[0] / own[0])
+        assert set(multiplicity) <= {1.0, 2.0} and multiplicity.sum() == size
+        assert np.array_equal(weights, multiplicity * own / size)
+        dense = np.asarray(cov)
+        assert max_abs(size * weights - multiplicity * np.fft.rfft(
+            [dense[0::2, 0], dense[1::2, 1]]).real) < 1e-13
     config = lf.LatticeConfig(n, eta)
-    cov = lf.vacuum_covariance(config).covariance
-    dense = np.asarray(cov)
+    cov, weights = _vacuum_weights(config)
     rows = np.random.default_rng(seed).standard_normal((2, 2 * n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    site_pair = gaussian_cv.ModePair(np.eye(2 * n)[0], np.eye(2 * n)[1])
-    weights = lf.pair_spectrum(site_pair, lf.mode_matrix(config)).weights
-    assert max_abs(n * weights - [np.fft.fft(dense[0::2, 0]).real,
-                                  np.fft.fft(dense[1::2, 1]).real]) < 1e-13
-    k = np.arange(n)
-    own = np.stack([cov.q_spectrum, cov.p_spectrum])[:, np.minimum(k, n - k)] / n
-    assert np.array_equal(weights, own)
     spectral = lf._spectral_mode_covariance(lf._forward(rows), weights)
     real = gaussian_cv.mode_covariance_matrix(rows[0], rows[1], cov)
     assert max_abs(spectral - real) <= 1e-15
@@ -581,8 +596,8 @@ def _count_fft_calls(monkeypatch):
 
 def test_figure_experiment_makes_one_forward_fft_per_pair(monkeypatch):
     # The capsule partner u = -Omega M v / v'M v takes one rfft/irfft, the
-    # pair's spectrum one fft, and each nonzero time one ifft; t = 0 and every
-    # mode covariance read the spectrum itself: 2 + 1 + 7.
+    # pair's spectrum one rfft, and each nonzero time one irfft; t = 0 and
+    # every mode covariance read the spectrum itself: 2 rfft and 1 + 7 irfft.
     config = lf.LatticeConfig(400, ETA)
     state = lf.vacuum_covariance(config)
     spectrum = lf.pair_spectrum(gaussian_cv.conjugate_qic_vector(np.eye(800)[398], state),
@@ -590,18 +605,17 @@ def test_figure_experiment_makes_one_forward_fft_per_pair(monkeypatch):
     calls = _count_fft_calls(monkeypatch)
     lf.figure_experiment(config, 200, range(0, 160, 20))
     assert len(calls) == 10
-    assert calls.count("fft") == 1 and calls.count("ifft") == 7
+    assert calls.count("rfft") == 2 and calls.count("irfft") == 8
     calls.clear()
     lf.evolve_pair(spectrum, 20.0)
-    assert calls == ["ifft"]
+    assert calls == ["irfft"]
     calls.clear()
     lf.evolve_pair(spectrum, 0.0)
     assert calls == []
 
 
 def test_figure_experiment_memory_stays_lean():
-    # Turning the cached spectrum out of place, and weighting one quadrature
-    # at a time for the mode covariance, peaks near 22.7 MB here.
+    # Turning the cached half spectrum out of place peaks near 18.2 MB here.
     config = lf.LatticeConfig(2 ** 16, ETA)
     tracemalloc.start()
     try:
@@ -609,4 +623,4 @@ def test_figure_experiment_memory_stays_lean():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 20e6

@@ -151,6 +151,14 @@ def test_register_builders_refuse_bad_counts_before_the_power(build):
         build()
 
 
+@pytest.mark.parametrize("d", [1, 0, -2, 1.5, 2.0, True, "3", None])
+def test_random_su_generator_refuses_bad_dimension_before_drawing(d):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="local dimension must be an integer >= 2"):
+        qi.random_su_generator(d, rng)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
 @pytest.mark.parametrize("d, dim", [(2, 3), (3, 8), (4, 6), (3, 2)])
 def test_register_must_split_by_d(d, dim):
     """A d-level qudit needs C^dim = C^d x C^(dim/d): d divides dim, so dim >= d."""
