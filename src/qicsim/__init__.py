@@ -26,22 +26,19 @@ _EXPORTS = {
     "gaussian_cv": ("CirculantCovariance", "GaussianState", "ModeCovariance", "ModePair",
                     "MultiparamReport", "apply_shift_write", "conjugate_qic_vector",
                     "mode_covariance", "mode_entropy", "multiparam_conditions",
-                    "qic_invariance_under_other_writes", "random_pure_state",
-                    "read_pair_file", "read_state_file", "require_pure",
-                    "shift_fisher_matrix", "single_mode_squeezed", "symplectic_form",
-                    "two_mode_squeezed", "vacuum_state", "write_pair_file",
-                    "write_state_file"),
+                    "random_pure_state", "read_pair_file", "read_state_file", "require_pure",
+                    "shift_fisher_matrix", "single_mode_squeezed", "two_mode_squeezed",
+                    "vacuum_state", "write_pair_file", "write_state_file"),
     "lattice_field": ("LatticeConfig", "ModeMatrix", "PairSpectrum", "SiteProfiles",
                       "dispersion", "evolve_pair", "evolve_vector", "figure_experiment",
                       "mode_matrix", "pair_spectrum", "vacuum_covariance"),
     "qudit_algebra": ("PureState", "SuBasis", "basis_state", "build_su_basis",
                       "product_state", "random_state", "swap_operator"),
-    "qudit_info": ("CorrelationState", "FeasibilityReport", "PartnerPair",
-                   "QicConstruction", "SwapRetrieval", "VirtualQudit", "WriteOperation",
-                   "construct_partner", "construct_qic", "correlation_state",
-                   "fisher_information", "max_entangled_partner_feasible",
-                   "partner_write_action", "qic_family", "random_su_generator",
-                   "random_write_operation", "retrieve_by_swap"),
+    "qudit_info": ("CorrelationState", "PartnerPair", "QicConstruction", "SwapRetrieval",
+                   "VirtualQudit", "WriteOperation", "construct_partner", "construct_qic",
+                   "correlation_state", "fisher_information", "partner_write_action",
+                   "qic_family", "random_su_generator", "random_write_operation",
+                   "retrieve_by_swap"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "linalg", "svg_plot"}

@@ -28,6 +28,7 @@ from .linalg import (
 QUDIT_ENSEMBLE = ((2, 2), (2, 3), (3, 2), (3, 3))
 RETRIEVAL_THETAS = (0.0, 1.3)
 PARTNER_THETA = 0.7
+FAMILY_RS = (-2.0, 0.5, 3.1)
 INJECTIONS = ("cov-asymmetry",)   # negative controls run_all can plant
 
 # Capsule and partner invariants of the random sweeps, in report order.
@@ -215,6 +216,22 @@ def qudit_info_checks() -> list:
         residual = _fold(residual, fisher_angle_residual(
             qudit_info.random_write_operation(d, n, rng), state))
     results.append(_worst("qudit_info", "fisher write-angle invariance", residual, 1e-9))
+
+    # Every member r of a capsule's family confines the write: its state is pure and the
+    # swap's residual is blind to the angle.  Its own stream keeps the other rows' draws.
+    rng = np.random.default_rng(13)
+    residual = 0.0
+    for d, n in QUDIT_ENSEMBLE * 2:
+        state = qudit_algebra.random_state(n, d, rng)
+        write = qudit_info.random_write_operation(d, n, rng)
+        construction = qudit_info.construct_qic(write, state)
+        written = [write.apply(state, theta) for theta in RETRIEVAL_THETAS]
+        for r in FAMILY_RS:
+            member = qudit_info.qic_family(construction, r)
+            joints = [qudit_info.retrieve_by_swap(member, w).joint for w in written]
+            residual = _fold(residual, factored_trace_distance(*joints),
+                             abs(qudit_info.correlation_state(member, state).purity() - 1.0))
+    results.append(_worst("qudit_info", "capsule family confines the write", residual, 1e-8))
 
     return results
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,6 @@ CONDITION_TOL = 1e-10
 ENTROPY_G_FLOOR = 1e-8
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for the interleaved (q, p) ordering."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
-
-
 def _omega(x: np.ndarray, right: bool = False) -> np.ndarray:
     """Omega @ x, or x @ Omega = -(Omega @ x')' if right; exact: entries of x up to sign."""
     if right:
@@ -59,7 +52,7 @@ def _omega(x: np.ndarray, right: bool = False) -> np.ndarray:
 
 
 def _symplectic(x: np.ndarray, y: np.ndarray) -> float:
-    """x' Omega y; bit-equal to the product with the dense symplectic form."""
+    """x' Omega y; bit-equal to the product with the dense Omega."""
     return float(_omega(x, right=True) @ y)
 
 
@@ -228,16 +221,26 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(dim), np.eye(dim) / 2.0)
 
 
+@contextmanager
+def _squeezing(r: float):
+    """Yields 2r; a non-finite r is refused as a scalar parameter, an overflow naming r."""
+    try:
+        yield scaled(r, 2.0, "squeeze r", "2r")
+    except OverflowError:
+        raise UnphysicalInputError(f"squeeze r = {r} overflows the covariance") from None
+
+
 def single_mode_squeezed(r: float) -> GaussianState:
     """Squeezed vacuum with q variance e^{2r}/2."""
-    cov = np.diag([math.exp(2.0 * r) / 2.0, math.exp(-2.0 * r) / 2.0])
+    with _squeezing(r) as x:
+        cov = np.diag([math.exp(x) / 2.0, math.exp(-x) / 2.0])
     return GaussianState(np.zeros(2), cov)
 
 
 def two_mode_squeezed(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with cross-mode q-q and p-p correlations."""
-    c = math.cosh(2.0 * r) / 2.0
-    s = math.sinh(2.0 * r) / 2.0
+    with _squeezing(r) as x:
+        c, s = math.cosh(x) / 2.0, math.sinh(x) / 2.0
     cov = np.array([
         [c, 0.0, s, 0.0],
         [0.0, c, 0.0, -s],
@@ -323,7 +326,10 @@ class ModeCovariance:
             raise ValueError("mode covariance must be 2 x 2")
         require_finite(m, UnphysicalInputError, "mode covariance")
         gate(abs(m[0, 1] - m[1, 0]), 1e-10, ValueError, "mode covariance asymmetry")
-        gate(0.25 - _det2(m), MODE_DET_TOL,
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, unwarned
+            det = _det2(m)
+        require_finite(det, UnphysicalInputError, "mode covariance determinant")
+        gate(0.25 - det, MODE_DET_TOL,
              UnphysicalInputError, "det m below the uncertainty floor 1/4 by")
         object.__setattr__(self, "matrix", m)
 
@@ -488,33 +494,6 @@ def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:
         f = np.diag([4.0 * float(pair.v @ state.covariance @ pair.v) for pair in pairs])
     require_finite(f, UnphysicalInputError, "shift-write Fisher matrix")
     return f
-
-
-@dataclass(frozen=True)
-class WriteDrift:
-    """First-order drift of one capsule's quadratures under another write."""
-
-    q_drift: float
-    p_drift: float
-
-
-def qic_invariance_under_other_writes(pair: ModePair, v2: np.ndarray,
-                                      theta2: float) -> WriteDrift:
-    """Drift of the capsule pair (Q, P) = (v' r, u' r) caused by a second shift write.
-
-    The write displaces r by theta2 Omega v2: Q moves by theta2 v' Omega v2 and P
-    by theta2 u' Omega v2, = -theta2 v' M v2 / (v' M v) on the pair's own state,
-    so both vanish exactly when the writes commute and are independent.
-    """
-    v2 = np.asarray(v2, dtype=float)
-    if v2.shape != pair.v.shape:
-        raise ValueError("v2 length does not match the pair")
-    require_finite(v2, UnphysicalInputError, "write vector v2")
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused, unwarned
-        products = np.array([_symplectic(pair.v, v2), _symplectic(pair.u, v2)])
-    require_finite(products, UnphysicalInputError, "products v'Omega v2 and u'Omega v2")
-    drift = scaled(theta2, products, "write angle theta2", "the drift")
-    return WriteDrift(q_drift=float(abs(drift[0])), p_drift=float(abs(drift[1])))
 
 
 # ---- Plain-text serialization ----

@@ -203,6 +203,13 @@ def correlation_state(qudit: _SiteConjugated, state: PureState) -> CorrelationSt
 # ---- Write operations ----
 
 
+def _generator_dim(t: np.ndarray) -> int:
+    """d of a d x d local generator; anything but a square matrix with d >= 2 is refused."""
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
+        raise ValueError("local generator must be a square matrix of size >= 2")
+    return t.shape[0]
+
+
 @dataclass(frozen=True, eq=False)
 class WriteOperation(_SiteConjugated):
     """Parameter imprint exp(-i theta T) with T = conjugator' (t x I) conjugator.
@@ -219,9 +226,7 @@ class WriteOperation(_SiteConjugated):
 
     def __post_init__(self):
         t = np.array(self.local_generator, dtype=complex)   # a copy: frozen below
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
-            raise ValueError("local generator must be a square matrix of size >= 2")
-        d = t.shape[0]
+        d = _generator_dim(t)
         require_finite(t, ValueError, "local generator")
         gate(max_abs(t - dag(t)), HERMITIAN_TOL, ValueError,
              "local generator hermiticity defect")
@@ -238,7 +243,7 @@ class WriteOperation(_SiteConjugated):
     @classmethod
     def local(cls, local_generator: np.ndarray, num_sites: int) -> "WriteOperation":
         """Write with a trivial conjugator, acting on site 1 directly."""
-        d = np.asarray(local_generator).shape[0]
+        d = _generator_dim(np.asarray(local_generator))
         return cls(local_generator, Conjugator.identity(_register_dim(num_sites, d)))
 
     @property
@@ -302,14 +307,6 @@ class PartnerPair:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.joint_state @ self.joint_state)))
-
-    def marginal_a(self) -> np.ndarray:
-        d = self.d
-        return np.einsum("abcb->ac", self.joint_state.reshape(d, d, d, d))
-
-    def marginal_b(self) -> np.ndarray:
-        d = self.d
-        return np.einsum("abac->bc", self.joint_state.reshape(d, d, d, d))
 
     def locality_residual(self) -> float:
         """Largest Frobenius norm of [E (t_i x I) E', t_j x I]; inf off construct_partner's layout.
@@ -486,18 +483,6 @@ class SwapRetrieval:
         """The rank-d register state j j' as a D x D matrix, for diagnostics and small tests."""
         return self.joint @ dag(self.joint)
 
-    def residual_purity(self) -> float:
-        """Tr(r^2) = ||j'j||_F^2 for the residual r = j j'."""
-        return float(np.linalg.norm(dag(self.joint) @ self.joint) ** 2)
-
-    def residual_state(self) -> np.ndarray:
-        """The residual as a vector (top left singular vector of j) when the swap detaches."""
-        require_finite(self.joint, InternalConsistencyError, "residual register state")
-        gate(abs(self.residual_purity() - 1.0), 1e-6, InternalConsistencyError,
-             "residual register impurity (the virtual qudit does not confine the "
-             "information)")
-        return np.linalg.svd(self.joint, full_matrices=False)[0][:, 0]
-
 
 def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapRetrieval:
     """Swap the virtual qudit's content onto a fresh external d-level register.
@@ -524,20 +509,3 @@ def retrieve_by_swap(qudit: VirtualQudit, state_after_write: PureState) -> SwapR
 def fisher_information(write: WriteOperation, state: PureState) -> float:
     """Quantum Fisher information 4 (<T^2> - <T>^2) of the write parameter."""
     return float(write.fisher_matrix(state, [write.local_generator])[0, 0])
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Whether a maximally entangled partner pair is reachable for a write."""
-
-    feasible: bool
-    expectation: float
-
-
-def max_entangled_partner_feasible(write: WriteOperation,
-                                   state: PureState) -> FeasibilityReport:
-    """Feasibility gate <T> = 0 for a maximally entangled partner pair, <T> = Re Tr(t rho)."""
-    rho = correlation_state(write, state).matrix
-    expectation = float(np.trace(write.local_generator @ rho).real)
-    return FeasibilityReport(feasible=abs(expectation) < 1e-10,
-                             expectation=expectation)

@@ -17,6 +17,8 @@ from qicsim import qudit_algebra as qa
 from qicsim import qudit_info as qi
 from qicsim.linalg import max_abs, pure_state_fidelity, trace_distance
 
+from dense_reference import symplectic_form
+
 ENSEMBLE_SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
 ENSEMBLE_TRIALS = 50
 
@@ -126,7 +128,7 @@ def test_c05_gaussian_conjugate_closed_form():
             v = rng.standard_normal(2 * n)
             pair = gaussian_cv.conjugate_qic_vector(v, state)
             m = state.covariance
-            om = gaussian_cv.symplectic_form(n)
+            om = symplectic_form(n)
             assert abs(float(pair.v @ om @ pair.u) - 1.0) < 1e-8
             assert abs(float(pair.v @ m @ pair.u)) < 1e-8
             assert abs(gaussian_cv.mode_covariance(pair, state).det - 0.25) < 1e-8
@@ -165,7 +167,7 @@ def test_c06_purity_relation():
                    for _ in range(10)]
         for state in states:
             n = state.n_modes
-            om = gaussian_cv.symplectic_form(n)
+            om = symplectic_form(n)
             m = state.covariance
             assert max_abs(m @ om @ m - om / 4.0) < 1e-8
     body()

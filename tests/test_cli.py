@@ -479,6 +479,7 @@ VERIFY_ROWS = [
     ("qudit_info", "capsule holds the full Fisher information"),
     ("qudit_info", "equivalent-set spectrum invariance"),
     ("qudit_info", "fisher write-angle invariance"),
+    ("qudit_info", "capsule family confines the write"),
     ("gaussian_cv", "pure-state covariance relation"),
     ("gaussian_cv", "conjugate mode determinant"),
     ("gaussian_cv", "conjugate pairing and orthogonality"),
@@ -528,6 +529,21 @@ def test_capsule_fisher_row_fails_on_a_perturbed_capsule(monkeypatch):
     assert fisher_row().passed
     monkeypatch.setattr(qudit_info, "construct_qic", perturbed)
     assert fisher_row().passed is False
+
+
+def test_family_row_fails_on_a_perturbed_member(monkeypatch):
+    """Negative control: a member deformed about a reference turned by 1e-3 fails the row."""
+    exact = qudit_info.qic_family
+
+    def perturbed(construction, r):
+        turned = construction.reference + 1e-3 * np.roll(construction.reference, 1)
+        turned /= np.linalg.norm(turned)
+        return exact(dataclasses.replace(construction, reference=turned), r)
+
+    assert checks.qudit_info_checks()[-1].passed
+    monkeypatch.setattr(qudit_info, "qic_family", perturbed)
+    row = checks.qudit_info_checks()[-1]
+    assert row.invariant == "capsule family confines the write" and row.passed is False
 
 
 @pytest.mark.parametrize("argv, report", [

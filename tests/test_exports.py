@@ -1,10 +1,13 @@
-"""The package namespace: every exported name exists, is listed once and is
-resolved lazily; the value types behind it compare without raising."""
+"""The package namespace: every exported name exists, is listed once, is read
+by the library and is resolved lazily; the value types behind it compare
+without raising."""
 
+import ast
 import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,42 @@ def test_all_names_resolve_once():
     assert len(qicsim.__all__) == len(set(qicsim.__all__))
     missing = [name for name in qicsim.__all__ if not hasattr(qicsim, name)]
     assert missing == []
+
+
+# Exports that no library module reads, each with the reason it stays exported.
+NO_LIBRARY_READER = {
+    "basis_state": "register constructor",
+    "product_state": "register constructor",
+    "write_state_file": "writes the state files that qic gaussian-conj reads",
+    "read_pair_file": "reads the pair files that qic gaussian-conj writes",
+}
+
+
+def _library_reads() -> set:
+    """Every name and attribute that the code of a library module loads.
+
+    The export table in __init__ is not a reader; def and class lines, imports
+    and docstrings bind or mention a name but do not load it.
+    """
+    reads = set()
+    for path in Path(qicsim.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return reads
+
+
+def test_every_export_has_a_library_reader():
+    """A name that only tests call leaves the library; the version string is metadata."""
+    exports = {name for name in qicsim.__all__ if name != "__version__"}
+    reads = _library_reads()
+    assert sorted(exports - reads - set(NO_LIBRARY_READER)) == []
+    assert set(NO_LIBRARY_READER) <= exports
+    assert sorted(set(NO_LIBRARY_READER) & reads) == []
 
 
 def test_star_import_binds_every_exported_name():

@@ -14,6 +14,8 @@ from qicsim import lattice_field
 from qicsim.errors import StateFileError, UnphysicalInputError
 from qicsim.linalg import max_abs
 
+from dense_reference import symplectic_form
+
 IDENTITY_TOL = 1e-12
 PURITY_TOL = 1e-8
 DET_TOL = 1e-9
@@ -35,7 +37,7 @@ def standard_entropy(det_m):
 
 
 def test_symplectic_form_structure():
-    om = g.symplectic_form(3)
+    om = symplectic_form(3)
     assert om.shape == (6, 6)
     np.testing.assert_allclose(om, -om.T, atol=IDENTITY_TOL)
     np.testing.assert_allclose(om @ om, -np.eye(6), atol=IDENTITY_TOL)
@@ -72,7 +74,7 @@ def test_random_pure_states_satisfy_purity_relation():
         state = g.random_pure_state(n, rng)
         assert state.purity_residual() < PURITY_TOL
         m = state.covariance
-        omega = g.symplectic_form(n)
+        omega = symplectic_form(n)
         assert np.linalg.eigvalsh(m + 0.5j * omega).min() >= -1e-9
         assert np.linalg.eigvalsh(m).max() <= math.exp(2.0) / 2.0
 
@@ -98,7 +100,7 @@ def test_uncertainty_gate_decides_like_eigvalsh(delta):
     # M = (1/2 - delta) I has min eig(M + i Omega/2) = -delta, so the gate
     # sits between 0.99e-9 and 1.01e-9
     cov = (0.5 - delta) * np.eye(4)
-    bound = np.linalg.eigvalsh(cov + 0.5j * g.symplectic_form(2)).min()
+    bound = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(2)).min()
     if bound < -g.UNCERTAINTY_TOL:
         with pytest.raises(UnphysicalInputError, match="min eig"):
             g.GaussianState(np.zeros(4), cov)
@@ -113,7 +115,7 @@ def test_uncertainty_gate_on_random_pure_states():
         n = int(rng.integers(1, 7))
         state = g.random_pure_state(n, rng)
         cov = state.covariance
-        om = g.symplectic_form(n)
+        om = symplectic_form(n)
         assert np.linalg.eigvalsh(cov + 0.5j * om).min() >= -g.UNCERTAINTY_TOL
         g.GaussianState(state.mean, cov)
         assert np.linalg.eigvalsh(0.99 * cov + 0.5j * om).min() < -g.UNCERTAINTY_TOL
@@ -123,7 +125,7 @@ def test_uncertainty_gate_on_random_pure_states():
 
 def test_structured_omega_matches_dense_products():
     rng = np.random.default_rng(48)
-    om = g.symplectic_form(5)
+    om = symplectic_form(5)
     x = rng.standard_normal((10, 10))
     v = rng.standard_normal(10)
     assert np.array_equal(g._omega(x), om @ x)
@@ -177,7 +179,7 @@ def test_circulant_gates_match_dense_route(n, excess, seed):
     # purity residual bounds the dense one from above.
     cov = _circulant(n, np.random.default_rng(seed), excess)
     dense = np.asarray(cov)
-    om = g.symplectic_form(n)
+    om = symplectic_form(n)
     deficit = -np.linalg.eigvalsh(dense + 0.5j * om).min()
     assert abs(cov.uncertainty_deficit() - deficit) < 1e-12
     if deficit > 2 * g.UNCERTAINTY_TOL:
@@ -244,7 +246,7 @@ def test_conjugate_matches_closed_form():
         v = rng.standard_normal(2 * n)
         pair = g.conjugate_qic_vector(v, state)
         m = state.covariance
-        om = g.symplectic_form(n)
+        om = symplectic_form(n)
         expected_u = -(om @ m @ v) / float(v @ m @ v)
         np.testing.assert_allclose(pair.u, expected_u, atol=1e-12)
         assert abs(pair.q_offset - v @ state.mean) < 1e-12
@@ -259,7 +261,7 @@ def test_conjugate_identities_random_states():
         v = rng.standard_normal(2 * n)
         pair = g.conjugate_qic_vector(v, state)
         m = state.covariance
-        om = g.symplectic_form(n)
+        om = symplectic_form(n)
         assert abs(pair.v @ om @ pair.u - 1.0) < 1e-8
         assert abs(pair.v @ m @ pair.u) < 1e-8
         assert abs(g.mode_covariance(pair, state).det - 0.25) < 1e-8
@@ -271,7 +273,7 @@ def test_conjugate_is_unique_minimizer():
     v = rng.standard_normal(6)
     pair = g.conjugate_qic_vector(v, state)
     m = state.covariance
-    om = g.symplectic_form(3)
+    om = symplectic_form(3)
     # admissible perturbations keep both constraints and must increase det m
     basis = np.linalg.qr(np.column_stack([om.T @ v, m @ v]))[0]
     for _ in range(20):
@@ -311,7 +313,7 @@ def test_perturbed_mode_dets_match_the_row_by_row_route(n):
     state = g.random_pure_state(n, rng)
     pair = g.conjugate_qic_vector(rng.standard_normal(2 * n), state)
     m = state.covariance
-    q = np.linalg.qr(np.column_stack([g.symplectic_form(n) @ pair.v, m @ pair.v]))[0]
+    q = np.linalg.qr(np.column_stack([symplectic_form(n) @ pair.v, m @ pair.v]))[0]
     deltas = rng.standard_normal((20, 2 * n))
     deltas[3] = q @ rng.standard_normal(2)       # admissible part zero: skipped
     deltas -= (deltas @ q) @ q.T
@@ -339,7 +341,7 @@ def test_one_row_mode_entries_and_symplectic_product_keep_their_bits(n, seed, ci
     vm, um = v @ m, u @ m
     cross = (vm @ u + um @ v) / 2.0
     assert np.array_equal(g.mode_covariance_matrix(v, u, m), [[vm @ v, cross], [cross, um @ u]])
-    assert g._symplectic(v, u) == v @ g.symplectic_form(n) @ u
+    assert g._symplectic(v, u) == v @ symplectic_form(n) @ u
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
@@ -411,7 +413,7 @@ def test_mode_covariance_uncertainty_bound():
     # a non-conjugate u still yields det m >= 1/4 on a pure state
     rng = np.random.default_rng(46)
     state = g.random_pure_state(4, rng)
-    om = g.symplectic_form(4)
+    om = symplectic_form(4)
     for _ in range(10):
         v = rng.standard_normal(8)
         u = rng.standard_normal(8)
@@ -501,7 +503,7 @@ def test_shift_write_moves_conjugate_offset_linearly():
     pair = g.conjugate_qic_vector(v, state)
     theta = 0.61
     written = g.apply_shift_write(state, v, theta)
-    om = g.symplectic_form(2)
+    om = symplectic_form(2)
     # Q offset is invariant (v^T Omega v = 0); P offset shifts by -theta
     assert abs(float(v @ written.mean) - pair.q_offset) < 1e-12
     expected_p = pair.p_offset + theta * float(pair.u @ om @ v)
@@ -610,31 +612,39 @@ def test_shift_fisher_invariant_under_shifts():
 
 
 def test_invariance_drift_report():
+    # The drift of the capsule pair (Q, P) = (v'r, u'r) is read off the mean that
+    # apply_shift_write moves: nothing for a write on the other mode or at theta = 0,
+    # and -theta in P alone for a write along v1 itself (u'Omega v1 = -1).
     state = g.vacuum_state(2)
     v1 = np.array([1.0, 0, 0, 0])
     v2 = np.array([0, 0, 1.0, 0])
     pair = g.conjugate_qic_vector(v1, state)
-    drift = g.qic_invariance_under_other_writes(pair, v2, 1.9)
-    assert drift.q_drift < 1e-10 and drift.p_drift < 1e-10
-    # writing along v1 itself drifts P by exactly theta
-    drift_self = g.qic_invariance_under_other_writes(pair, v1, 1.9)
-    assert drift_self.q_drift < 1e-12
-    assert abs(drift_self.p_drift - 1.9) < 1e-12
-    none = g.qic_invariance_under_other_writes(pair, v2, 0.0)
-    assert none.q_drift == 0.0 and none.p_drift == 0.0
+
+    def drift(v, theta):
+        moved = g.apply_shift_write(state, v, theta).mean - state.mean
+        return pair.v @ moved, pair.u @ moved
+
+    q_drift, p_drift = drift(v2, 1.9)
+    assert abs(q_drift) < 1e-10 and abs(p_drift) < 1e-10
+    q_self, p_self = drift(v1, 1.9)
+    assert abs(q_self) < 1e-12
+    assert abs(p_self + 1.9) < 1e-12
+    assert drift(v2, 0.0) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("v2", [[0, 0, 1.0, 0], [0.3, -1.2, 0.7, 2.0]])
-def test_drift_is_the_move_of_q_and_p(v2):
-    # A pair conjugated on the vacuum, a second write on a squeezed state: the
-    # drift is what the displacement theta2 Omega v2 does to (Q, P) = (v'r, u'r),
-    # and P does not move under a write on the other mode, whatever the state.
-    sq = g.two_mode_squeezed(0.8)
-    pair = g.conjugate_qic_vector([1.0, 0, 0, 0], g.vacuum_state(2))
-    moved = g.apply_shift_write(sq, v2, 0.5).mean - sq.mean
-    drift = g.qic_invariance_under_other_writes(pair, v2, 0.5)
-    np.testing.assert_allclose([drift.q_drift, drift.p_drift],
-                               [abs(pair.v @ moved), abs(pair.u @ moved)], atol=1e-15)
+@pytest.mark.parametrize("v2", [[0, 0, 1.0, 0], [0.0, -1.2, 0.7, 2.0]])
+def test_second_write_moves_the_capsule_by_the_pairwise_products(v2):
+    # The displacement theta2 Omega v2 moves (Q, P) = (v'r, u'r) by theta2 v'Omega v2 and
+    # theta2 u'Omega v2 = -theta2 v2'Omega u: the off-diagonals of multiparam_conditions'
+    # omega_products and pairings.  Both vanish for commuting, independent writes.
+    vacuum = g.vacuum_state(2)
+    pairs = [g.conjugate_qic_vector(v, vacuum) for v in ([1.0, 0, 0, 0], v2)]
+    report = g.multiparam_conditions(pairs, vacuum)
+    moved = g.apply_shift_write(vacuum, v2, 0.5).mean
+    np.testing.assert_allclose([pairs[0].v @ moved, pairs[0].u @ moved],
+                               [0.5 * report.omega_products[0, 1], -0.5 * report.pairings[1, 0]],
+                               atol=1e-15)
+    assert report.commuting == (v2[1] == 0.0)
 
 
 # ---- serialization ----

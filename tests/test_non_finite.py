@@ -10,12 +10,13 @@ public function's write or weighting vector parameter has a case, keyed
 "<function>.<parameter>".
 
 Scalar parameters (a write angle, a family deformation, generator
-coefficients, an evolution time) refuse non-finite values with ValueError,
-and finite values whose phase or shift overflows with UnphysicalInputError,
-unwarned.  Finite d x d fisher_matrix generators whose hermiticity defect,
-commutator or Fisher products overflow are refused the same way, and so are
-finite mode pairs, built or read from a pair file, whose v'Omega u or mode
-covariance overflows.
+coefficients, an evolution time, a squeeze) refuse non-finite values with
+ValueError, and finite values whose phase or shift overflows with
+UnphysicalInputError, unwarned.  Finite d x d fisher_matrix generators whose
+hermiticity defect, commutator or Fisher products overflow are refused the
+same way, and so are finite mode pairs, built or read from a pair file, whose
+v'Omega u or mode covariance overflows, a mode covariance whose determinant
+overflows, and a squeeze r whose covariance overflows math.exp or math.cosh.
 
 The value types are also covered by construction: starting from one valid
 constructor call per public dataclass that validates itself, every float
@@ -54,12 +55,6 @@ def qubit_fisher(generators):
     return qudit.fisher_matrix(qa.random_state(2, 2, np.random.default_rng(0)), generators)
 
 
-def vacuum_drift(v2, theta2):
-    """Drift of the one-mode vacuum's q-write capsule under a second write."""
-    return g.qic_invariance_under_other_writes(
-        g.conjugate_qic_vector([1.0, 0.0], g.vacuum_state(1)), v2, theta2)
-
-
 CASES = {
     "WriteOperation": (ValueError, "local generator must be finite",
                        lambda x: qi.WriteOperation(np.diag([x, x]).astype(complex), I4)),
@@ -67,10 +62,6 @@ CASES = {
                          lambda x: qi.CorrelationState(2, np.diag([x, x]).astype(complex))),
     "fisher_matrix": (UnphysicalInputError, "generator must be finite",
                       lambda x: qubit_fisher([np.diag([x, 0.0]), SIGMA_Z])),
-    "SwapRetrieval.residual_state": (InternalConsistencyError,
-                                     "residual register state must be finite",
-                                     lambda x: qi.SwapRetrieval(
-                                         np.full((4, 2), x)).residual_state()),
     "vector_rotation": (ValueError, "src norm deviation from 1",
                         lambda x: qa.vector_rotation(np.array([x, 0.0]), np.array([1.0, 0.0]))),
     "PureState": (ValueError, "state vector norm deviation from 1",
@@ -99,9 +90,6 @@ CASES = {
                                lambda x: g.conjugate_qic_vector([x, 0.0], g.vacuum_state(1))),
     "apply_shift_write.v": (UnphysicalInputError, "write vector v must be finite",
                             lambda x: g.apply_shift_write(g.vacuum_state(1), [x, 0.0], 0.5)),
-    "qic_invariance_under_other_writes.v2": (UnphysicalInputError,
-                                             "write vector v2 must be finite",
-                                             lambda x: vacuum_drift([x, 0.0], 0.5)),
     "shift_fisher_matrix.v_list": (UnphysicalInputError, "write vector v must be finite",
                                    lambda x: g.shift_fisher_matrix([[x, 0.0]],
                                                                    g.vacuum_state(1))),
@@ -125,8 +113,8 @@ CASES = {
                              lambda x: z_write().apply(qa.basis_state(2, 2), x)),
     "apply_shift_write": (ValueError, "write angle theta must be finite",
                           lambda x: g.apply_shift_write(g.vacuum_state(1), [1.0, 0.0], x)),
-    "qic_invariance_under_other_writes": (ValueError, "write angle theta2 must be finite",
-                                          lambda x: vacuum_drift([0.0, 1.0], x)),
+    "single_mode_squeezed": (ValueError, "squeeze r must be finite", g.single_mode_squeezed),
+    "two_mode_squeezed": (ValueError, "squeeze r must be finite", g.two_mode_squeezed),
 }
 
 
@@ -185,13 +173,6 @@ OVERFLOWS = {
         "mean must be finite",
         lambda: g.apply_shift_write(g.GaussianState(np.array([0.0, -1e308]), np.eye(2) / 2.0),
                                     [1.0, 0.0], 1e308)),
-    "qic_invariance_under_other_writes": (r"write angle theta2 = 1e\+308 overflows",
-                                          lambda: vacuum_drift([2.0, 0.0], 1e308)),
-    # u = (0, 1000) for this write, so u'Omega v2 overflows before theta2 scales it.
-    "qic_invariance_under_other_writes products": (
-        "products v'Omega v2 and u'Omega v2 must be finite",
-        lambda: g.qic_invariance_under_other_writes(
-            g.conjugate_qic_vector([1e-3, 0.0], g.vacuum_state(1)), [1e306, 0.0], 0.3)),
     "evolve_vector": (r"evolution time = 1.7e\+308 overflows",
                       lambda: lf.evolve_vector(np.array([1.0, 0.0, 0.0, 1.0]), 1.7e308,
                                                chain_modes())),
@@ -202,6 +183,19 @@ OVERFLOWS = {
     "read_pair_file": ("pairing v'Omega u must be finite",
                        lambda: read_pair_text("modepair N=1\nv: 1e200,0\nu: 0,1e200\n"
                                               "offsets: 0,0\n")),
+    "ModeCovariance determinant": ("mode covariance determinant must be finite",
+                                   lambda: g.ModeCovariance(np.diag([1e200, 1e200]))),
+    "ModeCovariance determinant difference": (
+        "mode covariance determinant must be finite",
+        lambda: g.ModeCovariance(np.array([[1e200, 1e200], [1e200, 1e200]]))),
+    "single_mode_squeezed": (r"squeeze r = 400.0 overflows the covariance",
+                             lambda: g.single_mode_squeezed(400.0)),
+    "single_mode_squeezed negative": (r"squeeze r = -400.0 overflows the covariance",
+                                      lambda: g.single_mode_squeezed(-400.0)),
+    "two_mode_squeezed": (r"squeeze r = 400.0 overflows the covariance",
+                          lambda: g.two_mode_squeezed(400.0)),
+    "two_mode_squeezed 2r": (r"squeeze r = 1e\+308 overflows 2r",
+                             lambda: g.two_mode_squeezed(1e308)),
     "mode_covariance": ("mode covariance must be finite",
                         lambda: g.mode_covariance(g.ModePair([1e160, 0.0], [0.0, 1e-160]),
                                                   g.vacuum_state(1))),

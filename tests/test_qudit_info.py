@@ -133,6 +133,10 @@ def test_write_validation():
     for empty in (np.zeros((0, 0)), np.zeros((1, 1))):
         with pytest.raises(ValueError, match="square matrix of size >= 2"):
             qi.WriteOperation(empty, np.eye(4, dtype=complex))
+    # A local write reads d from the generator: anything else is refused before d is taken.
+    for bad in (np.float64(1.0), 1.0, np.ones(2), np.ones((2, 3)), np.ones((1, 1))):
+        with pytest.raises(ValueError, match="local generator must be a square matrix of size >= 2"):
+            qi.WriteOperation.local(bad, 2)
 
 
 @pytest.mark.parametrize("build", [
@@ -213,7 +217,22 @@ def test_write_expectation_matches_generator():
     state = qa.random_state(2, 3, rng)
     direct = np.vdot(state.amplitudes,
                      dense_generator(write) @ state.amplitudes).real
-    assert abs(qi.max_entangled_partner_feasible(write, state).expectation - direct) < 1e-12
+    rho = qi.correlation_state(write, state).matrix
+    assert abs(np.trace(write.local_generator @ rho).real - direct) < 1e-12
+
+
+def test_feasibility_bell_true():
+    """<T> = 0, the condition for a maximally entangled partner pair, holds on a Bell state."""
+    write = sigma_z_write()
+    rho = qi.correlation_state(write, bell_state()).matrix
+    assert abs(np.trace(write.local_generator @ rho).real) < 1e-12
+
+
+def test_feasibility_polarized_false():
+    """On |00> the sigma_z write has <T> = 1, so no maximally entangled partner pair exists."""
+    write = sigma_z_write()
+    rho = qi.correlation_state(write, qa.product_state([[1, 0], [1, 0]])).matrix
+    assert abs(np.trace(write.local_generator @ rho).real - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -386,9 +405,11 @@ def test_retrieval_residual_state_purity():
     write = qi.random_write_operation(2, 3, rng)
     con = qi.construct_qic(write, state)
     ret = qi.retrieve_by_swap(con.qudit, state)
-    assert abs(ret.residual_purity() - 1.0) < 1e-8
-    vec = ret.residual_state()
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
+    residual = ret.residual
+    assert abs(np.trace(residual @ residual).real - 1.0) < 1e-8
+    # the residual is the projector onto the top left singular vector of the joint block
+    vec = np.linalg.svd(ret.joint, full_matrices=False)[0][:, 0]
+    assert max_abs(np.outer(vec, vec.conj()) - residual) < 1e-8
 
 
 def test_retrieval_rejects_broken_qudit():
@@ -481,13 +502,6 @@ def test_factored_residual_matches_dense(shape, seed, theta):
     write = qi.WriteOperation(qi.random_su_generator(d, rng), haar_unitary(dim, rng))
     qudit = qi.construct_qic(write, state).qudit
     rets = [qi.retrieve_by_swap(qudit, write.apply(state, t)) for t in (0.0, theta)]
-    for ret in rets:
-        residual = ret.residual
-        assert abs(ret.residual_purity() - np.trace(residual @ residual).real) < 1e-12
-        top = np.linalg.eigh(residual)[1][:, -1]
-        vec = ret.residual_state()
-        phase = np.vdot(vec, top) / abs(np.vdot(vec, top))
-        assert max_abs(vec * phase - top) < 1e-12
     assert abs(factored_trace_distance(rets[0].joint, rets[1].joint)
                - trace_distance(rets[0].residual, rets[1].residual)) < 1e-12
 
@@ -504,17 +518,22 @@ def test_retrieval_forms_no_register_matrix():
     tracemalloc.start()
     try:
         rets = [qi.retrieve_by_swap(qudit, s) for s in (state, written)]
-        purity = rets[1].residual_purity()
-        rets[1].residual_state()
         distance = factored_trace_distance(rets[0].joint, rets[1].joint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(purity - 1.0) < 1e-8 and distance < 1e-7
+    joint = rets[1].joint
+    assert abs(np.linalg.norm(dag(joint) @ joint) ** 2 - 1.0) < 1e-8 and distance < 1e-7
     assert peak < 2e6
 
 
 # ---- partners ----
+
+
+def marginals(pair):
+    """The partial traces (rho_A, rho_B) of a pair's joint A x B state."""
+    joint = pair.joint_state.reshape((pair.d,) * 4)
+    return np.einsum("abcb->ac", joint), np.einsum("abac->bc", joint)
 
 
 def test_partner_product_state_is_pure_product():
@@ -523,16 +542,16 @@ def test_partner_product_state_is_pure_product():
     pair = qi.construct_partner(vq, state)
     assert abs(pair.purity() - 1.0) < PURITY_TOL
     # rank-1 Schmidt: both marginals pure
-    assert abs(np.trace(pair.marginal_a() @ pair.marginal_a()).real - 1) < 1e-10
-    assert abs(np.trace(pair.marginal_b() @ pair.marginal_b()).real - 1) < 1e-10
+    for rho in marginals(pair):
+        assert abs(np.trace(rho @ rho).real - 1) < 1e-10
 
 
 def test_partner_bell_marginals_maximally_mixed():
     vq = qi.VirtualQudit(2, np.eye(4, dtype=complex))
     pair = qi.construct_partner(vq, bell_state())
     assert abs(pair.purity() - 1.0) < PURITY_TOL
-    np.testing.assert_allclose(pair.marginal_a(), np.eye(2) / 2, atol=1e-10)
-    np.testing.assert_allclose(pair.marginal_b(), np.eye(2) / 2, atol=1e-10)
+    for rho in marginals(pair):
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-10)
 
 
 def test_partner_random_qutrits():
@@ -547,7 +566,7 @@ def test_partner_random_qutrits():
     assert worst < LOCALITY_TOL
     # partner marginal matches the qudit's own correlation state
     rho_a = qi.correlation_state(pair.qudit_a, state)
-    assert max_abs(pair.marginal_a() - rho_a.matrix) < 1e-10
+    assert max_abs(marginals(pair)[0] - rho_a.matrix) < 1e-10
 
 
 @pytest.mark.parametrize("d, dim", [(2, 2), (4, 4), (2, 6), (3, 12), (4, 8)])
@@ -940,30 +959,3 @@ def test_fisher_matches_dense_reference(shape, seed, owner, state_kind, degenera
     assert abs(f - dense_fisher(write.conjugator, [t])[0, 0]) < 1e-12
     if state_kind != "random":
         assert abs(f) < 1e-12
-
-
-# ---- maximally entangled partner feasibility ----
-
-
-def test_feasibility_bell_true():
-    report = qi.max_entangled_partner_feasible(sigma_z_write(), bell_state())
-    assert report.feasible
-    assert abs(report.expectation) < 1e-12
-
-
-def test_feasibility_polarized_false():
-    state = qa.product_state([[1, 0], [1, 0]])
-    report = qi.max_entangled_partner_feasible(sigma_z_write(), state)
-    assert not report.feasible
-    assert abs(report.expectation - 1.0) < 1e-12
-
-
-def test_feasibility_matches_direct_expectation():
-    rng = np.random.default_rng(38)
-    state = qa.random_state(2, 2, rng)
-    write = qi.random_write_operation(2, 2, rng)
-    report = qi.max_entangled_partner_feasible(write, state)
-    direct = np.vdot(state.amplitudes,
-                     dense_generator(write) @ state.amplitudes).real
-    assert abs(report.expectation - direct) < 1e-12
-    assert report.feasible == (abs(direct) < 1e-10)
