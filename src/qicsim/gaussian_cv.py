@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateFileError, UnphysicalInputError
-from .linalg import gate, haar_unitary, max_abs, require_finite, scaled
+from .linalg import gate, haar_unitary, is_integer, max_abs, require_finite, scaled
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -92,6 +92,8 @@ class CirculantCovariance:
     __array_ufunc__ = None
 
     def __post_init__(self):
+        if not is_integer(self.n_sites):
+            raise ValueError(f"need an integer N, got {self.n_sites!r}")
         half = (self.n_sites // 2 + 1,)
         q = np.asarray(self.q_spectrum, dtype=float)
         p = np.asarray(self.p_spectrum, dtype=float)
@@ -216,8 +218,15 @@ def require_pure(state: GaussianState) -> None:
          "state is not pure: purity residual")
 
 
+def _phase_space_dim(n_modes: int) -> int:
+    """2 n_modes; ValueError unless n_modes is an integer >= 1."""
+    if not (is_integer(n_modes) and n_modes >= 1):
+        raise ValueError(f"need an integer mode count >= 1, got {n_modes!r}")
+    return 2 * int(n_modes)
+
+
 def vacuum_state(n_modes: int) -> GaussianState:
-    dim = 2 * n_modes
+    dim = _phase_space_dim(n_modes)
     return GaussianState(np.zeros(dim), np.eye(dim) / 2.0)
 
 
@@ -250,8 +259,7 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(np.zeros(4), cov)
 
 
-def random_pure_state(n_modes: int, rng: np.random.Generator,
-                      mean_scale: float = 1.0) -> GaussianState:
+def random_pure_state(n_modes: int, rng: np.random.Generator) -> GaussianState:
     """Random pure Gaussian state: passive optics applied to squeezed vacuum.
 
     By the Bloch-Messiah decomposition every pure Gaussian covariance is
@@ -262,7 +270,7 @@ def random_pure_state(n_modes: int, rng: np.random.Generator,
     r_k is uniform in [-1, 1], so every eigenvalue of M lies in
     [e^{-2}/2, e^2/2] and every downstream tolerance is meaningful.
     """
-    dim = 2 * n_modes
+    dim = _phase_space_dim(n_modes)
     u = haar_unitary(n_modes, rng)
     o = np.empty((dim, dim))
     o[0::2, 0::2] = u.real
@@ -273,8 +281,7 @@ def random_pure_state(n_modes: int, rng: np.random.Generator,
     squeeze = np.exp(2.0 * np.column_stack([r, -r]).ravel())
     cov = (o * squeeze) @ o.T / 2.0
     cov = (cov + cov.T) / 2.0
-    mean = rng.uniform(-1.0, 1.0, dim) * mean_scale
-    return GaussianState(mean, cov)
+    return GaussianState(rng.uniform(-1.0, 1.0, dim), cov)
 
 
 # ---- Capsule modes ----
@@ -435,16 +442,12 @@ class MultiparamReport:
 
     commuting: all v_i' Omega v_j vanish (the writes commute);
     independent: all v_i' M v_j vanish (each capsule ignores the others).
-    When independent, the pairing matrix v_i' Omega u_j with the conjugate
-    vectors u_j (expected delta_ij) is included.
     """
 
     omega_products: np.ndarray
     covariance_products: np.ndarray
     commuting: bool
     independent: bool
-    pairings: np.ndarray | None
-    pairing_ok: bool
 
 
 def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
@@ -461,17 +464,10 @@ def multiparam_conditions(pairs, state: GaussianState) -> MultiparamReport:
     require_finite([omega_products, cov_products], UnphysicalInputError,
                    "pairwise products v_i'Omega v_j and v_i'M v_j")
     off = ~np.eye(len(pairs), dtype=bool)
-    commuting = bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL))
-    independent = bool(np.all(np.abs(cov_products[off]) < CONDITION_TOL))
-    pairings = None
-    pairing_ok = True
-    if independent:
-        pairings = np.array([[_symplectic(v, pair.u) for pair in pairs] for v in vs])
-        pairing_ok = bool(max_abs(pairings - np.eye(len(pairs))) < 1e-9)
     return MultiparamReport(omega_products=omega_products,
                             covariance_products=cov_products,
-                            commuting=commuting, independent=independent,
-                            pairings=pairings, pairing_ok=pairing_ok)
+                            commuting=bool(np.all(np.abs(omega_products[off]) < CONDITION_TOL)),
+                            independent=bool(np.all(np.abs(cov_products[off]) < CONDITION_TOL)))
 
 
 def shift_fisher_matrix(v_list, state: GaussianState) -> np.ndarray:

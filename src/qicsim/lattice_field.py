@@ -46,7 +46,7 @@ from .gaussian_cv import (
     _symplectic,
     conjugate_qic_vector,
 )
-from .linalg import gate, require_finite, scaled
+from .linalg import gate, is_integer, require_finite, scaled
 
 SPECTRUM_SYMMETRY_TOL = 1e-12   # relative, on |omega_k - omega_{N-k}|
 EVOLVED_PAIRING_TOL = 1e-9
@@ -54,8 +54,7 @@ VACUUM_PURITY_TOL = 1e-8
 
 
 def _require_integer(value, what: str) -> None:
-    # bool is an int subclass, but True sites or a True write site is a slip.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise UnphysicalInputError(f"{what} must be an integer, got {value!r}")
 
 
@@ -253,11 +252,6 @@ class SiteProfiles:
     imag_residue: float
     v_t = property(lambda self: np.column_stack((self.v_q, self.v_p)).ravel())
     u_t = property(lambda self: np.column_stack((self.u_q, self.u_p)).ravel())
-
-    def support(self, threshold: float = 1e-3) -> int:
-        """Number of sites where the partner weighting exceeds the threshold."""
-        weight = np.maximum(np.abs(self.u_q), np.abs(self.u_p))
-        return int(np.sum(weight > threshold))
 
 
 def evolve_pair(spectrum: PairSpectrum, t: float) -> SiteProfiles:

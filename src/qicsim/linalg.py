@@ -21,6 +21,11 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; bool, an int subclass, is never a count or an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def expm_hermitian(h: np.ndarray, factor: complex = 1.0) -> np.ndarray:
     """exp(factor * h) for Hermitian h, via eigendecomposition.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalInputError
-from .linalg import dag, gate, random_unit_vector, unitarity_defect
+from .linalg import dag, gate, is_integer, random_unit_vector, unitarity_defect
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -89,7 +89,7 @@ def build_su_basis(d: int) -> SuBasis:
     factor sqrt(d/2).  Built once per d and shared: the generators are
     read-only arrays.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
+    if not is_integer(d) or d < 2:
         raise UnphysicalInputError(f"need qudit dimension d >= 2, got {d!r}")
     return _su_basis(int(d))
 
@@ -127,7 +127,7 @@ def swap_operator(d: int) -> np.ndarray:
     Equals (1/d) sum_mu t_mu x t_mu over the extended generator set; tests
     verify the two routes against each other.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
+    if not is_integer(d) or d < 2:
         raise UnphysicalInputError(f"need qudit dimension d >= 2, got {d!r}")
     s = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -298,8 +298,7 @@ class Conjugator:
 
 def _register_dim(num_sites: int, local_dim: int) -> int:
     """local_dim ** num_sites; ValueError unless they are integers >= 1 and >= 2."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
-               for v, least in ((num_sites, 1), (local_dim, 2))):
+    if not all(is_integer(v) and v >= least for v, least in ((num_sites, 1), (local_dim, 2))):
         raise ValueError(f"need an integer site count >= 1 and local dimension >= 2, "
                          f"got {num_sites!r} and {local_dim!r}")
     return int(local_dim) ** int(num_sites)
@@ -307,6 +306,8 @@ def _register_dim(num_sites: int, local_dim: int) -> int:
 
 def basis_state(num_sites: int, local_dim: int, index: int = 0) -> PureState:
     dim = _register_dim(num_sites, local_dim)
+    if not is_integer(index):
+        raise ValueError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} is outside 0..{dim - 1}")
     amps = np.zeros(dim, dtype=complex)

@@ -17,6 +17,7 @@ state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from .linalg import (
     expm_hermitian,
     gate,
     haar_unitary,
+    is_integer,
     max_abs,
     require_finite,
     scaled,
@@ -218,7 +220,8 @@ class WriteOperation(_SiteConjugated):
     to Tr(t^2) = d; conjugation is the register unitary that dresses it, a
     Conjugator or a dense matrix, which is gated as it becomes a Conjugator.
     t is kept as a read-only copy, and its eigendecomposition is taken once,
-    on construction, and serves every local_unitary and construct_qic call.
+    on construction, and serves every local_unitary, construct_qic and
+    qic_family call.
     """
 
     local_generator: np.ndarray
@@ -271,7 +274,7 @@ class WriteOperation(_SiteConjugated):
 
 def random_su_generator(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random traceless Hermitian matrix scaled to Tr(t^2) = d."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+    if not is_integer(d) or d < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {d!r}")
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (z + dag(z)) / 2.0
@@ -289,42 +292,43 @@ def random_write_operation(d: int, num_sites: int,
 # ---- Purification partners ----
 
 
+def _partner_frame(d: int, rest_turn: tuple, exchange: np.ndarray) -> tuple:
+    """The two factors that follow C_a in the partner's frame: the turn I x R, then E."""
+    basis, kernel = rest_turn
+    return (BranchRotation(np.eye(d, dtype=complex), (basis,) * d, (kernel,) * d),
+            AxisUnitary(exchange))
+
+
 @dataclass(frozen=True, eq=False)
 class PartnerPair:
     """Two commuting virtual qudits that jointly purify the first one.
 
-    A pair comes from construct_partner, whose qudit_b frame holds B in slot 1
-    and A in slot 2: T^A_mu = C_b' (I x t_mu x I) C_b exactly.
+    The pair stores its frame: a turn R of the rest of the register as the
+    (basis, kernel) rest_turn, and a d^2 x d^2 exchange E on slots 1 and 2.
+    qudit_b is C_a, then I x R, then E: B in slot 1, A in slot 2, T^A_mu = C_b' (I x t_mu x I) C_b.
     """
 
     qudit_a: VirtualQudit
-    qudit_b: VirtualQudit
+    rest_turn: tuple
+    exchange: np.ndarray
     joint_state: np.ndarray  # d^2 x d^2 two-qudit correlation state, A x B
 
     @property
     def d(self) -> int:
         return self.qudit_a.d
 
+    @functools.cached_property
+    def qudit_b(self) -> VirtualQudit:
+        frame = _partner_frame(self.d, self.rest_turn, self.exchange)
+        return VirtualQudit(self.d, self.qudit_a.conjugation.then(*frame))
+
     def purity(self) -> float:
         return float(np.real(np.trace(self.joint_state @ self.joint_state)))
 
     def locality_residual(self) -> float:
-        """Largest Frobenius norm of [E (t_i x I) E', t_j x I]; inf off construct_partner's layout.
-
-        There qudit_b's factors are qudit_a's own objects, a turn I x R and a d^2 x d^2 exchange
-        E, so [T^A_i, T^B_j] = C_b' ([E (t_i x I) E', t_j x I] x I) C_b, whose norm this bounds.
-        """
-        a, b, d = self.qudit_a, self.qudit_b, self.d
-        own, factors = a.conjugation.factors, b.conjugation.factors
-        turn, exchange = factors[-2:] if len(factors) == len(own) + 2 else (None, None)
-        if not (b.d == d and b.full_dim == a.full_dim and all(x is y for x, y in zip(own, factors))
-                and isinstance(turn, BranchRotation) and isinstance(exchange, AxisUnitary)
-                and np.array_equal(turn.eigenvectors, np.eye(d)) and len(turn.bases) == d
-                and len(turn.kernels) == d and exchange.matrix.shape == (d * d, d * d)
-                and len(set(map(id, turn.bases))) == len(set(map(id, turn.kernels))) == 1):
-            return np.inf
-        lifted = np.kron(build_su_basis(d).generators, np.eye(d))   # the stack of t_i x I
-        moved = exchange.matrix @ lifted @ dag(exchange.matrix)   # Hermitian, like lifted
+        """Max Frobenius norm of [E (t_i x I) E', t_j x I]; [T^A_i, T^B_j] is C_b' (it x I) C_b."""
+        lifted = np.kron(build_su_basis(self.d).generators, np.eye(self.d))   # the t_i x I
+        moved = self.exchange @ lifted @ dag(self.exchange)   # Hermitian, like lifted
         products = np.tensordot(moved, lifted, axes=(2, 1))   # [i, r, j, c]: moved_i lifted_j
         commutators = products - products.conj().transpose(0, 3, 2, 1)   # - lifted_j moved_i
         return float(np.linalg.norm(commutators, axis=(1, 3)).max())
@@ -354,23 +358,20 @@ def construct_partner(qudit_a: VirtualQudit, state: PureState) -> PartnerPair:
     left, weights, right = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(weights > ZERO_BRANCH_TOL))
 
-    # Turn of the rest space sending the i-th right Schmidt vector to |i> x e_0,
-    # the same on every slot-1 branch.
+    # Turn of the rest space sending the i-th right Schmidt vector to |i> x e_0.
     targets = np.kron(np.eye(d, r), np.eye(qudit_a.rest_dim // d, 1))
-    basis, kernel = frame_rotation(right[:r].T, targets)
-    turn = BranchRotation(np.eye(d, dtype=complex), (basis,) * d, (kernel,) * d)
+    rest_turn = frame_rotation(right[:r].T, targets)
 
     # The left Schmidt basis: the turn carrying |i> onto the weighted left vectors.
     basis, kernel = frame_rotation(np.eye(d, r), left[:, :r])
     phis = np.eye(d) + basis @ kernel @ dag(basis)
 
     # SWAP (I x Phi): entry [(a, x), (b, y)] is Phi[a, y] delta_xb.
-    exchange = np.multiply.outer(phis, np.eye(d)).transpose(0, 2, 3, 1)
-    exchange = AxisUnitary(exchange.reshape(d * d, d * d))
+    exchange = np.multiply.outer(phis, np.eye(d)).transpose(0, 2, 3, 1).reshape(d * d, d * d)
 
-    qudit_b = VirtualQudit(d, qudit_a.conjugation.then(turn, exchange))
-    joint = _pair_state(exchange.apply(turn.apply(x.reshape(-1))), d)
-    return PartnerPair(qudit_a, qudit_b, joint)
+    turn, swap = _partner_frame(d, rest_turn, exchange)
+    joint = _pair_state(swap.apply(turn.apply(x.reshape(-1))), d)
+    return PartnerPair(qudit_a, rest_turn, exchange, joint)
 
 
 def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
@@ -400,21 +401,18 @@ def partner_write_action(pair: PartnerPair, write: WriteOperation, theta: float,
 
 @dataclass(frozen=True, eq=False)
 class QicConstruction:
-    """Capsule for one write: virtual qudit, its state, and branch data.
+    """Capsule for one write: the write, its capsule qudit, and branch data.
 
-    phi is the capsule's state vector (the correlation state is its
-    projector), with the branch weights as its coefficients; reference is the
-    heaviest branch's unit environment vector, which every branch is turned
-    onto; eigenvalues and eigenvectors are those of the write's local seed,
-    the branches of the conjugated register state.
+    phi is the capsule's state vector, with the branch weights as its
+    coefficients over the eigenvectors of the write's local seed (the
+    capsule's correlation state is its projector); reference is the heaviest
+    branch's unit environment vector, which every branch is turned onto.
     """
 
+    write: WriteOperation
     qudit: VirtualQudit
-    capsule_state: CorrelationState
     phi: np.ndarray
     reference: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
@@ -429,8 +427,7 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
     pure projector onto phi = sum_i w_i phi_i.  A branch weighing less than
     ZERO_BRANCH_TOL gets w_i = 0 and turns the reference onto itself.
     """
-    d = write.d
-    evals, evecs = write._eigh
+    evecs = write._eigh[1]
     rows = dag(evecs) @ write.slots(state)   # rows[i] = branch i environment vector
     weights = np.linalg.norm(rows, axis=1)
     weights[weights < ZERO_BRANCH_TOL] = 0.0
@@ -441,11 +438,8 @@ def construct_qic(write: WriteOperation, state: PureState) -> QicConstruction:
                  for row, w in zip(rows, weights)]
     v_hat = BranchRotation(evecs, *zip(*rotations))
 
-    qudit = VirtualQudit(d, write.conjugation.then(v_hat))
-    phi = evecs @ weights
-    capsule = CorrelationState(d, np.outer(phi, phi.conj()))
-    return QicConstruction(qudit=qudit, capsule_state=capsule, phi=phi,
-                           reference=reference, eigenvalues=evals, eigenvectors=evecs)
+    qudit = VirtualQudit(write.d, write.conjugation.then(v_hat))
+    return QicConstruction(write=write, qudit=qudit, phi=evecs @ weights, reference=reference)
 
 
 def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
@@ -458,10 +452,10 @@ def qic_family(construction: QicConstruction, r: float) -> VirtualQudit:
     identity plus (exp(-i r lambda_i) - 1) P.
     """
     d = construction.qudit.d
+    evals, evecs = construction.write._eigh
     ref = construction.reference[:, None]
-    phases = np.exp(-1.0j * scaled(r, construction.eigenvalues, "deformation r", "r t")) - 1.0
-    deform = BranchRotation(construction.eigenvectors, (ref,) * d,
-                            tuple(np.array([[p]]) for p in phases))
+    phases = np.exp(-1.0j * scaled(r, evals, "deformation r", "r t")) - 1.0
+    deform = BranchRotation(evecs, (ref,) * d, tuple(np.array([[p]]) for p in phases))
     return VirtualQudit(d, construction.qudit.conjugation.then(deform))
 
 

@@ -74,8 +74,8 @@ def test_c02_capsule_existence():
     def body():
         start = time.perf_counter()
         for d, num_sites in ENSEMBLE_SHAPES:
-            for _, _, capsule in capsule_ensemble(d, num_sites):
-                assert abs(capsule.capsule_state.purity() - 1.0) < 1e-8
+            for _, state, capsule in capsule_ensemble(d, num_sites):
+                assert abs(qi.correlation_state(capsule.qudit, state).purity() - 1.0) < 1e-8
         assert time.perf_counter() - start < 30.0
     body()
 
@@ -226,10 +226,11 @@ def test_c09_multiparameter_conditions():
     def body():
         vacuum = gaussian_cv.vacuum_state(3)
         good = [np.eye(6)[0], np.eye(6)[2], np.eye(6)[4]]
-        report = gaussian_cv.multiparam_conditions(
-            [gaussian_cv.conjugate_qic_vector(v, vacuum) for v in good], vacuum)
-        assert report.commuting and report.independent and report.pairing_ok
-        np.testing.assert_allclose(report.pairings, np.eye(3), atol=1e-9)
+        pairs = [gaussian_cv.conjugate_qic_vector(v, vacuum) for v in good]
+        report = gaussian_cv.multiparam_conditions(pairs, vacuum)
+        assert report.commuting and report.independent
+        pairings = np.array([[a.v @ symplectic_form(3) @ b.u for b in pairs] for a in pairs])
+        np.testing.assert_allclose(pairings, np.eye(3), atol=1e-9)
         fisher = gaussian_cv.shift_fisher_matrix(good, vacuum)
         assert all(fisher[i, i] > 0.0 for i in range(3))
 

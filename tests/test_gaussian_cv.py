@@ -1,6 +1,7 @@
 """Gaussian states, conjugate mode construction, entropy, and serialization."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -49,6 +50,20 @@ def test_vacuum_state():
     np.testing.assert_allclose(state.covariance, np.eye(4) / 2, atol=IDENTITY_TOL)
     np.testing.assert_allclose(state.mean, np.zeros(4), atol=IDENTITY_TOL)
     assert state.purity_residual() < PURITY_TOL
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, True, np.float64(2.0), "2", None])
+def test_state_builders_refuse_a_bad_mode_count_before_drawing(n):
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    message = f"need an integer mode count >= 1, got {re.escape(repr(n))}"
+    with pytest.raises(ValueError, match=message):
+        g.vacuum_state(n)
+    with pytest.raises(ValueError, match=message):
+        g.random_pure_state(n, rng)
+    assert rng.bit_generator.state == before
+    assert g.vacuum_state(np.int64(2)).n_modes == 2
+    assert g.random_pure_state(np.int64(2), rng).n_modes == 2
 
 
 def test_single_mode_squeezed():
@@ -205,6 +220,13 @@ def test_circulant_rejects_bad_shapes():
         g.GaussianState(np.zeros(2), cov)
     with pytest.raises(ValueError, match="does not match"):
         cov @ np.ones(3)
+
+
+@pytest.mark.parametrize("n", [2.5, np.float64(4.0), True, "4", None])
+def test_circulant_refuses_a_non_integer_site_count(n):
+    with pytest.raises(ValueError, match=f"need an integer N, got {re.escape(repr(n))}"):
+        g.CirculantCovariance(n, [1.0, 1.0], [1.0, 1.0])
+    assert g.CirculantCovariance(np.int64(2), [1.0, 1.0], [1.0, 1.0]).shape == (4, 4)
 
 
 # ---- conjugate mode construction ----
@@ -520,10 +542,11 @@ def pairs_on(state, *vectors):
 
 def test_multiparam_two_mode_vacuum():
     state = g.vacuum_state(2)
-    report = g.multiparam_conditions(pairs_on(state, [1.0, 0, 0, 0], [0, 0, 1.0, 0]), state)
+    pairs = pairs_on(state, [1.0, 0, 0, 0], [0, 0, 1.0, 0])
+    report = g.multiparam_conditions(pairs, state)
     assert report.commuting and report.independent
-    assert report.pairing_ok
-    np.testing.assert_allclose(report.pairings, np.eye(2), atol=1e-9)
+    pairings = np.array([[a.v @ symplectic_form(2) @ b.u for b in pairs] for a in pairs])
+    np.testing.assert_allclose(pairings, np.eye(2), atol=1e-9)
 
 
 def test_multiparam_single_mode_clash():
@@ -635,14 +658,16 @@ def test_invariance_drift_report():
 @pytest.mark.parametrize("v2", [[0, 0, 1.0, 0], [0.0, -1.2, 0.7, 2.0]])
 def test_second_write_moves_the_capsule_by_the_pairwise_products(v2):
     # The displacement theta2 Omega v2 moves (Q, P) = (v'r, u'r) by theta2 v'Omega v2 and
-    # theta2 u'Omega v2 = -theta2 v2'Omega u: the off-diagonals of multiparam_conditions'
-    # omega_products and pairings.  Both vanish for commuting, independent writes.
+    # theta2 u'Omega v2 = -theta2 v2'Omega u: an off-diagonal of multiparam_conditions'
+    # omega_products and of the pairings v_i'Omega u_j.  Both vanish for commuting,
+    # independent writes.
     vacuum = g.vacuum_state(2)
     pairs = [g.conjugate_qic_vector(v, vacuum) for v in ([1.0, 0, 0, 0], v2)]
     report = g.multiparam_conditions(pairs, vacuum)
     moved = g.apply_shift_write(vacuum, v2, 0.5).mean
     np.testing.assert_allclose([pairs[0].v @ moved, pairs[0].u @ moved],
-                               [0.5 * report.omega_products[0, 1], -0.5 * report.pairings[1, 0]],
+                               [0.5 * report.omega_products[0, 1],
+                                -0.5 * pairs[1].v @ symplectic_form(2) @ pairs[0].u],
                                atol=1e-15)
     assert report.commuting == (v2[1] == 0.0)
 
@@ -652,7 +677,7 @@ def test_second_write_moves_the_capsule_by_the_pairwise_products(v2):
 
 def test_state_file_round_trip_exact(tmp_path):
     rng = np.random.default_rng(53)
-    state = g.random_pure_state(4, rng, mean_scale=2.0)
+    state = g.random_pure_state(4, rng)
     path = tmp_path / "state.txt"
     g.write_state_file(path, state)
     back = g.read_state_file(path)

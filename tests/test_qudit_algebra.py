@@ -333,12 +333,15 @@ def test_basis_state_and_product_state():
     (lambda: qa.basis_state(2, 2, -1), ValueError, r"basis index -1 is outside 0\.\.3"),
     (lambda: qa.basis_state(2, 2, 4), ValueError, r"basis index 4 is outside 0\.\.3"),
     (lambda: qa.basis_state(2, 2, 7), ValueError, r"basis index 7 is outside 0\.\.3"),
+    (lambda: qa.basis_state(2, 2, 1.5), ValueError, "basis index must be an integer, got 1.5"),
+    (lambda: qa.basis_state(2, 2, True), ValueError, "basis index must be an integer, got True"),
     (lambda: qa.product_state([]), ValueError, "non-empty list of 1-D site vectors"),
     (lambda: qa.product_state([[0, 0], [1, 0]]), UnphysicalInputError,
      r"product state norm 0\.000e\+00 is not finite and positive"),
     (lambda: qa.product_state([[np.nan, 0], [1, 0]]), UnphysicalInputError,
      "product state norm nan is not finite"),
-], ids=["basis -1", "basis D", "basis 7", "product of none", "product zero", "product nan"])
+], ids=["basis -1", "basis D", "basis 7", "basis 1.5", "basis bool", "product of none",
+        "product zero", "product nan"])
 def test_state_constructors_refuse_bad_input_unwarned(build, error, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
