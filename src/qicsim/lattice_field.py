@@ -5,9 +5,11 @@ The chain Hamiltonian in dimensionless canonical pairs is
     H = (1/2) sum_n p_n^2 + (1/2 + eta) sum_n q_n^2 - eta sum_n q_n q_{n+1}
 
 with periodic identification q_{N+1} = q_1 and coupling eta > 0.  Its normal
-modes have frequencies omega_k = sqrt(1 + 2 eta (1 - cos(2 pi k / N))) for
-k = 1 .. N (minimum 1 at k = N) and plane-wave profiles
-f_k(n) = exp(2 pi i k n / N) / sqrt(N).
+modes have frequencies omega_k = sqrt(1 + 2 eta (1 - cos(2 pi k / N))) and
+plane-wave profiles f_k(n) = exp(2 pi i k n / N) / sqrt(N).  Plane wave
+N - k shares omega_k, so the half spectrum k = 0 .. N//2 in rfft order is the
+whole spectrum: dispersion returns it with omega_k at index k (minimum 1 at
+k = 0), and it is the only frequency layout the module holds.
 
 Sites are 1-based in every public interface.  The canonical vector follows
 the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
@@ -15,9 +17,8 @@ the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 The vacuum is translation invariant, so its covariance is kept as the
 per-mode spectra (1/(2 omega_k), omega_k/2) of a CirculantCovariance: it is
 validated in O(N), and each product with it is one FFT pair, O(N log N).
-Free evolution acts in mode space.  Rows are real and ModeMatrix holds
-omega_k = omega_{N-k}, so the half spectrum k = 0 .. N//2 of a row's rfft
-carries all of it: each mode is turned by the angle omega_k t,
+Free evolution acts in mode space.  Rows are real, so the half spectrum
+of a row's rfft carries all of it: each mode is turned by the angle omega_k t,
 w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p, and one
 irfft gives the real row at time t.  A capsule pair's rfft is taken once,
 by pair_spectrum; evolve_pair turns it out of place at each time, reads
@@ -48,9 +49,7 @@ from .gaussian_cv import (
 )
 from .linalg import gate, is_integer, require_finite, scaled
 
-SPECTRUM_SYMMETRY_TOL = 1e-12   # relative, on |omega_k - omega_{N-k}|
 EVOLVED_PAIRING_TOL = 1e-9
-VACUUM_PURITY_TOL = 1e-8
 
 
 def _require_integer(value, what: str) -> None:
@@ -81,42 +80,31 @@ class LatticeConfig:
 
 
 def dispersion(config: LatticeConfig) -> np.ndarray:
-    """Mode frequencies omega_k, k = 1 .. N; omega_N = 1 is the minimum."""
-    k = np.arange(1, config.n_sites + 1)
-    # omega_k and omega_{N-k} share one angle, so the spectrum passes ModeMatrix's check.
-    angle = 2.0 * np.pi * np.minimum(k, config.n_sites - k) / config.n_sites
+    """Mode frequencies omega_k at index k = 0 .. N//2, in rfft order; omega_0 = 1 is least."""
+    angle = 2.0 * np.pi * np.arange(config.n_sites // 2 + 1) / config.n_sites
     return np.sqrt(1.0 + 2.0 * config.eta * (1.0 - np.cos(angle)))
 
 
 @dataclass(frozen=True, eq=False)
 class ModeMatrix:
-    """Normal-mode frequencies omega_k of the chain, k = 1 .. N, with omega_k = omega_{N-k}."""
+    """The chain's normal modes: omegas = dispersion(config), omega_k at index k = 0 .. N//2."""
 
-    omegas: np.ndarray
+    config: LatticeConfig
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        if omegas.ndim != 1 or omegas.size == 0:
-            raise ValueError(f"mode frequencies must be a non-empty 1-D array, "
-                             f"got shape {omegas.shape}")
-        if not (np.isfinite(omegas) & (omegas > 0.0)).all():
-            raise UnphysicalInputError("mode frequencies must be finite and positive")
-        mirrored = omegas[-2::-1]   # omega_{N-k} for k = 1 .. N - 1
-        gate(float(np.max(np.abs(omegas[:-1] - mirrored) / mirrored, initial=0.0)),
-             SPECTRUM_SYMMETRY_TOL, UnphysicalInputError,
-             "mode frequencies break omega_k = omega_{N-k}, relative asymmetry")
-        object.__setattr__(self, "omegas", omegas)
-        # The half spectrum in rfft order k = 0 .. N//2, with k = 0 read as k = N.
-        object.__setattr__(self, "_fft_omegas", np.append(omegas[-1], omegas[: omegas.size // 2]))
+        if not isinstance(self.config, LatticeConfig):
+            raise TypeError(f"ModeMatrix is built from a LatticeConfig, "
+                            f"got {type(self.config).__name__}")
+        object.__setattr__(self, "omegas", dispersion(self.config))
 
     @property
     def n_sites(self) -> int:
-        return self.omegas.size
+        return self.config.n_sites
 
 
 def mode_matrix(config: LatticeConfig) -> ModeMatrix:
     """The chain's normal modes; the plane-wave profiles are the FFT's."""
-    return ModeMatrix(omegas=dispersion(config))
+    return ModeMatrix(config)
 
 
 def _vacuum_spectra(omegas: np.ndarray) -> tuple:
@@ -136,11 +124,8 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 
 def _vacuum(mm: ModeMatrix) -> GaussianState:
     """vacuum_covariance with the spectra read from the chain's mode frequencies."""
-    state = GaussianState(np.zeros(2 * mm.n_sites),
-                          CirculantCovariance(mm.n_sites, *_vacuum_spectra(mm._fft_omegas)))
-    gate(state.purity_residual(), VACUUM_PURITY_TOL, InternalConsistencyError,
-         "vacuum covariance purity residual")
-    return state
+    return GaussianState(np.zeros(2 * mm.n_sites),
+                         CirculantCovariance(mm.n_sites, *_vacuum_spectra(mm.omegas)))
 
 
 # ---- Free evolution of weighting vectors ----
@@ -155,7 +140,7 @@ def _forward(rows: np.ndarray) -> np.ndarray:
 
 def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
     """k x 2 x (N//2 + 1) coefficients turned by omega_k t, out of place; t = 0 returns modes."""
-    omegas = mm._fft_omegas
+    omegas = mm.omegas
     phase = scaled(t, omegas, "evolution time", "omega t")
     if t == 0.0:
         return modes
@@ -217,7 +202,7 @@ def pair_spectrum(pair: ModePair, mm: ModeMatrix) -> PairSpectrum:
         raise ValueError("pair and chain have different sizes")
     multiplicity = np.where(2 * np.arange(n // 2 + 1) % n == 0, 1.0, 2.0)   # k = 0, N/2: 1
     return PairSpectrum(pair=pair, modes=_forward(np.stack([pair.v, pair.u])),
-                        weights=multiplicity * np.stack(_vacuum_spectra(mm._fft_omegas)) / n,
+                        weights=multiplicity * np.stack(_vacuum_spectra(mm.omegas)) / n,
                         mm=mm)
 
 

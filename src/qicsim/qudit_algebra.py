@@ -241,9 +241,10 @@ class BranchRotation:
 class Conjugator:
     """Register unitary C = F_k ... F_1 on dim basis states, a product of factors.
 
-    Conjugator(matrix) gates a dense register matrix for unitarity once and
-    keeps it as F_1, an AxisUnitary over the whole register (the head);
-    Conjugator.identity(dim) has none.  Later factors (AxisUnitary,
+    Conjugator(matrix) takes the matrix: it gates a dense register matrix for
+    unitarity once, makes that array read-only, so no later write skips the
+    gate, and keeps it as F_1, an AxisUnitary over the whole register (the
+    head); Conjugator.identity(dim) has none.  Later factors (AxisUnitary,
     BranchRotation) are unitary by construction, so then() gates nothing.
     Nothing dense is cached: dense() applies the factors on every call.
     """
@@ -256,6 +257,7 @@ class Conjugator:
             raise ValueError("conjugator must be a square matrix")
         gate(unitarity_defect(matrix), UNITARY_TOL, UnphysicalInputError,
              "conjugator unitarity defect")
+        matrix.flags.writeable = False
         self.dim, self.factors = matrix.shape[0], (AxisUnitary(matrix),)
 
     @classmethod

@@ -172,6 +172,7 @@ class CorrelationState:
     matrix: np.ndarray
 
     def __post_init__(self):
+        build_su_basis(self.d)   # refuses a d that is not an integer >= 2, as VirtualQudit does
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d} x {self.d} matrix, got {m.shape}")

@@ -202,7 +202,7 @@ def test_c08_lattice_experiment():
         start = time.perf_counter()
         config = lattice_field.LatticeConfig(n_sites=30, eta=0.4)
         omegas = lattice_field.dispersion(config)
-        assert abs(omegas[14] - math.sqrt(2.6)) < 1e-12
+        assert abs(omegas[15] - math.sqrt(2.6)) < 1e-12
 
         profiles = lattice_field.figure_experiment(config, 15, [0.0, 25.0, 50.0])
         supports = []

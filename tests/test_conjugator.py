@@ -468,3 +468,18 @@ def test_broken_head_is_refused_at_construction(owner, head):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(UnphysicalInputError, match="conjugator unitarity defect"):
             HEAD_OWNERS[owner](BROKEN_HEADS[head].astype(complex))
+
+
+@pytest.mark.parametrize("owner", sorted(HEAD_OWNERS))
+def test_gated_head_is_read_only(owner):
+    # Conjugator(matrix) takes the matrix, uncopied: an edit after the
+    # unitarity gate would never be gated, so every write to it is refused,
+    # through the source array and through the dense head handed out.
+    head = haar_unitary(4, np.random.default_rng(44))
+    built = HEAD_OWNERS[owner](head)
+    dense = built.dense() if owner == "Conjugator" else built.conjugator
+    assert np.shares_memory(dense, head)
+    with pytest.raises(ValueError, match="read-only"):
+        head *= 3
+    with pytest.raises(ValueError, match="read-only"):
+        dense[0, 0] = 0.0

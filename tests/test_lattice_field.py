@@ -4,6 +4,7 @@ The dense ladder-operator route (reference_mode_matrix below) serves only as
 an oracle for the FFT evolution and the circulant vacuum.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,14 +23,21 @@ N_SITES = 30
 ETA = 0.4
 WRITE_SITE = 15
 
-# omega at the written site for the figure parameters: sqrt(1 + 2*0.4*(1-cos(pi)))
+# omega_15 = omega_{N/2} for the figure parameters: sqrt(1 + 2*0.4*(1-cos(pi)))
 OMEGA_15 = math.sqrt(2.6)
+
+
+def full_spectrum(config):
+    """omega_k for k = 1 .. N, read from the half spectrum as omegas[min(k, N - k)]."""
+    n = config.n_sites
+    k = np.arange(1, n + 1)
+    return lf.dispersion(config)[np.minimum(k, n - k)]
 
 
 def reference_mode_matrix(config):
     """Element-by-element four-case table (independent oracle)."""
     n = config.n_sites
-    omegas = lf.dispersion(config)
+    omegas = full_spectrum(config)
     a = np.zeros((2 * n, 2 * n), dtype=complex)
     for row in range(1, 2 * n + 1):          # 1-based indices
         site = (row + 1) // 2 if row % 2 == 1 else row // 2
@@ -51,7 +59,7 @@ def reference_mode_matrix(config):
 def reference_evolve(w, t, config):
     """w' A diag(exp(i omega t), exp(-i omega t)) A^{-1} on the dense table."""
     a = reference_mode_matrix(config)
-    omegas = lf.dispersion(config)
+    omegas = full_spectrum(config)
     phases = np.empty(2 * config.n_sites, dtype=complex)
     phases[0::2] = np.exp(1j * omegas * t)
     phases[1::2] = np.exp(-1j * omegas * t)
@@ -62,20 +70,36 @@ def reference_evolve(w, t, config):
 
 
 def test_dispersion_minimum_at_k_equals_n():
+    # Plane wave k = N is k = 0, index 0 of the half spectrum; the band
+    # rises from there to its edge at k = N/2.
     w = lf.dispersion(lf.LatticeConfig(12, 0.7))
-    assert abs(w[-1] - 1.0) < 1e-15
-    assert w.min() >= 1.0 - 1e-15
+    assert w.shape == (7,)
+    assert w[0] == 1.0
+    assert np.all(np.diff(w) > 0.0)
 
 
 def test_dispersion_written_site_value():
     w = lf.dispersion(lf.LatticeConfig(N_SITES, ETA))
-    assert abs(w[WRITE_SITE - 1] - OMEGA_15) < 1e-12
+    assert abs(w[N_SITES // 2] - OMEGA_15) < 1e-12
 
 
 def test_dispersion_reflection_symmetry():
-    w = lf.dispersion(lf.LatticeConfig(17, 1.3))
-    for k in range(1, 17):
-        assert abs(w[k - 1] - w[17 - k - 1]) < 1e-12
+    # Plane wave N - k has the frequency of k, so the half spectrum is all of it.
+    n, eta = 17, 1.3
+    w = lf.dispersion(lf.LatticeConfig(n, eta))
+    assert w.shape == (n // 2 + 1,)
+    for k in range(n // 2 + 1):
+        mirrored = math.sqrt(1.0 + 2.0 * eta * (1.0 - math.cos(2.0 * math.pi * (n - k) / n)))
+        assert abs(w[k] - mirrored) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 31])
+def test_dispersion_holds_omega_k_at_index_k(n):
+    w = lf.dispersion(lf.LatticeConfig(n, ETA))
+    assert w.shape == (n // 2 + 1,)
+    for k in range(n // 2 + 1):
+        omega_k = math.sqrt(1.0 + 2.0 * ETA * (1.0 - math.cos(2.0 * math.pi * k / n)))
+        assert abs(w[k] - omega_k) < 1e-15
 
 
 def test_config_validation():
@@ -104,11 +128,22 @@ def test_config_validation():
 # ---- normal modes and the FFT flow ----
 
 
-@pytest.mark.parametrize("omegas", [np.array([]), np.ones((2, 2)), 1.0],
-                         ids=["empty", "2-D", "scalar"])
-def test_mode_matrix_refuses_malformed_frequencies(omegas):
-    with pytest.raises(ValueError, match="non-empty 1-D array"):
-        lf.ModeMatrix(omegas)
+def test_mode_matrix_is_its_config():
+    assert [f.name for f in dataclasses.fields(lf.ModeMatrix)] == ["config"]
+    config = lf.LatticeConfig(7, ETA)
+    mm = lf.ModeMatrix(config)
+    assert mm.config is config and mm.n_sites == 7
+
+
+class _DuckConfig:
+    n_sites, eta = 4, 0.4
+
+
+@pytest.mark.parametrize("source", [lf.dispersion(lf.LatticeConfig(4, 0.4)), _DuckConfig()],
+                         ids=["frequency-array", "duck-config"])
+def test_mode_matrix_refuses_anything_but_a_config(source):
+    with pytest.raises(TypeError, match="built from a LatticeConfig"):
+        lf.ModeMatrix(source)
 
 
 def test_mode_matrix_matches_reference_table():
@@ -178,11 +213,9 @@ def test_fft_flow_matches_dense_route(n, eta, t, seed):
 
 
 def test_long_time_evolution_stays_real():
-    # omega_k == omega_{N-k} to the bit, and the irfft flow returns real rows
-    # at any t, so the reported residue is exactly 0
+    # one omega_k turns both plane waves k and N - k, and the irfft flow
+    # returns real rows at any t, so the reported residue is exactly 0
     config = lf.LatticeConfig(N_SITES, ETA)
-    omegas = lf.dispersion(config)
-    assert np.array_equal(omegas[:-1], omegas[-2::-1])
     w = np.random.default_rng(65).standard_normal(2 * N_SITES)
     for t in (1e3, 1e7, 1e9):
         assert lf.evolve_vector(w, t, lf.mode_matrix(config))[1] == 0.0
@@ -284,6 +317,14 @@ def test_vacuum_matches_mode_matrix_route():
     assert max_abs(np.asarray(state.covariance) - direct.real) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, N_SITES, N_SITES + 1])
+def test_vacuum_spectra_are_the_mode_frequencies(n):
+    mm = lf.mode_matrix(lf.LatticeConfig(n, ETA))
+    cov = lf._vacuum(mm).covariance
+    assert np.array_equal(cov.p_spectrum, 0.5 * mm.omegas)
+    assert np.array_equal(cov.q_spectrum, 0.5 / mm.omegas)
+
+
 def test_vacuum_q_correlations_decay_with_distance():
     state = lf.vacuum_covariance(lf.LatticeConfig(N_SITES, ETA))
     qq = np.asarray(state.covariance)[0::2, 0::2]
@@ -366,17 +407,12 @@ def test_evolution_preserves_symplectic_products():
 
 def test_evolve_detects_corrupted_matrix():
     # A spectrum with omega_1 != omega_{N-1} would turn conjugate Fourier
-    # coefficients apart, so the half-spectrum flow cannot represent it; it
-    # is refused when the ModeMatrix is built, before any time is evolved.
-    config = lf.LatticeConfig(N_SITES, ETA)
-    omegas = lf.mode_matrix(config).omegas.copy()
-    omegas[0] += 0.05
-    with pytest.raises(UnphysicalInputError, match="break omega_k"):
-        lf.ModeMatrix(omegas)
-    # Spectra symmetric to the bit pass, and so do the chains with no k, N - k pair.
+    # coefficients apart; the half-spectrum flow cannot represent it, and a
+    # ModeMatrix cannot hold it: its frequencies are its config's dispersion,
+    # for odd and even chains and those with no k, N - k pair.
     for n in (1, 2, N_SITES, N_SITES + 1):
-        omegas = lf.dispersion(lf.LatticeConfig(n, ETA))
-        assert np.array_equal(lf.ModeMatrix(omegas).omegas, omegas)
+        config = lf.LatticeConfig(n, ETA)
+        assert np.array_equal(lf.ModeMatrix(config).omegas, lf.dispersion(config))
 
 
 # ---- figure experiment ----
@@ -430,7 +466,7 @@ def test_capsule_front_stays_in_the_light_cone():
     # at t = 800.  The front must also really advance.
     n, site = 10 ** 4, 5000
     config = lf.LatticeConfig(n, ETA)
-    k = 2.0 * np.pi * np.arange(1, n + 1) / n
+    k = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     v_max = float(np.max(ETA * np.sin(k) / lf.dispersion(config)))
     slack = 20.0
     for prof in lf.figure_experiment(config, site, [200.0, 400.0, 800.0]):

@@ -96,8 +96,6 @@ CASES = {
     "evolve_vector.w": (ValueError, "weighting vector must be finite",
                         lambda x: lf.evolve_vector(np.array([x, 1.0, 0.0, 1.0]), 2.0,
                                                    lf.mode_matrix(lf.LatticeConfig(2, 0.4)))),
-    "ModeMatrix": (UnphysicalInputError, "mode frequencies must be finite and positive",
-                   lambda x: lf.ModeMatrix(np.array([1.0, x]))),
     "LatticeConfig.eta": (UnphysicalInputError, "coupling eta",
                           lambda x: lf.LatticeConfig(4, x)),
     # Scalar parameters of the unitary-by-construction factors and writes.
@@ -258,12 +256,6 @@ def test_circulant_covariance_refuses_unphysical_spectra(q, p, message):
         g.GaussianState(np.zeros(4), g.CirculantCovariance(2, q, p))
 
 
-@pytest.mark.parametrize("omega", [0.0, -1.0], ids=["zero", "negative"])
-def test_mode_matrix_refuses_non_positive_frequencies(omega):
-    with pytest.raises(UnphysicalInputError, match="finite and positive"):
-        lf.ModeMatrix(np.array([1.0, omega, 1.0]))
-
-
 # One valid constructor call per public dataclass with a __post_init__, every
 # field given; dense arrays stand for the conjugators, so they are array fields.
 VALID = {
@@ -274,7 +266,7 @@ VALID = {
                      q_offset=0.0, p_offset=0.0),
     "ModeCovariance": dict(matrix=np.eye(2) / 2.0),
     "LatticeConfig": dict(n_sites=4, eta=0.4),
-    "ModeMatrix": dict(omegas=np.array([1.0, 1.5])),
+    "ModeMatrix": dict(config=lf.LatticeConfig(4, 0.4)),
     "PureState": dict(amplitudes=np.eye(4, dtype=complex)[0]),
     "VirtualQudit": dict(d=2, conjugation=np.eye(4, dtype=complex)),
     "CorrelationState": dict(d=2, matrix=np.eye(2, dtype=complex) / 2.0),

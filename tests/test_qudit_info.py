@@ -118,6 +118,11 @@ def test_correlation_state_rejects_bad_matrix():
         qi.CorrelationState(2, np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(InternalConsistencyError):
         qi.CorrelationState(2, np.diag([1.2, -0.2]).astype(complex))
+    # d is a count, checked as VirtualQudit checks it: a float or a bool
+    # (a 1 x 1 "qudit") is refused even when the matrix has that shape.
+    for d in (2.0, np.float64(3), True):
+        with pytest.raises(UnphysicalInputError, match="d >= 2"):
+            qi.CorrelationState(d, np.eye(int(d), dtype=complex) / int(d))
 
 
 # ---- write operations ----
