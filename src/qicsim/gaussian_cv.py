@@ -10,6 +10,9 @@ Conventions (hbar = 1 throughout):
   state satisfies M Omega M = Omega / 4.
 * A covariance is a dense array or, for a translation-invariant state on a
   ring, a CirculantCovariance that stores only the spectra of its blocks.
+  The ring's Fourier layout lives here alone: _ring_modes and _ring_rows are
+  its rfft/irfft pair, and CirculantCovariance.spectral_mode_covariance holds
+  its Parseval weights.
 
 A capsule mode for the shift write exp(-i theta v' r) is the canonical pair
 (Q, P) = (v' r, u' r) with u = -Omega M v / (v' M v); the pair is canonical
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateFileError, UnphysicalInputError
-from .linalg import gate, haar_unitary, is_integer, max_abs, require_finite, scaled
+from .linalg import gate, haar_unitary, is_integer, max_abs, read_only, require_finite, scaled
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -71,6 +74,19 @@ def _add_omega(a: np.ndarray, scale) -> None:
 # ---- States ----
 
 
+def _ring_modes(rows: np.ndarray) -> np.ndarray:
+    """rfft over sites of the q and p parts of a row or a k x 2N stack: k x 2 x (N//2 + 1)."""
+    sites = rows.reshape(-1, rows.shape[-1] // 2, 2).swapaxes(1, 2)
+    # C order, so spectral_mode_covariance flattens q and p together without a copy.
+    return np.fft.rfft(np.ascontiguousarray(sites))
+
+
+def _ring_rows(modes: np.ndarray, n: int) -> np.ndarray:
+    """irfft of k x 2 x (N//2 + 1) coefficients: the real k x 2N rows, interleaved."""
+    # irfft's output is C-ordered, so the reshape copies it into interleaved rows.
+    return np.fft.irfft(modes, n=n).swapaxes(1, 2).reshape(len(modes), -1)
+
+
 @dataclass(frozen=True, eq=False)
 class CirculantCovariance:
     """Covariance of a translation-invariant ring of N modes, without q-p correlations.
@@ -78,10 +94,10 @@ class CirculantCovariance:
     The q-q and p-p blocks are circulant, so the plane waves diagonalize
     both.  They are stored as their eigenvalues a_k and b_k for the FFT
     indices k = 0 .. N//2; index N - k repeats index k, so real spectra make
-    both blocks real symmetric.  M @ x and x @ M, for a vector or a 2N x k
-    (k x 2N) matrix, cost one rfft and one irfft over sites for q and p
-    together.  np.asarray(M) builds the dense 2N x 2N matrix, for tests and
-    state files only.
+    both blocks real symmetric; one read-only copy holds both spectra.  x @ M
+    and M @ x, for a vector or a k x 2N (2N x k) matrix, cost one rfft and one
+    irfft over sites (_ring_modes, _ring_rows).  np.asarray(M) builds the
+    dense 2N x 2N matrix, for tests and state files only.
     """
 
     n_sites: int
@@ -100,40 +116,54 @@ class CirculantCovariance:
         if self.n_sites < 1 or q.shape != half or p.shape != half:
             raise ValueError(f"need N >= 1 and two spectra of length N//2 + 1, got "
                              f"N = {self.n_sites}, {q.shape} and {p.shape}")
-        spectra = np.stack([q, p], axis=1)
+        spectra = read_only(np.stack([q, p]))
         require_finite(spectra, UnphysicalInputError, "circulant spectra")
         if not (spectra > 0.0).all():
             raise UnphysicalInputError("circulant spectra must be positive")
-        object.__setattr__(self, "q_spectrum", q)
-        object.__setattr__(self, "p_spectrum", p)
-        object.__setattr__(self, "_spectra", spectra[:, :, None])
+        multiplicity = np.where(2 * np.arange(half[0]) % self.n_sites == 0, 1.0, 2.0)
+        object.__setattr__(self, "q_spectrum", spectra[0])
+        object.__setattr__(self, "p_spectrum", spectra[1])
+        object.__setattr__(self, "_spectra", spectra)
+        object.__setattr__(self, "_parseval_weights",
+                           read_only(multiplicity * spectra / self.n_sites))
 
     @property
     def shape(self) -> tuple:
         return (2 * self.n_sites, 2 * self.n_sites)
 
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != 2 * self.n_sites:
-            raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
-        sites = np.fft.rfft(x.reshape(self.n_sites, 2, -1), axis=0)
-        return np.fft.irfft(self._spectra * sites, n=self.n_sites, axis=0).reshape(x.shape)
-
     def __rmatmul__(self, x):
-        # M is symmetric: x @ M = (M @ x')'.
-        return (self @ np.asarray(x, dtype=float).T).T
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != 2 * self.n_sites:
+            raise ValueError(f"operand of shape {x.shape} does not match {self.shape}")
+        return _ring_rows(self._spectra * _ring_modes(x), self.n_sites).reshape(x.shape)
+
+    def __matmul__(self, x):
+        # M is symmetric: M @ x = (x' @ M)'.
+        return self.__rmatmul__(np.asarray(x, dtype=float).T).T
 
     def __array__(self, dtype=None, copy=None):
         n = self.n_sites
-        columns = np.fft.irfft(self._spectra[:, :, 0], n=n, axis=0)
+        first = _ring_rows(self._spectra[None], n)[0]   # M's first row, (q, p) interleaved
         idx = np.arange(n)
         # Indexing by the cyclic distance keeps the blocks exactly symmetric.
         dist = np.minimum((idx[:, None] - idx[None, :]) % n,
                           (idx[None, :] - idx[:, None]) % n)
         dense = np.zeros(self.shape)
-        dense[0::2, 0::2] = columns[dist, 0]
-        dense[1::2, 1::2] = columns[dist, 1]
+        dense[0::2, 0::2] = first[0::2][dist]
+        dense[1::2, 1::2] = first[1::2][dist]
         return dense if dtype is None else dense.astype(dtype)
+
+    def spectral_mode_covariance(self, modes: np.ndarray) -> np.ndarray:
+        """The 2 x 2 mode covariance of two rows from their _ring_modes, by Parseval.
+
+        The weights are the spectra over N, with index k counted once per
+        plane wave it stands for: k and N - k, which are one at k = 0 and N/2.
+        M is block diagonal on plane waves, so a row's q and p coefficients
+        enter as one flat vector, and modes times the weights stand for x' M.
+        """
+        rows = modes.reshape(2, -1)
+        weighted = (modes * self._parseval_weights).reshape(2, -1)
+        return _mode_entries(rows[0], rows[1], weighted[0], weighted[1])
 
     def uncertainty_deficit(self) -> float:
         """-min eig(M + i Omega/2), exactly, from each mode's [[a_k, i/2], [-i/2, b_k]]."""
@@ -158,7 +188,8 @@ class GaussianState:
     """First and second moments of a Gaussian state, interleaved ordering.
 
     The covariance is a dense array or a CirculantCovariance; either is
-    validated against the same tolerances.
+    validated against the same tolerances.  A float mean or dense covariance
+    is kept and frozen in place, uncopied: the caller's array turns read-only.
     """
 
     mean: np.ndarray
@@ -181,8 +212,8 @@ class GaussianState:
                  "uncertainty bound violated: -min eig(M + i Omega/2)")
         else:
             self._check_dense(cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "mean", read_only(mean))
+        object.__setattr__(self, "covariance", cov if structured else read_only(cov))
 
     @staticmethod
     def _check_dense(cov: np.ndarray) -> None:
@@ -293,7 +324,7 @@ class ModePair:
 
     Offsets record the state's first moments along the pair, so the mode is
     fully specified by (v, u, q_offset, p_offset) and the covariance.  All
-    of them must be finite (ValueError).
+    of them must be finite (ValueError).  Float v and u are frozen in place.
     """
 
     v: np.ndarray
@@ -313,8 +344,8 @@ class ModePair:
         require_finite(pairing, UnphysicalInputError, "pairing v'Omega u")
         gate(abs(pairing - 1.0), PAIRING_TOL, ValueError,
              "pair is not canonical: |v'Omega u - 1|")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", read_only(v))
+        object.__setattr__(self, "u", read_only(u))
 
     @property
     def n_modes(self) -> int:
@@ -323,7 +354,7 @@ class ModePair:
 
 @dataclass(frozen=True, eq=False)
 class ModeCovariance:
-    """2x2 covariance of a canonical pair; det >= 1/4 by the uncertainty bound."""
+    """2x2 covariance of a canonical pair, det >= 1/4; a float matrix is frozen in place."""
 
     matrix: np.ndarray
 
@@ -338,7 +369,7 @@ class ModeCovariance:
         require_finite(det, UnphysicalInputError, "mode covariance determinant")
         gate(0.25 - det, MODE_DET_TOL,
              UnphysicalInputError, "det m below the uncertainty floor 1/4 by")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m))
 
     @property
     def det(self) -> float:
@@ -350,7 +381,7 @@ def conjugate_qic_vector(v: np.ndarray, state: GaussianState) -> ModePair:
 
     The returned pair is canonical, has uncorrelated quadratures and unit
     minimal mode determinant, so the shift write exp(-i theta v' r) is
-    confined to this single mode.
+    confined to this single mode.  A float array v becomes pair.v, frozen.
     """
     require_pure(state)
     v = np.asarray(v, dtype=float)

@@ -14,16 +14,17 @@ k = 0), and it is the only frequency layout the module holds.
 Sites are 1-based in every public interface.  The canonical vector follows
 the package-wide interleaved ordering (q_1, p_1, ..., q_N, p_N).
 
-The vacuum is translation invariant, so its covariance is kept as the
-per-mode spectra (1/(2 omega_k), omega_k/2) of a CirculantCovariance: it is
-validated in O(N), and each product with it is one FFT pair, O(N log N).
+The vacuum is translation invariant, so ModeMatrix keeps its covariance as
+the per-mode spectra (1/(2 omega_k), omega_k/2) of a CirculantCovariance: it
+is validated in O(N), and each product with it is one FFT pair, O(N log N).
 Free evolution acts in mode space.  Rows are real, so the half spectrum
 of a row's rfft carries all of it: each mode is turned by the angle omega_k t,
 w_q <- cos w_q + omega sin w_p, w_p <- -sin/omega w_q + cos w_p, and one
-irfft gives the real row at time t.  A capsule pair's rfft is taken once,
-by pair_spectrum; evolve_pair turns it out of place at each time, reads
-the pair's mode covariance in the vacuum there by Parseval over the half
-spectrum, with weights from the same omega_k, and returns the pair's
+irfft gives the real row at time t.  The transforms are gaussian_cv's ring
+layout, _ring_modes and _ring_rows; this module calls no FFT itself.  A
+capsule pair's rfft is taken once, by pair_spectrum; evolve_pair turns it
+out of place at each time, reads the pair's mode covariance there by the
+vacuum's Parseval rule over the half spectrum, and returns the pair's
 SiteProfiles after one irfft.  No step of figure_experiment forms an
 N x N matrix, so it costs O(N log N) per time.  The flow is the standard
 Heisenberg flow run for -t, and the sign is intended: with U = exp(-i H t),
@@ -43,11 +44,12 @@ from .gaussian_cv import (
     GaussianState,
     ModePair,
     _det2,
-    _mode_entries,
+    _ring_modes,
+    _ring_rows,
     _symplectic,
     conjugate_qic_vector,
 )
-from .linalg import gate, is_integer, require_finite, scaled
+from .linalg import gate, is_integer, read_only, require_finite, scaled
 
 EVOLVED_PAIRING_TOL = 1e-9
 
@@ -87,7 +89,7 @@ def dispersion(config: LatticeConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeMatrix:
-    """The chain's normal modes: omegas = dispersion(config), omega_k at index k = 0 .. N//2."""
+    """The chain's normal modes, omegas = dispersion(config) (read-only), and its vacuum."""
 
     config: LatticeConfig
 
@@ -95,7 +97,10 @@ class ModeMatrix:
         if not isinstance(self.config, LatticeConfig):
             raise TypeError(f"ModeMatrix is built from a LatticeConfig, "
                             f"got {type(self.config).__name__}")
-        object.__setattr__(self, "omegas", dispersion(self.config))
+        omegas = read_only(dispersion(self.config))
+        object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "vacuum",
+                           CirculantCovariance(self.n_sites, 0.5 / omegas, 0.5 * omegas))
 
     @property
     def n_sites(self) -> int:
@@ -105,11 +110,6 @@ class ModeMatrix:
 def mode_matrix(config: LatticeConfig) -> ModeMatrix:
     """The chain's normal modes; the plane-wave profiles are the FFT's."""
     return ModeMatrix(config)
-
-
-def _vacuum_spectra(omegas: np.ndarray) -> tuple:
-    """The vacuum's <q q> and <p p> eigenvalues (1/(2 omega), omega/2) on the given modes."""
-    return 0.5 / omegas, 0.5 * omegas
 
 
 def vacuum_covariance(config: LatticeConfig) -> GaussianState:
@@ -123,19 +123,11 @@ def vacuum_covariance(config: LatticeConfig) -> GaussianState:
 
 
 def _vacuum(mm: ModeMatrix) -> GaussianState:
-    """vacuum_covariance with the spectra read from the chain's mode frequencies."""
-    return GaussianState(np.zeros(2 * mm.n_sites),
-                         CirculantCovariance(mm.n_sites, *_vacuum_spectra(mm.omegas)))
+    """vacuum_covariance on the chain's own vacuum covariance."""
+    return GaussianState(np.zeros(2 * mm.n_sites), mm.vacuum)
 
 
 # ---- Free evolution of weighting vectors ----
-
-
-def _forward(rows: np.ndarray) -> np.ndarray:
-    """rfft over sites of the q and p parts of a row or a k x 2N stack: k x 2 x (N//2 + 1)."""
-    sites = rows.reshape(-1, rows.shape[-1] // 2, 2).swapaxes(1, 2)
-    # C order, so _spectral_mode_covariance flattens q and p together without a copy.
-    return np.fft.rfft(np.ascontiguousarray(sites))
 
 
 def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
@@ -157,12 +149,6 @@ def _turn(modes: np.ndarray, t: float, mm: ModeMatrix) -> np.ndarray:
     return out
 
 
-def _inverse(modes: np.ndarray, mm: ModeMatrix) -> np.ndarray:
-    """irfft of k x 2 x (N//2 + 1) coefficients: the real k x 2N rows, interleaved."""
-    # irfft's output is C-ordered, so the reshape copies it into interleaved rows.
-    return np.fft.irfft(modes, n=mm.n_sites).swapaxes(1, 2).reshape(len(modes), -1)
-
-
 def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     """Free evolution of one weighting row; returns (w(t), imaginary residue 0.0)."""
     w = np.asarray(w, dtype=float)
@@ -171,7 +157,7 @@ def evolve_vector(w: np.ndarray, t: float, mm: ModeMatrix) -> tuple:
     require_finite(w, ValueError, "weighting vector")
     if t == 0.0:
         return w.copy(), 0.0
-    return _inverse(_turn(_forward(w), t, mm), mm)[0], 0.0
+    return _ring_rows(_turn(_ring_modes(w), t, mm), mm.n_sites)[0], 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,42 +165,20 @@ class PairSpectrum:
     """A capsule pair's rfft over sites, taken once, and the chain it evolves on.
 
     modes is the 2 x 2 x (N//2 + 1) stack of coefficients (v, u) x (q, p) x k,
-    k = 0 .. N//2; weights is the 2 x (N//2 + 1) stack of the vacuum's
-    plane-wave eigenvalues (1/(2 omega_k), omega_k/2) times the number of
-    plane waves k stands for (2 for k and N - k, 1 at k = 0 and N/2), over N,
-    so that modes * weights stands for (v' M, u' M) in _mode_entries.
+    k = 0 .. N//2, from _ring_modes, read-only.
     """
 
     pair: ModePair
     modes: np.ndarray
-    weights: np.ndarray
     mm: ModeMatrix
 
 
 def pair_spectrum(pair: ModePair, mm: ModeMatrix) -> PairSpectrum:
-    """The one rfft of a capsule pair, for evolve_pair at any number of times.
-
-    The mode covariance is read against the chain vacuum, whose spectra come
-    from the same frequencies the turn uses.
-    """
-    n = mm.n_sites
-    if pair.n_modes != n:
+    """The one rfft of a capsule pair, for evolve_pair at any number of times."""
+    if pair.n_modes != mm.n_sites:
         raise ValueError("pair and chain have different sizes")
-    multiplicity = np.where(2 * np.arange(n // 2 + 1) % n == 0, 1.0, 2.0)   # k = 0, N/2: 1
-    return PairSpectrum(pair=pair, modes=_forward(np.stack([pair.v, pair.u])),
-                        weights=multiplicity * np.stack(_vacuum_spectra(mm.omegas)) / n,
+    return PairSpectrum(pair=pair, modes=read_only(_ring_modes(np.stack([pair.v, pair.u]))),
                         mm=mm)
-
-
-def _spectral_mode_covariance(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The 2 x 2 mode covariance of the pair with 2 x 2 x (N//2 + 1) coefficients, by Parseval.
-
-    M is block diagonal on plane waves, so the q and p coefficients of a row
-    enter as one flat vector.
-    """
-    rows = modes.reshape(2, -1)
-    weighted = (modes * weights).reshape(2, -1)
-    return _mode_entries(rows[0], rows[1], weighted[0], weighted[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,16 +206,16 @@ class SiteProfiles:
 def evolve_pair(spectrum: PairSpectrum, t: float) -> SiteProfiles:
     """Evolve a capsule pair from its spectrum, with a pairing gate.
 
-    The turned coefficients give the mode covariance by Parseval before one
-    irfft gives the rows; t = 0 reads the cached spectrum and the pair's own
-    rows, and makes no transform.
+    The turned coefficients give the mode covariance in the chain vacuum by
+    its Parseval rule before one irfft gives the rows; t = 0 reads the cached
+    spectrum and the pair's own rows, and makes no transform.
     """
     modes = _turn(spectrum.modes, t, spectrum.mm)
-    det_m = float(_det2(_spectral_mode_covariance(modes, spectrum.weights)))
+    det_m = float(_det2(spectrum.mm.vacuum.spectral_mode_covariance(modes)))
     if t == 0.0:
         rows = np.stack([spectrum.pair.v, spectrum.pair.u])
     else:
-        rows = _inverse(modes, spectrum.mm)
+        rows = _ring_rows(modes, spectrum.mm.n_sites)
     del modes   # the turned buffer goes before the pairing's temporaries come
     pairing = _symplectic(rows[0], rows[1])
     gate(abs(pairing - 1.0), EVOLVED_PAIRING_TOL, InternalConsistencyError,

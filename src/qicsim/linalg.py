@@ -56,6 +56,12 @@ def require_finite(a, error: type, what: str) -> None:
         raise error(f"{what} must be finite")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only in place, so no write can skip the gate it passed."""
+    a.flags.writeable = False
+    return a
+
+
 def scaled(x, a, what: str, product: str) -> np.ndarray:
     """x * a for a scalar parameter x (an angle, a time), refused without numpy warnings.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalInputError
-from .linalg import dag, gate, is_integer, random_unit_vector, unitarity_defect
+from .linalg import dag, gate, is_integer, random_unit_vector, read_only, unitarity_defect
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -61,7 +61,7 @@ class SuBasis:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector of a register of dimension D = amplitudes.size >= 2."""
+    """Normalized register state, D = amplitudes.size >= 2; a complex array is frozen, uncopied."""
 
     amplitudes: np.ndarray
 
@@ -71,7 +71,7 @@ class PureState:
             raise ValueError(f"need a vector of at least 2 amplitudes, got shape {amps.shape}")
         gate(abs(np.linalg.norm(amps) - 1.0), NORM_TOL, ValueError,
              "state vector norm deviation from 1")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", read_only(amps))
 
     @property
     def dim(self) -> int:
@@ -116,9 +116,7 @@ def _su_basis(d: int) -> SuBasis:
         diag[level] = -float(level)
         m = np.diag(diag.astype(complex)) * np.sqrt(2.0 / (level * (level + 1)))
         gens.append(scale * m)
-    for g in gens:
-        g.flags.writeable = False
-    return SuBasis(d=d, generators=tuple(gens))
+    return SuBasis(d=d, generators=tuple(read_only(g) for g in gens))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -257,8 +255,7 @@ class Conjugator:
             raise ValueError("conjugator must be a square matrix")
         gate(unitarity_defect(matrix), UNITARY_TOL, UnphysicalInputError,
              "conjugator unitarity defect")
-        matrix.flags.writeable = False
-        self.dim, self.factors = matrix.shape[0], (AxisUnitary(matrix),)
+        self.dim, self.factors = matrix.shape[0], (AxisUnitary(read_only(matrix)),)
 
     @classmethod
     def identity(cls, dim: int) -> "Conjugator":

@@ -31,6 +31,7 @@ from .linalg import (
     haar_unitary,
     is_integer,
     max_abs,
+    read_only,
     require_finite,
     scaled,
 )
@@ -166,7 +167,7 @@ class VirtualQudit(_SiteConjugated):
 
 @dataclass(frozen=True, eq=False)
 class CorrelationState:
-    """Density matrix of a single virtual qudit."""
+    """Density matrix of a single virtual qudit; a complex matrix is frozen in place, uncopied."""
 
     d: int
     matrix: np.ndarray
@@ -184,7 +185,7 @@ class CorrelationState:
              "correlation state hermiticity defect")
         gate(-np.linalg.eigvalsh(m).min(), NEGATIVITY_TOL, InternalConsistencyError,
              "correlation state negativity")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))

@@ -222,6 +222,21 @@ def test_circulant_rejects_bad_shapes():
         cov @ np.ones(3)
 
 
+def test_circulant_spectra_share_one_read_only_buffer():
+    # An edit after the gates would leave the purity residual and M @ x
+    # reading different spectra, so the one copy both read refuses writes.
+    q, p = np.array([0.5, 0.4, 0.3]), np.array([0.5, 0.7, 0.9])
+    cov = g.CirculantCovariance(4, q, p)
+    assert cov.q_spectrum.base is cov.p_spectrum.base
+    assert not cov.q_spectrum.base.flags.writeable
+    for spectrum in (cov.q_spectrum, cov.p_spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[:] = 5.0
+    q[:] = p[:] = 5.0   # the caller's inputs were copied, and stay writable
+    assert np.array_equal(cov.q_spectrum, [0.5, 0.4, 0.3])
+    assert np.array_equal(cov.p_spectrum, [0.5, 0.7, 0.9])
+
+
 @pytest.mark.parametrize("n", [2.5, np.float64(4.0), True, "4", None])
 def test_circulant_refuses_a_non_integer_site_count(n):
     with pytest.raises(ValueError, match=f"need an integer N, got {re.escape(repr(n))}"):

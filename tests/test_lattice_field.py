@@ -321,6 +321,7 @@ def test_vacuum_matches_mode_matrix_route():
 def test_vacuum_spectra_are_the_mode_frequencies(n):
     mm = lf.mode_matrix(lf.LatticeConfig(n, ETA))
     cov = lf._vacuum(mm).covariance
+    assert cov is mm.vacuum   # one vacuum per chain, built with its modes
     assert np.array_equal(cov.p_spectrum, 0.5 * mm.omegas)
     assert np.array_equal(cov.q_spectrum, 0.5 / mm.omegas)
 
@@ -564,14 +565,6 @@ def test_figure_experiment_matches_per_vector_route_at_random_sizes(n, eta, data
     _assert_matches_per_vector_route(lf.LatticeConfig(n, eta), site, times)
 
 
-def _vacuum_weights(config):
-    """The vacuum covariance and the weights pair_spectrum reads for it."""
-    n = config.n_sites
-    cov = lf.vacuum_covariance(config).covariance
-    site_pair = gaussian_cv.ModePair(np.eye(2 * n)[0], np.eye(2 * n)[1])
-    return cov, lf.pair_spectrum(site_pair, lf.mode_matrix(config)).weights
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 64), st.floats(0.01, 5.0), st.integers(0, 2 ** 32 - 1))
 def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
@@ -579,9 +572,10 @@ def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
     # are conjugate, so x'My = (1/N) sum_{k <= N/2} mult_k Re(conj(x^_k) m_k y^_k)
     # for the plane-wave spectrum m_k of each block, with mult_k the number
     # of plane waves index k stands for.  Unit rows keep every entry below 2.5.
-    # The weights are the vacuum's own spectra times mult_k / N, bit for bit.
+    # The weights are the covariance's own spectra times mult_k / N, bit for bit.
     for size in (n, n + 1):   # one odd and one even chain
-        cov, weights = _vacuum_weights(lf.LatticeConfig(size, eta))
+        cov = lf.vacuum_covariance(lf.LatticeConfig(size, eta)).covariance
+        weights = cov._parseval_weights
         own = np.stack([cov.q_spectrum, cov.p_spectrum])
         multiplicity = np.rint(size * weights[0] / own[0])
         assert set(multiplicity) <= {1.0, 2.0} and multiplicity.sum() == size
@@ -589,11 +583,10 @@ def test_spectral_mode_covariance_matches_real_space(n, eta, seed):
         dense = np.asarray(cov)
         assert max_abs(size * weights - multiplicity * np.fft.rfft(
             [dense[0::2, 0], dense[1::2, 1]]).real) < 1e-13
-    config = lf.LatticeConfig(n, eta)
-    cov, weights = _vacuum_weights(config)
+    cov = lf.vacuum_covariance(lf.LatticeConfig(n, eta)).covariance
     rows = np.random.default_rng(seed).standard_normal((2, 2 * n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    spectral = lf._spectral_mode_covariance(lf._forward(rows), weights)
+    spectral = cov.spectral_mode_covariance(gaussian_cv._ring_modes(rows))
     real = gaussian_cv.mode_covariance_matrix(rows[0], rows[1], cov)
     assert max_abs(spectral - real) <= 1e-15
 

@@ -20,7 +20,8 @@ overflows, and a squeeze r whose covariance overflows math.exp or math.cosh.
 
 The value types are also covered by construction: starting from one valid
 constructor call per public dataclass that validates itself, every float
-field and one entry of every array field is made non-finite in turn.
+field and one entry of every array field is made non-finite in turn, and
+every array the built record keeps must refuse a write.
 """
 
 import dataclasses
@@ -308,3 +309,28 @@ def test_every_validated_field_refuses_non_finite(name, field, value, data):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises((ValueError, QicError)):
             getattr(qicsim, name)(**kwargs)
+
+
+# Every array a validated record keeps is read-only: a write after the gate
+# would never be gated.  The chain's vacuum and a pair's spectrum join the
+# VALID records; each name lists the arrays it must at least hold.
+KEPT_ARRAYS = {"ModeMatrix": {"omegas"}, "ModeMatrix.vacuum": {"q_spectrum", "p_spectrum"},
+               "PairSpectrum": {"modes"}}
+
+
+def _record(name):
+    if name in VALID:
+        return getattr(qicsim, name)(**VALID[name])
+    mm = lf.mode_matrix(lf.LatticeConfig(4, 0.4))
+    if name == "ModeMatrix.vacuum":
+        return mm.vacuum
+    return lf.pair_spectrum(g.conjugate_qic_vector(np.eye(8)[0], lf._vacuum(mm)), mm)
+
+
+@pytest.mark.parametrize("name", sorted({*VALID, *KEPT_ARRAYS}))
+def test_every_array_a_record_keeps_is_read_only(name):
+    arrays = {key: a for key, a in vars(_record(name)).items() if isinstance(a, np.ndarray)}
+    assert set(arrays) >= KEPT_ARRAYS.get(name, set())
+    for a in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a

@@ -219,7 +219,7 @@ def test_map_identity_off_span():
     dst = qa.random_state(1, 6, rng).amplitudes
     v = rotation(src, dst)
     q = np.linalg.qr(np.column_stack([src, dst]))[0]
-    probe = qa.random_state(1, 6, rng).amplitudes
+    probe = qa.random_state(1, 6, rng).amplitudes.copy()   # a state's amplitudes are read-only
     probe -= q @ (dag(q) @ probe)
     probe /= np.linalg.norm(probe)
     assert np.linalg.norm(v @ probe - probe) < MAP_TOL
